@@ -3,9 +3,13 @@
 Two independent routes decide irreducibility and they are always compared:
 closed-form scalar predicates in the eigenvalues (one family per dimension
 class), and a Burnside closure oracle that computes the dimension of the
-matrix algebra generated by g1 and g2.  Quantified predicates ("for every
-root h of t^2 = e4 ...") are decided root-free through resultants, so no
-field extension is needed to reach a verdict.
+matrix algebra generated by g1 and g2.  The oracle first runs the closure
+over F_p, p = 2^61 - 1, on rational generators: a full d*d there certifies
+the full algebra over Q, since reduction mod p cannot raise a rank; any
+other outcome falls back to the exact closure, so no verdict depends on
+the prime.  Quantified predicates ("for every root h of t^2 = e4 ...") are
+decided root-free through resultants, so no field extension is needed to
+reach a verdict.
 
 For degenerate parameters the witness search produces an explicit invariant
 subspace: a coordinate subspace for dimensions up to 5, and for dimension 6
@@ -26,7 +30,7 @@ from math import comb
 
 from .braidword import BraidWord, evaluate, parse
 from .field import FieldContext, FieldElement, element_kth_roots
-from .linalg import Matrix, algebra_closure_dim, kernel_basis
+from .linalg import Matrix, algebra_closure_dim, closure_dim_mod_p, kernel_basis
 from .poly import Polynomial, resultant
 from .reps import (
     BadSpec,
@@ -39,6 +43,7 @@ from .reps import (
 
 __all__ = [
     "BadLevel",
+    "CensusMismatch",
     "InvalidWitness",
     "NotSemisimple",
     "RootsUnavailable",
@@ -67,6 +72,10 @@ class BadLevel(ValueError):
 
 class InvalidWitness(ValueError):
     """The supplied witness does not span an invariant subspace."""
+
+
+class CensusMismatch(ArithmeticError):
+    """The squared irreducible dimensions do not sum to the algebra dimension."""
 
 
 class NotSemisimple(ValueError):
@@ -253,9 +262,19 @@ def evaluate_predicates(
 
 
 def irreducible_oracle(rep: Representation) -> bool:
-    """True iff g1 and g2 generate the full matrix algebra (Burnside)."""
-    dim, _ = algebra_closure_dim([rep.g1, rep.g2])
-    return dim == rep.dim * rep.dim
+    """True iff g1 and g2 generate the full matrix algebra (Burnside).
+
+    The closure runs over F_p (p = 2^61 - 1) first: if it reaches d*d
+    there, the accepted words are independent mod p and hence over Q, so
+    the algebra is full.  Otherwise (a smaller F_p dimension, an irrational
+    entry, or p dividing a denominator) the exact closure decides.
+    """
+    gens = [rep.g1, rep.g2]
+    full = rep.dim * rep.dim
+    if closure_dim_mod_p(gens) == full:
+        return True
+    dim, _ = algebra_closure_dim(gens)
+    return dim == full
 
 
 @dataclass(frozen=True)
@@ -640,6 +659,13 @@ def _combinatorial_count(n: int) -> int:
     return total
 
 
+def _check_sum_of_squares(total: int, algebra_dim: int) -> None:
+    if total != algebra_dim:
+        raise CensusMismatch(
+            f"sum of squared dimensions {total} != algebra dimension {algebra_dim}"
+        )
+
+
 def dimension_census(
     X: ParameterSet,
     context: FieldContext | None = None,
@@ -666,7 +692,7 @@ def dimension_census(
     algebra_dim = ALGEBRA_DIMS[n]
     if mode == "combinatorial":
         total = _combinatorial_count(n)
-        assert total == algebra_dim, (total, algebra_dim)
+        _check_sum_of_squares(total, algebra_dim)
         return CensusReport(
             entries=(),
             deferred=(),
@@ -715,7 +741,7 @@ def dimension_census(
     )
     total = sum(enum.reps[j].dim ** 2 for j in class_reps)
     total += sum(d.count * d.dim**2 for d in enum.deferred)
-    assert total == algebra_dim, (total, algebra_dim)
+    _check_sum_of_squares(total, algebra_dim)
     return CensusReport(
         entries=entries,
         deferred=enum.deferred,

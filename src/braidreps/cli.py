@@ -17,6 +17,7 @@ import sys
 from multiprocessing import Pool
 
 from .analysis import (
+    CensusMismatch,
     NotSemisimple,
     RootsUnavailable,
     decomposability_check,
@@ -98,10 +99,25 @@ def _context(job):
         raise InputError(f"bad context: {exc}")
 
 
+def _int_option(job, key: str, default: int) -> int:
+    """An integer job field (a JSON integer or a string of digits)."""
+    val = job.get(key)
+    if val is None:
+        return default
+    if isinstance(val, (int, str)) and not isinstance(val, bool):
+        try:
+            return int(val)
+        except ValueError:
+            pass
+    raise InputError(f"bad {key}: {val!r}")
+
+
 def _parameter_set(ctx, job) -> ParameterSet:
     xs = job.get("X")
     if not xs:
         raise InputError("no parameters given (use --params)")
+    if not isinstance(xs, list):
+        raise InputError(f"parameters must be a JSON list, got {xs!r}")
     if len(xs) >= 6:
         raise InputError(
             f"{len(xs)} eigenvalues given; the quotient algebra is only "
@@ -132,13 +148,7 @@ def _auto_root(values, order: int, given, ctx, what: str):
 
 
 def _resolve_spec(job, ctx, X) -> RepSpec:
-    dim = job.get("dim")
-    if dim is None:
-        dim = len(X)
-    try:
-        dim = int(dim)
-    except (TypeError, ValueError):
-        raise InputError(f"bad dimension: {job.get('dim')!r}")
+    dim = _int_option(job, "dim", len(X))
     try:
         if dim == 4:
             h = _auto_root(X.values, 2, job.get("h"), ctx, "h")
@@ -147,7 +157,7 @@ def _resolve_spec(job, ctx, X) -> RepSpec:
             f = _auto_root(X.values, 5, job.get("f"), ctx, "f")
             return RepSpec(dim=5, params=X, f=f)
         if dim == 6:
-            variant = int(job.get("variant", 5))
+            variant = _int_option(job, "variant", 5)
             return RepSpec(dim=6, params=X, variant=variant)
         return RepSpec(dim=dim, params=X)
     except (BadSpec, MissingRoot) as exc:
@@ -158,8 +168,7 @@ def _cmd_build(args):
     job = _load_job(args)
     ctx = _context(job)
     X = _parameter_set(ctx, job)
-    dim = job.get("dim")
-    dim = len(X) if dim is None else int(dim)
+    dim = _int_option(job, "dim", len(X))
     specs = []
     try:
         if dim == 4 and job.get("h") is None:
@@ -358,12 +367,14 @@ def _cmd_scan(args):
     grid = job.get("grid")
     if grid is None:
         raise InputError('scan needs a "grid" of parameter sets in --params')
+    if not isinstance(grid, list) or not all(isinstance(xs, list) for xs in grid):
+        raise InputError('"grid" must be a JSON list of parameter lists')
     mode = job.get("mode", "semisimple")
     if mode != "semisimple":
         raise InputError(f"unsupported scan mode {mode!r}")
     ctx = _context(job)
     modulus = tuple(str(c) for c in ctx.modulus)
-    jobs = int(job.get("jobs", 1))
+    jobs = _int_option(job, "jobs", 1)
     tasks = [(i, modulus, [str(x) for x in xs]) for i, xs in enumerate(grid)]
     try:
         if jobs > 1:
@@ -441,7 +452,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (NotScalar, NotInvertible, AssertionError) as exc:
+    except (NotScalar, NotInvertible, CensusMismatch) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     text = canonical_dumps(payload)

@@ -72,7 +72,10 @@ def encode_element(e: FieldElement) -> str:
 def parse_element(ctx: FieldContext, obj) -> FieldElement:
     """Accepts "p/q", an int, "[c0, c1, ...]" or a JSON list of coefficients."""
     if isinstance(obj, str) and obj.strip().startswith("["):
-        inner = obj.strip()[1:-1].strip()
+        text = obj.strip()
+        if not text.endswith("]"):
+            raise ValueError(f"unbalanced brackets: {obj!r}")
+        inner = text[1:-1].strip()
         parts = [p for p in inner.split(",") if p.strip()] if inner else []
         coeffs = [parse_rational(p) for p in parts]
         return ctx.element(coeffs)

@@ -13,6 +13,7 @@ import pytest
 from braidreps import (
     ALGEBRA_DIMS,
     BadLevel,
+    CensusMismatch,
     DEFAULT_PROBE_WORDS,
     InvalidWitness,
     Matrix,
@@ -22,6 +23,7 @@ from braidreps import (
     Representation,
     RootsUnavailable,
     Witness,
+    algebra_closure_dim,
     build_rep,
     character,
     commutant_dim,
@@ -32,11 +34,16 @@ from braidreps import (
     intertwiner_exists,
     invariant_subspace_witness,
     irreducible_oracle,
+    make_context,
     rationals,
     semisimplicity,
     verify_witness,
     witness_vectors,
 )
+from braidreps.linalg import closure_dim_mod_p
+
+import braidreps.analysis as analysis
+from conftest import sweep_plans
 
 Q = rationals()
 
@@ -250,6 +257,87 @@ class TestDegenerateFixtures:
         assert zeros and not irreducible_oracle(rep)
 
 
+def _fixture_reps():
+    """The degenerate fixtures, both reducible J6 variants included."""
+    return [
+        build_rep(RepSpec(dim=3, params=FIX_I3)),
+        build_rep(RepSpec(dim=4, params=FIX_I4, h=qv(9))),
+        build_rep(RepSpec(dim=5, params=FIX_J5, f=qv(2))),
+        build_rep(RepSpec(dim=6, params=FIX_J6, variant=5)),
+        build_rep(RepSpec(dim=6, params=FIX_J6, variant=3)),
+        build_rep(RepSpec(dim=6, params=FIX_K6, variant=5)),
+        build_rep(RepSpec(dim=6, params=FIX_I6, variant=5)),
+    ]
+
+
+def _conjugate_by_p(rep):
+    """The same rep after the change of basis diag(1, ..., 1, 2^61 - 1)."""
+    d = rep.dim
+    diag = [qv(1)] * (d - 1)
+    s = Matrix.diagonal(Q, diag + [qv(2**61 - 1)])
+    s_inv = Matrix.diagonal(Q, diag + [qv(Fraction(1, 2**61 - 1))])
+    return Representation(spec=rep.spec, g1=s @ rep.g1 @ s_inv,
+                          g2=s @ rep.g2 @ s_inv,
+                          multiplicities=rep.multiplicities)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Records each call the oracle makes to the exact closure."""
+    calls = []
+
+    def counting(generators):
+        calls.append(generators)
+        return algebra_closure_dim(generators)
+
+    monkeypatch.setattr(analysis, "algebra_closure_dim", counting)
+    return calls
+
+
+class TestModularCertificate:
+    def test_mod_p_dimension_matches_exact_on_fixtures(self, exact_calls):
+        for rep in _fixture_reps():
+            gens = [rep.g1, rep.g2]
+            dim, _ = algebra_closure_dim(gens)
+            assert dim < rep.dim ** 2
+            assert closure_dim_mod_p(gens) == dim
+            # a reducible set always reaches the exact closure
+            before = len(exact_calls)
+            assert not irreducible_oracle(rep)
+            assert len(exact_calls) == before + 1
+
+    def test_certified_sets_skip_the_exact_closure(self, exact_calls):
+        rep = build_rep(RepSpec(dim=6, params=FIX_J6, variant=1))
+        assert irreducible_oracle(rep)
+        assert exact_calls == []
+
+    def test_p_in_a_denominator_takes_exact_path(self, exact_calls):
+        irred = _conjugate_by_p(build_rep(RepSpec(dim=2, params=ps(1, 2))))
+        red = _conjugate_by_p(build_rep(RepSpec(dim=3, params=FIX_I3)))
+        for rep, verdict in ((irred, True), (red, False)):
+            assert closure_dim_mod_p([rep.g1, rep.g2]) is None
+            assert irreducible_oracle(rep) is verdict
+        assert len(exact_calls) == 2
+
+    def test_irrational_root_takes_exact_path(self, exact_calls):
+        ctx = make_context([-24, 0, 1])
+        X = ParameterSet.from_rationals(ctx, [1, 2, 3, 4])
+        rep = build_rep(RepSpec(dim=4, params=X, h=ctx.generator()))
+        assert closure_dim_mod_p([rep.g1, rep.g2]) is None
+        assert irreducible_oracle(rep)
+        assert len(exact_calls) == 1
+
+    def test_oracle_agrees_with_exact_closure_on_sweep(self):
+        for plan in sweep_plans(10):
+            roots = {k: qv(plan[k]) for k in ("h", "f") if k in plan}
+            spec = RepSpec(dim=plan["dim"], params=ps(*plan["values"]),
+                           variant=plan.get("variant"), **roots)
+            rep = build_rep(spec)
+            dim, _ = algebra_closure_dim([rep.g1, rep.g2])
+            assert closure_dim_mod_p([rep.g1, rep.g2]) == dim, spec
+            assert irreducible_oracle(rep) == (dim == rep.dim ** 2), spec
+
+
 class TestDecomposableExample:
     def test_artificial_direct_sum(self):
         # g1 = g2 = diag(1, 2) satisfies the braid relation and P_X trivially
@@ -327,6 +415,11 @@ class TestCensus:
     def test_degenerate_raises(self):
         with pytest.raises(NotSemisimple, match="J6"):
             dimension_census(FIX_J6)
+
+    def test_sum_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_combinatorial_count", lambda n: 5)
+        with pytest.raises(CensusMismatch, match="5 != algebra dimension 6"):
+            dimension_census(ps(1, 2), mode="combinatorial")
 
     def test_zeta5_fixture(self):
         ctx = cyclotomic5_context()

@@ -1,11 +1,15 @@
 """Command line interface: exit codes, JSON schemas, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidreps
 from braidreps.cli import main
 
 
@@ -161,6 +165,29 @@ class TestExitCodes:
         assert code == 2
         assert "square root" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--params", '{"X": 5}'),
+        ("verify", "--params", '{"X": "12"}'),
+        ("build", "--params", '{"X": ["1", "2", "3"], "dim": "x"}'),
+        ("verify", "--params", '{"X": [1, 2, 3, 4, 5], "dim": 6, "variant": "x"}'),
+        ("scan", "--params", '{"grid": [["1", "2"]], "jobs": "x"}'),
+        ("scan", "--params", '{"grid": [5]}'),
+        ("verify", "--context", "t^2-24", "--params", '["[1,23", 2]'),
+    ], ids=["X-int", "X-string", "build-dim", "variant", "scan-jobs",
+            "grid-row", "unbalanced-bracket"])
+    def test_malformed_job_fields(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_census_mismatch_exits_one(self, capsys, monkeypatch):
+        import braidreps.analysis as analysis
+
+        monkeypatch.setattr(analysis, "_combinatorial_count", lambda n: 5)
+        code, out, err = run_cli(capsys, "semisimple", "--params", "[1, 2]")
+        assert code == 1 and out == ""
+        assert "sum of squared dimensions 5 != algebra dimension 6" in err
+
     def test_identity_violation_exits_one(self, capsys, monkeypatch):
         import braidreps.cli as climod
 
@@ -192,6 +219,19 @@ class TestOutputPlumbing:
         _, out1, _ = run_cli(capsys, "semisimple", "--params", "[1, 2, 3]")
         _, out2, _ = run_cli(capsys, "semisimple", "--params", "[1, 2, 3]")
         assert out1 == out2
+
+    def test_module_entry_point(self):
+        src = str(Path(braidreps.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidreps", "semisimple", "--params", "[1, 2]"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] is True
 
     def test_console_script_installed(self):
         exe = shutil.which("braidreps")

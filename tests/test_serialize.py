@@ -64,6 +64,12 @@ class TestElements:
         assert parse_element(Q, "3/2") == Q.from_rational(Fraction(3, 2))
         assert parse_element(ctx, [5, 2]) == 5 + 2 * ctx.generator()
 
+    def test_parse_element_rejects_unbalanced_brackets(self):
+        ctx = make_context([-24, 0, 1])
+        for bad in ("[1,23", "[1, 2", "["):
+            with pytest.raises(ValueError, match="unbalanced"):
+                parse_element(ctx, bad)
+
     def test_round_trip(self):
         ctx = cyclotomic5_context()
         z = ctx.generator()
