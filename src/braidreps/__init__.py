@@ -6,219 +6,25 @@ generators.  For up to five distinct nonzero eigenvalues the quotient is
 finite dimensional and this package constructs its irreducible
 representations exactly, checks their spectral identities, and decides
 irreducibility and semisimplicity over Q or a simple extension of Q.
+
+Every name in a submodule's ``__all__`` is re-exported here.
 """
 
-from .field import (
-    ContextMismatch,
-    cyclotomic5_context,
-    element_kth_roots,
-    FieldContext,
-    FieldElement,
-    make_context,
-    NonMonicModulus,
-    NotInvertible,
-    NotSquarefree,
-    Rational,
-    rational_kth_root,
-    rationals,
-)
-from .poly import (
-    poly_resultant,
-    Polynomial,
-    resultant,
-    ZeroPolynomial,
-)
-from .linalg import (
-    algebra_closure_dim,
-    charpoly,
-    commutant_dim,
-    det_and_inverse,
-    determinant,
-    kernel_basis,
-    Matrix,
-    minpoly,
-    NotSquare,
-    poly_eval_matrix,
-    ShapeMismatch,
-)
-from .reps import (
-    BadSpec,
-    build_rep,
-    compose_fifth_roots,
-    DeferredRoot,
-    delta,
-    elementary_symmetric,
-    enumerate_irreps,
-    EnumerationResult,
-    IndexOutOfRange,
-    MissingRoot,
-    ParameterSet,
-    Representation,
-    RepSpec,
-    transpose_parameters,
-)
-from .spectral import (
-    central_value,
-    check_det_constraint,
-    check_traces,
-    expected_central,
-    expected_charpolys,
-    expected_traces,
-    NotScalar,
-    spectral_report,
-    SpectralReport,
-)
-from .analysis import (
-    ALGEBRA_DIMS,
-    BadLevel,
-    CensusEntry,
-    CensusMismatch,
-    CensusReport,
-    character,
-    decomposability_check,
-    DEFAULT_PROBE_WORDS,
-    dimension_census,
-    evaluate_predicates,
-    intertwiner_exists,
-    InvalidWitness,
-    invariant_subspace_witness,
-    irreducible_oracle,
-    NotSemisimple,
-    PredicateValue,
-    RootsUnavailable,
-    semisimplicity,
-    verify_witness,
-    Witness,
-    witness_vectors,
-)
-from .braidword import (
-    BraidWord,
-    evaluate,
-    format_word,
-    free_reduce,
-    GENERATORS,
-    parse,
-    WordSyntaxError,
-)
-from .serialize import (
-    canonical_dumps,
-    context_from_spec,
-    encode_census,
-    encode_context,
-    encode_element,
-    encode_matrix,
-    encode_poly,
-    encode_predicate,
-    encode_rational,
-    encode_rep,
-    encode_spec,
-    encode_spectral,
-    encode_witness,
-    parse_element,
-    parse_modulus,
-    parse_rational,
-)
-from .cli import (
-    main,
-)
+from . import analysis, braidword, cli, field, linalg, poly, reps, serialize, spectral
+from .analysis import *  # noqa: F401,F403
+from .braidword import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
+from .field import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .poly import *  # noqa: F401,F403
+from .reps import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "algebra_closure_dim",
-    "ALGEBRA_DIMS",
-    "BadLevel",
-    "BadSpec",
-    "BraidWord",
-    "build_rep",
-    "canonical_dumps",
-    "CensusEntry",
-    "CensusMismatch",
-    "CensusReport",
-    "central_value",
-    "character",
-    "charpoly",
-    "check_det_constraint",
-    "check_traces",
-    "commutant_dim",
-    "compose_fifth_roots",
-    "context_from_spec",
-    "ContextMismatch",
-    "cyclotomic5_context",
-    "decomposability_check",
-    "DEFAULT_PROBE_WORDS",
-    "DeferredRoot",
-    "delta",
-    "det_and_inverse",
-    "determinant",
-    "dimension_census",
-    "element_kth_roots",
-    "elementary_symmetric",
-    "encode_census",
-    "encode_context",
-    "encode_element",
-    "encode_matrix",
-    "encode_poly",
-    "encode_predicate",
-    "encode_rational",
-    "encode_rep",
-    "encode_spec",
-    "encode_spectral",
-    "encode_witness",
-    "enumerate_irreps",
-    "EnumerationResult",
-    "evaluate",
-    "evaluate_predicates",
-    "expected_central",
-    "expected_charpolys",
-    "expected_traces",
-    "FieldContext",
-    "FieldElement",
-    "format_word",
-    "free_reduce",
-    "GENERATORS",
-    "IndexOutOfRange",
-    "intertwiner_exists",
-    "InvalidWitness",
-    "invariant_subspace_witness",
-    "irreducible_oracle",
-    "kernel_basis",
-    "main",
-    "make_context",
-    "Matrix",
-    "minpoly",
-    "MissingRoot",
-    "NonMonicModulus",
-    "NotInvertible",
-    "NotScalar",
-    "NotSemisimple",
-    "NotSquare",
-    "NotSquarefree",
-    "ParameterSet",
-    "parse",
-    "parse_element",
-    "parse_modulus",
-    "parse_rational",
-    "poly_eval_matrix",
-    "poly_resultant",
-    "Polynomial",
-    "PredicateValue",
-    "Rational",
-    "rational_kth_root",
-    "rationals",
-    "Representation",
-    "RepSpec",
-    "resultant",
-    "RootsUnavailable",
-    "semisimplicity",
-    "ShapeMismatch",
-    "spectral_report",
-    "SpectralReport",
-    "transpose_parameters",
-    "verify_witness",
-    "Witness",
-    "witness_vectors",
-    "WordSyntaxError",
-    "ZeroPolynomial",
-    "__version__",
-]
+    name
+    for module in (field, poly, linalg, reps, spectral, analysis, braidword, serialize, cli)
+    for name in module.__all__
+] + ["__version__"]

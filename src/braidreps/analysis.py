@@ -30,10 +30,15 @@ from math import comb
 
 from .braidword import BraidWord, evaluate, parse
 from .field import FieldContext, FieldElement, element_kth_roots
-from .linalg import Matrix, algebra_closure_dim, closure_dim_mod_p, kernel_basis
+from .linalg import (
+    Matrix,
+    algebra_closure_dim,
+    closure_dim_mod_p,
+    intertwiner_dim,
+    kernel_basis,
+)
 from .poly import Polynomial, resultant
 from .reps import (
-    BadSpec,
     DeferredRoot,
     ParameterSet,
     Representation,
@@ -54,6 +59,7 @@ __all__ = [
     "ALGEBRA_DIMS",
     "DEFAULT_PROBE_WORDS",
     "evaluate_predicates",
+    "rep_predicates",
     "irreducible_oracle",
     "invariant_subspace_witness",
     "witness_vectors",
@@ -258,6 +264,26 @@ def evaluate_predicates(
     return out
 
 
+def rep_predicates(
+    rep: Representation,
+) -> tuple[list[PredicateValue], list[PredicateValue]]:
+    """The predicates of rep's dimension class, and those that decide it.
+
+    Dimensions 4 and 5 are evaluated at the rep's own h or f.  In dimension
+    6 every family is reported but only those that affect the rep's variant
+    decide its irreducibility.
+    """
+    spec = rep.spec
+    d = spec.dim
+    if d == 1:
+        return [], []
+    if d == 6:
+        preds = evaluate_predicates(spec.params, 6)
+        return preds, [p for p in preds if p.affects_variant == spec.variant]
+    preds = evaluate_predicates(spec.params, d, root={4: spec.h, 5: spec.f}.get(d))
+    return preds, preds
+
+
 # -- reducibility oracle and witnesses ------------------------------------
 
 
@@ -314,47 +340,24 @@ def witness_vectors(rep: Representation, w: Witness) -> list[list[FieldElement]]
     return vecs
 
 
-def _rank(rows: list[list[FieldElement]]) -> int:
-    """Row rank by destructive Gaussian elimination."""
-    work = [list(r) for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    pivot_rows: list[list[FieldElement]] = []
-    for row in work:
-        for p in pivot_rows:
-            lead = next(i for i, e in enumerate(p) if not e.is_zero())
-            if not row[lead].is_zero():
-                factor = row[lead]
-                row[:] = [r - factor * q for r, q in zip(row, p)]
-        lead = next((i for i in range(cols) if not row[i].is_zero()), None)
-        if lead is not None:
-            inv = row[lead].inverse()
-            row[:] = [e * inv for e in row]
-            pivot_rows.append(row)
-            rank += 1
-    return rank
-
-
-def _apply(m: Matrix, vec: list[FieldElement]) -> list[FieldElement]:
-    return [
-        sum((m[i, j] * vec[j] for j in range(m.cols)), m.context.zero())
-        for i in range(m.rows)
-    ]
+def _rank(m: Matrix) -> int:
+    return m.cols - len(kernel_basis(m))
 
 
 def verify_witness(rep: Representation, w: Witness) -> bool:
     """Exact invariance of the witness span under both generators."""
     vecs = witness_vectors(rep, w)
-    if not vecs:
+    k = len(vecs)
+    if not 0 < k < rep.dim:
         return False
-    base_rank = _rank(vecs)
-    if base_rank != len(vecs) or base_rank >= rep.dim:
+    span = Matrix.from_rows(rep.context, vecs)
+    if _rank(span) != k:
         return False
+    # the span is invariant iff adding the rows g v, for both g, keeps rank k
+    entries = span.entries
     for g in (rep.g1, rep.g2):
-        images = [_apply(g, v) for v in vecs]
-        if _rank(vecs + images) != base_rank:
-            return False
-    return True
+        entries += (span @ g.transpose()).entries
+    return _rank(Matrix(rep.context, 3 * k, rep.dim, entries)) == k
 
 
 def _plane_block(g2: Matrix):
@@ -571,20 +574,7 @@ def intertwiner_exists(rep1: Representation, rep2: Representation) -> bool:
     """
     if rep1.dim != rep2.dim:
         return False
-    ctx = rep1.context
-    d1, d2 = rep1.dim, rep2.dim
-    rows = []
-    for m1, m2 in ((rep1.g1, rep2.g1), (rep1.g2, rep2.g2)):
-        for i in range(d2):
-            for j in range(d1):
-                row = [ctx.zero()] * (d2 * d1)
-                for k in range(d1):
-                    row[i * d1 + k] = row[i * d1 + k] + m1[k, j]
-                for k in range(d2):
-                    row[k * d1 + j] = row[k * d1 + j] - m2[i, k]
-                rows.append(row)
-    system = Matrix.from_rows(ctx, rows)
-    return len(kernel_basis(system)) > 0
+    return intertwiner_dim([(rep1.g1, rep2.g1), (rep1.g2, rep2.g2)]) > 0
 
 
 # -- semisimplicity and census -------------------------------------------

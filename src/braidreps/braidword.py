@@ -183,7 +183,7 @@ def evaluate(w: BraidWord, rep) -> Matrix:
     """
     g1, g2 = rep.g1, rep.g2
     base: dict[str, Matrix] = {"s1": g1, "s2": g2}
-    result = Matrix.identity(rep.context, rep.dim)
+    result = None
     for gen, exp in w.factors:
         if gen not in base:
             a = g1 @ g2
@@ -194,5 +194,6 @@ def evaluate(w: BraidWord, rep) -> Matrix:
             else:
                 base[gen] = a @ a @ a
         if exp != 0:
-            result = result @ base[gen].power(exp)
-    return result
+            step = base[gen].power(exp)
+            result = step if result is None else result @ step
+    return Matrix.identity(rep.context, rep.dim) if result is None else result

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from multiprocessing import Pool
 
@@ -20,18 +21,25 @@ from .analysis import (
     CensusMismatch,
     NotSemisimple,
     RootsUnavailable,
-    decomposability_check,
     dimension_census,
-    evaluate_predicates,
     invariant_subspace_witness,
     irreducible_oracle,
+    rep_predicates,
     semisimplicity,
 )
 from .braidword import WordSyntaxError, evaluate, parse
 from .field import NotInvertible, element_kth_roots
-from .linalg import minpoly, poly_eval_matrix
+from .linalg import minpoly
 from .poly import Polynomial
-from .reps import BadSpec, MissingRoot, ParameterSet, RepSpec, build_rep
+from .reps import (
+    BadSpec,
+    ConstructionFailed,
+    MissingRoot,
+    ParameterSet,
+    RepSpec,
+    build_rep,
+    elementary_symmetric,
+)
 from .serialize import (
     canonical_dumps,
     context_from_spec,
@@ -45,7 +53,6 @@ from .serialize import (
     encode_spectral,
     encode_witness,
     parse_element,
-    parse_rational,
 )
 from .spectral import NotScalar, spectral_report
 
@@ -129,75 +136,58 @@ def _parameter_set(ctx, job) -> ParameterSet:
         raise InputError(f"bad parameters: {exc}")
 
 
-def _auto_root(values, order: int, given, ctx, what: str):
+_ROOTS = {"h": (2, "e4", "square"), "f": (5, "e5", "fifth")}
+
+
+def _roots(job, ctx, X, key: str) -> list:
+    """The given h or f, else every root of e(X) of that order in the context."""
+    given = job.get(key)
     if given is not None:
         try:
-            return parse_element(ctx, given)
+            return [parse_element(ctx, given)]
         except ValueError as exc:
-            raise InputError(f"bad {what}: {exc}")
-    target = ctx.one()
-    for v in values:
-        target = target * v
+            raise InputError(f"bad {key}: {exc}")
+    order, name, word = _ROOTS[key]
+    target = elementary_symmetric(X.values, len(X))
     roots = element_kth_roots(target, order)
     if not roots:
         raise InputError(
-            f"no {what} with {what}^{order} = {encode_element(target)} exists "
-            "in this context; extend the modulus"
+            f"{name} = {encode_element(target)} has no {word} root in this "
+            "context; extend the modulus"
         )
-    return roots[0]
+    return roots
 
 
-def _resolve_spec(job, ctx, X) -> RepSpec:
+def _resolve_specs(job, ctx, X, variants=(5,)) -> list[RepSpec]:
+    """The specs a job names: one per root when neither h nor f is given,
+    and for dimension 6 one per default variant when none is given."""
     dim = _int_option(job, "dim", len(X))
     try:
         if dim == 4:
-            h = _auto_root(X.values, 2, job.get("h"), ctx, "h")
-            return RepSpec(dim=4, params=X, h=h)
+            return [RepSpec(dim=4, params=X, h=h) for h in _roots(job, ctx, X, "h")]
         if dim == 5:
-            f = _auto_root(X.values, 5, job.get("f"), ctx, "f")
-            return RepSpec(dim=5, params=X, f=f)
+            return [RepSpec(dim=5, params=X, f=f) for f in _roots(job, ctx, X, "f")]
         if dim == 6:
-            variant = _int_option(job, "variant", 5)
-            return RepSpec(dim=6, params=X, variant=variant)
-        return RepSpec(dim=dim, params=X)
+            if job.get("variant") is not None:
+                variants = (_int_option(job, "variant", 5),)
+            return [RepSpec(dim=6, params=X, variant=v) for v in variants]
+        return [RepSpec(dim=dim, params=X)]
     except (BadSpec, MissingRoot) as exc:
         raise InputError(str(exc))
+
+
+def _single_rep(job):
+    """Context and the one representation a single-rep command works on."""
+    ctx = _context(job)
+    X = _parameter_set(ctx, job)
+    return ctx, build_rep(_resolve_specs(job, ctx, X)[0])
 
 
 def _cmd_build(args):
     job = _load_job(args)
     ctx = _context(job)
     X = _parameter_set(ctx, job)
-    dim = _int_option(job, "dim", len(X))
-    specs = []
-    try:
-        if dim == 4 and job.get("h") is None:
-            e4 = X.values[0]
-            for v in X.values[1:]:
-                e4 = e4 * v
-            roots = element_kth_roots(e4, 2)
-            if not roots:
-                raise InputError(
-                    f"e4 = {encode_element(e4)} has no square root in this context"
-                )
-            specs = [RepSpec(dim=4, params=X, h=h) for h in roots]
-        elif dim == 5 and job.get("f") is None:
-            e5 = X.values[0]
-            for v in X.values[1:]:
-                e5 = e5 * v
-            roots = element_kth_roots(e5, 5)
-            if not roots:
-                raise InputError(
-                    f"e5 = {encode_element(e5)} has no fifth root in this context"
-                )
-            specs = [RepSpec(dim=5, params=X, f=f) for f in roots]
-        elif dim == 6 and job.get("variant") is None:
-            specs = [RepSpec(dim=6, params=X, variant=v) for v in range(1, 6)]
-        else:
-            specs = [_resolve_spec(job, ctx, X)]
-    except (BadSpec, MissingRoot) as exc:
-        raise InputError(str(exc))
-    reps = [build_rep(s) for s in specs]
+    reps = [build_rep(s) for s in _resolve_specs(job, ctx, X, variants=range(1, 6))]
     return 0, {
         "command": "build",
         "context": encode_context(ctx),
@@ -206,84 +196,44 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
-    job = _load_job(args)
-    ctx = _context(job)
-    X = _parameter_set(ctx, job)
-    spec = _resolve_spec(job, ctx, X)
-    rep = build_rep(spec)
-    braid_ok = (rep.g1 @ rep.g2) @ rep.g1 == (rep.g2 @ rep.g1) @ rep.g2
-    p_x = Polynomial.from_roots(ctx, list(X.values))
-    relation_ok = all(
-        e.is_zero() for e in poly_eval_matrix(p_x, rep.g2).entries
-    )
-    minpoly_ok = minpoly(rep.g2) == p_x
+    ctx, rep = _single_rep(_load_job(args))
+    # build_rep has checked the braid relation and P_X(g2) = 0
+    minpoly_ok = minpoly(rep.g2) == Polynomial.from_roots(ctx, rep.values)
     report = spectral_report(rep)
     out = {
         "command": "verify",
         "context": encode_context(ctx),
-        "spec": encode_spec(spec),
-        "braid_relation_ok": braid_ok,
-        "generator_relation_ok": relation_ok,
+        "spec": encode_spec(rep.spec),
+        "braid_relation_ok": True,
+        "generator_relation_ok": True,
         "minpoly_ok": minpoly_ok,
         "spectral": encode_spectral(report),
-        "all_ok": braid_ok and relation_ok and minpoly_ok and report.all_ok,
+        "all_ok": minpoly_ok and report.all_ok,
     }
     if not out["all_ok"]:
-        failed = [
-            name
-            for name, ok in [
-                ("braid_relation", braid_ok),
-                ("generator_relation", relation_ok),
-                ("minimal_polynomial", minpoly_ok),
-            ]
-            if not ok
-        ] + [name for name, ok in report.checks if not ok]
+        failed = ["minimal_polynomial"] if not minpoly_ok else []
+        failed += [name for name, ok in report.checks if not ok]
         raise CheckFailure("verification failed: " + ", ".join(failed))
     return 0, out
 
 
-def _rep_predicates(rep):
-    spec = rep.spec
-    d = spec.dim
-    if d == 1:
-        return [], []
-    if d in (2, 3):
-        preds = evaluate_predicates(spec.params, d)
-        return preds, preds
-    if d == 4:
-        preds = evaluate_predicates(spec.params, 4, root=spec.h)
-        return preds, preds
-    if d == 5:
-        preds = evaluate_predicates(spec.params, 5, root=spec.f)
-        return preds, preds
-    preds = evaluate_predicates(spec.params, 6)
-    relevant = [p for p in preds if p.affects_variant == spec.variant]
-    return preds, relevant
-
-
 def _cmd_irred(args):
-    job = _load_job(args)
-    ctx = _context(job)
-    X = _parameter_set(ctx, job)
-    spec = _resolve_spec(job, ctx, X)
-    rep = build_rep(spec)
-    preds, relevant = _rep_predicates(rep)
+    ctx, rep = _single_rep(_load_job(args))
+    preds, relevant = rep_predicates(rep)
     predicate_verdict = not any(p.is_zero for p in relevant)
     oracle = irreducible_oracle(rep)
     witness = None if oracle else invariant_subspace_witness(rep)
-    decomposable = None
-    if witness is not None:
-        decomposable = decomposability_check(rep, witness)
     out = {
         "command": "irred",
         "context": encode_context(ctx),
-        "spec": encode_spec(spec),
+        "spec": encode_spec(rep.spec),
         "predicates": [encode_predicate(p) for p in preds],
         "predicate_verdict_irreducible": predicate_verdict,
         "oracle_irreducible": oracle,
         "verdicts_agree": predicate_verdict == oracle,
         "witness": encode_witness(witness),
-        "decomposable": decomposable,
+        # the witness search already ran the complement check
+        "decomposable": None if witness is None else witness.complement_found,
     }
     if predicate_verdict != oracle:
         zeros = ", ".join(p.name for p in relevant if p.is_zero) or "none"
@@ -320,10 +270,7 @@ def _cmd_semisimple(args):
 
 def _cmd_eval(args):
     job = _load_job(args)
-    ctx = _context(job)
-    X = _parameter_set(ctx, job)
-    spec = _resolve_spec(job, ctx, X)
-    rep = build_rep(spec)
+    ctx, rep = _single_rep(job)
     words = job.get("words") or []
     if not words:
         raise InputError("no words given (use --words)")
@@ -344,7 +291,7 @@ def _cmd_eval(args):
     return 0, {
         "command": "eval",
         "context": encode_context(ctx),
-        "spec": encode_spec(spec),
+        "spec": encode_spec(rep.spec),
         "words": results,
     }
 
@@ -375,6 +322,9 @@ def _cmd_scan(args):
     ctx = _context(job)
     modulus = tuple(str(c) for c in ctx.modulus)
     jobs = _int_option(job, "jobs", 1)
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1, len(grid))
     tasks = [(i, modulus, [str(x) for x in xs]) for i, xs in enumerate(grid)]
     try:
         if jobs > 1:
@@ -452,7 +402,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (NotScalar, NotInvertible, CensusMismatch) as exc:
+    except (ConstructionFailed, NotScalar, NotInvertible, CensusMismatch) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     text = canonical_dumps(payload)

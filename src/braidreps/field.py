@@ -25,7 +25,6 @@ __all__ = [
     "NotSquarefree",
     "ContextMismatch",
     "NotInvertible",
-    "make_context",
     "rationals",
     "cyclotomic5_context",
     "rational_kth_root",
@@ -162,11 +161,6 @@ class FieldContext:
 
     def is_base(self) -> bool:
         return self.degree == 1
-
-
-def make_context(modulus: Sequence[Coercible]) -> FieldContext:
-    """Build the context Q[t]/(m) from ascending modulus coefficients."""
-    return FieldContext(modulus)
 
 
 def rationals() -> FieldContext:

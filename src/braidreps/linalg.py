@@ -10,7 +10,7 @@ only certifies a full closure; every other outcome defers to the exact one.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .field import ContextMismatch, FieldContext, FieldElement
 from .poly import Polynomial
@@ -27,6 +27,7 @@ __all__ = [
     "poly_eval_matrix",
     "algebra_closure_dim",
     "closure_dim_mod_p",
+    "intertwiner_dim",
     "commutant_dim",
 ]
 
@@ -198,13 +199,16 @@ class Matrix:
                 raise ZeroDivisionError("negative power of a singular matrix")
             base = inv
             n = -n
-        result = Matrix.identity(self.context, self.rows)
-        while n:
+        if n == 0:
+            return Matrix.identity(self.context, self.rows)
+        result = None
+        while True:
             if n & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base @ base
 
     def is_scalar(self) -> bool:
         if self.rows != self.cols:
@@ -326,14 +330,17 @@ def charpoly(m: Matrix) -> Polynomial:
 
 
 def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix (Horner)."""
+    """Evaluate a polynomial at a square matrix (Horner, deg p - 1 products)."""
     if m.rows != m.cols:
         raise NotSquare("polynomial of a non-square matrix")
     n = m.rows
     ctx = m.context
-    acc = Matrix.zeros(ctx, n, n)
+    cs = p.coeffs
     ident = Matrix.identity(ctx, n)
-    for c in reversed(p.coeffs):
+    if p.degree < 1:
+        return ident.scale(cs[0]) if cs else Matrix.zeros(ctx, n, n)
+    acc = m.scale(cs[-1]) + ident.scale(cs[-2])
+    for c in reversed(cs[:-2]):
         acc = acc @ m + ident.scale(c)
     return acc
 
@@ -538,23 +545,33 @@ def closure_dim_mod_p(generators: Sequence[Matrix]) -> int | None:
     return len(reduced)
 
 
-def commutant_dim(generators: Sequence[Matrix]) -> int:
-    """Dimension of {M : M G_i = G_i M for all i} via one exact kernel."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    d = generators[0].rows
-    ctx = generators[0].context
+def intertwiner_dim(pairs: Sequence[tuple[Matrix, Matrix]]) -> int:
+    """Dimension of {M : M A = B M for every pair (A, B)} via one exact kernel.
+
+    M has as many rows as each B and as many columns as each A.
+    """
+    if not pairs:
+        raise ValueError("need at least one pair")
+    d1, d2 = pairs[0][0].rows, pairs[0][1].rows
+    ctx = pairs[0][0].context
     zero = ctx.zero()
     rows: list[list[FieldElement]] = []
-    for g in generators:
-        # (M G - G M)[i][j] = sum_q M[i][q] G[q][j] - sum_p G[i][p] M[p][j]
-        for i in range(d):
-            for j in range(d):
-                row = [zero] * (d * d)
-                for q in range(d):
-                    row[i * d + q] = row[i * d + q] + g[q, j]
-                for p in range(d):
-                    row[p * d + j] = row[p * d + j] - g[i, p]
+    for a, b in pairs:
+        # (M A - B M)[i][j] = sum_k M[i][k] A[k][j] - sum_k B[i][k] M[k][j]
+        for i in range(d2):
+            for j in range(d1):
+                row = [zero] * (d2 * d1)
+                for k in range(d1):
+                    row[i * d1 + k] = row[i * d1 + k] + a[k, j]
+                for k in range(d2):
+                    row[k * d1 + j] = row[k * d1 + j] - b[i, k]
                 rows.append(row)
-    big = Matrix(ctx, len(rows), d * d, [e for row in rows for e in row])
-    return len(kernel_basis(big))
+    system = Matrix(ctx, len(rows), d2 * d1, [e for row in rows for e in row])
+    return len(kernel_basis(system))
+
+
+def commutant_dim(generators: Sequence[Matrix]) -> int:
+    """Dimension of {M : M G_i = G_i M for all i}."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    return intertwiner_dim([(g, g) for g in generators])

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .field import ContextMismatch, FieldContext, FieldElement
 
-__all__ = ["Polynomial", "ZeroPolynomial", "resultant", "poly_resultant"]
+__all__ = ["Polynomial", "ZeroPolynomial", "resultant"]
 
 
 class ZeroPolynomial(ValueError):
@@ -247,5 +247,3 @@ def resultant(p: Polynomial, q: Polynomial) -> FieldElement:
     acc = acc * g.coeffs[0] ** f.degree
     return -acc if negate else acc
 
-
-poly_resultant = resultant

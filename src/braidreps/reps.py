@@ -21,13 +21,14 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .field import FieldContext, FieldElement, element_kth_roots
-from .linalg import Matrix, charpoly
+from .linalg import Matrix, charpoly, poly_eval_matrix
 from .poly import Polynomial
 
 __all__ = [
     "BadSpec",
     "MissingRoot",
     "IndexOutOfRange",
+    "ConstructionFailed",
     "ParameterSet",
     "RepSpec",
     "Representation",
@@ -54,6 +55,10 @@ class IndexOutOfRange(ValueError):
     """A 1-based eigenvalue position outside the parameter list."""
 
 
+class ConstructionFailed(ArithmeticError):
+    """A built representation violates an identity it must satisfy."""
+
+
 # -- symmetric-function helpers ------------------------------------------------
 
 
@@ -64,9 +69,9 @@ def elementary_symmetric(values: Sequence[FieldElement], k: int) -> FieldElement
         raise ValueError(f"e_{k} of {n} values")
     ctx = values[0].context
     coeffs = [ctx.one()] + [ctx.zero()] * k
-    for x in values:
-        upper = min(k, len(coeffs) - 1)
-        for i in range(upper, 0, -1):
+    for t, x in enumerate(values):
+        # only e_0 .. e_t are nonzero after t values
+        for i in range(min(k, t + 1), 0, -1):
             coeffs[i] = coeffs[i] + coeffs[i - 1] * x
     return coeffs[k]
 
@@ -78,13 +83,6 @@ def delta(values: Sequence[FieldElement], i: int) -> FieldElement:
     for j, xj in enumerate(values):
         if j != i:
             acc = acc * (xj - xi)
-    return acc
-
-
-def _product(values: Sequence[FieldElement]) -> FieldElement:
-    acc = values[0].context.one()
-    for x in values:
-        acc = acc * x
     return acc
 
 
@@ -171,7 +169,7 @@ class RepSpec:
                 raise BadSpec("dimension 4 needs exactly 4 eigenvalues")
             if self.h is None:
                 raise MissingRoot("dimension 4 needs h with h^2 = e4(X)")
-            e4 = _product(self.params.values)
+            e4 = elementary_symmetric(self.params.values, n)
             if self.h * self.h != e4:
                 raise BadSpec("h^2 does not equal e4(X)")
         elif self.dim == 5:
@@ -179,7 +177,7 @@ class RepSpec:
                 raise BadSpec("dimension 5 needs exactly 5 eigenvalues")
             if self.f is None:
                 raise MissingRoot("dimension 5 needs f with f^5 = e5(X)")
-            if self.f**5 != _product(self.params.values):
+            if self.f**5 != elementary_symmetric(self.params.values, n):
                 raise BadSpec("f^5 does not equal e5(X)")
         elif self.dim == 6:
             if n != 5:
@@ -286,7 +284,7 @@ def _build_dim3(values):
 
 def _build_dim4(values, h):
     ctx = values[0].context
-    e4 = _product(values)
+    e4 = elementary_symmetric(values, 4)
     alphas = []
     betas = []
     for i in range(4):
@@ -502,21 +500,17 @@ def _build_dim6(values, variant: int):
 
 
 def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix, mults: tuple[int, ...]) -> None:
+    """Raise :class:`ConstructionFailed` naming the first identity that fails."""
     values = spec.params.values
     ctx = spec.context
     if (g1 @ g2) @ g1 != (g2 @ g1) @ g2:
-        raise AssertionError(f"braid relation failed for {spec}")
-    d = g1.rows
-    acc = Matrix.identity(ctx, d)
-    for xv in values:
-        acc = acc @ (g2 - Matrix.identity(ctx, d).scale(xv))
-    if any(not e.is_zero() for e in acc.entries):
-        raise AssertionError(f"generator relation P_X(g2) != 0 for {spec}")
-    roots = []
-    for xv, m in zip(values, mults):
-        roots.extend([xv] * m)
+        raise ConstructionFailed(f"braid relation failed for {spec}")
+    p_x = Polynomial.from_roots(ctx, values)
+    if any(not e.is_zero() for e in poly_eval_matrix(p_x, g2).entries):
+        raise ConstructionFailed(f"generator relation P_X(g2) != 0 for {spec}")
+    roots = [x for x, m in zip(values, mults) for _ in range(m)]
     if charpoly(g2) != Polynomial.from_roots(ctx, roots):
-        raise AssertionError(f"characteristic polynomial mismatch for {spec}")
+        raise ConstructionFailed(f"characteristic polynomial mismatch for {spec}")
 
 
 def build_rep(spec: RepSpec) -> Representation:
@@ -538,29 +532,15 @@ def build_rep(spec: RepSpec) -> Representation:
     return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
 
 
-def transpose_parameters(rep_or_expr, i: int, j: int):
+def transpose_parameters(rep: Representation, i: int, j: int) -> Representation:
     """Swap the eigenvalues at 1-based positions i and j, then rebuild.
 
     Acting twice with the same pair returns the original.  For the
     6-dimensional family this realises the transposition action that links
-    the five variants.  A callable argument is treated as an expression in
-    the parameter tuple and comes back wrapped so that it evaluates at the
-    swapped arguments.
+    the five variants.
     """
     if i == j:
         raise BadSpec("positions must be distinct")
-    if callable(rep_or_expr) and not isinstance(rep_or_expr, Representation):
-        expr = rep_or_expr
-
-        def swapped_expr(values):
-            vs = list(values)
-            if not (1 <= i <= len(vs) and 1 <= j <= len(vs)):
-                raise IndexOutOfRange(f"positions {i},{j} for {len(vs)} arguments")
-            vs[i - 1], vs[j - 1] = vs[j - 1], vs[i - 1]
-            return expr(tuple(vs))
-
-        return swapped_expr
-    rep = rep_or_expr
     n = len(rep.spec.params)
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"positions {i},{j} out of range for {n} eigenvalues")
@@ -625,7 +605,7 @@ def enumerate_irreps(
         if size <= 3:
             reps.append(build_rep(RepSpec(dim=size, params=sub, subset=label)))
         elif size == 4:
-            e4 = _product(sub.values)
+            e4 = elementary_symmetric(sub.values, size)
             roots = element_kth_roots(e4, 2)
             for h in roots:
                 reps.append(build_rep(RepSpec(dim=4, params=sub, h=h, subset=label)))
@@ -633,7 +613,7 @@ def enumerate_irreps(
                 mod = Polynomial.from_coeffs(ctx, [-e4, ctx.zero(), ctx.one()])
                 deferred.append(DeferredRoot(label, 4, 2, e4, 2, mod))
         else:
-            e5 = _product(sub.values)
+            e5 = elementary_symmetric(sub.values, size)
             roots = element_kth_roots(e5, 5)
             for f in roots:
                 reps.append(build_rep(RepSpec(dim=5, params=sub, f=f, subset=label)))

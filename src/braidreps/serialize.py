@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .analysis import CensusReport, PredicateValue, Witness
-from .field import FieldContext, FieldElement, make_context
+from .field import FieldContext, FieldElement
 from .linalg import Matrix
 from .poly import Polynomial
 from .reps import Representation, RepSpec
@@ -141,8 +141,8 @@ def parse_modulus(spec) -> tuple[Fraction, ...]:
 def context_from_spec(spec) -> FieldContext:
     """Field context from a modulus expression, coefficient list, or None (Q)."""
     if spec is None:
-        return make_context((Fraction(0), Fraction(1)))
-    return make_context(parse_modulus(spec))
+        return FieldContext((Fraction(0), Fraction(1)))
+    return FieldContext(parse_modulus(spec))
 
 
 def encode_spec(spec: RepSpec) -> dict:
@@ -196,7 +196,7 @@ def encode_witness(w: Witness | None) -> dict | None:
 
 
 def encode_spectral(r: SpectralReport) -> dict:
-    out = {
+    return {
         "C_rho": encode_element(r.C_rho),
         "C_expected": encode_element(r.C_expected),
         "trA": encode_element(r.trA),
@@ -205,16 +205,14 @@ def encode_spectral(r: SpectralReport) -> dict:
         "trA2_expected": encode_element(r.trA2_expected),
         "trB": encode_element(r.trB),
         "trB_expected": encode_element(r.trB_expected),
+        "charpoly_A": encode_poly(r.charpoly_A),
+        "charpoly_A_expected": encode_poly(r.charpoly_A_expected),
+        "charpoly_B": encode_poly(r.charpoly_B),
+        "charpoly_B_expected": encode_poly(r.charpoly_B_expected),
+        "det_constraint_ok": r.det_constraint_ok,
         "all_ok": r.all_ok,
         "checks": {name: ok for name, ok in r.checks},
     }
-    if r.charpoly_A is not None:
-        out["charpoly_A"] = encode_poly(r.charpoly_A)
-        out["charpoly_A_expected"] = encode_poly(r.charpoly_A_expected)
-        out["charpoly_B"] = encode_poly(r.charpoly_B)
-        out["charpoly_B_expected"] = encode_poly(r.charpoly_B_expected)
-        out["det_constraint_ok"] = r.det_constraint_ok
-    return out
 
 
 def encode_census(r: CensusReport) -> dict:

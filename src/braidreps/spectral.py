@@ -7,6 +7,9 @@ the determinant identity (prod x_i^{m_i})^6 = C^d all have closed forms in
 the eigenvalues and the auxiliary root.  Everything here is compared
 exactly; a mismatch means a broken construction, not numerical noise.
 
+:func:`spectral_report` checks all of them from one computation of A, A^2
+and B; :func:`central_value` shares its scalar test.
+
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
 """
@@ -27,8 +30,6 @@ __all__ = [
     "expected_central",
     "expected_traces",
     "expected_charpolys",
-    "check_traces",
-    "check_det_constraint",
     "spectral_report",
 ]
 
@@ -41,9 +42,7 @@ class NotScalar(ArithmeticError):
 class SpectralReport:
     """Expected/actual pairs for every identity, with per-check outcomes.
 
-    ``None`` in a field means the producing routine did not compute it
-    (``check_traces`` skips the characteristic polynomials, for example).
-    ``all_ok`` covers exactly the checks that were run.
+    ``checks`` names each compared identity; ``all_ok`` is their conjunction.
     """
 
     C_rho: FieldElement
@@ -54,13 +53,23 @@ class SpectralReport:
     trA_expected: FieldElement
     trA2_expected: FieldElement
     trB_expected: FieldElement
-    charpoly_A: Polynomial | None
-    charpoly_B: Polynomial | None
-    charpoly_A_expected: Polynomial | None
-    charpoly_B_expected: Polynomial | None
-    det_constraint_ok: bool | None
+    charpoly_A: Polynomial
+    charpoly_B: Polynomial
+    charpoly_A_expected: Polynomial
+    charpoly_B_expected: Polynomial
+    det_constraint_ok: bool
     all_ok: bool
     checks: tuple[tuple[str, bool], ...]
+
+
+def _central(rep: Representation, A: Matrix, A2: Matrix, B: Matrix) -> FieldElement:
+    A3 = A2 @ A
+    if not A3.is_scalar():
+        raise NotScalar("(g1 g2)^3 is not scalar")
+    c = A3[0, 0]
+    if B @ B != Matrix.identity(rep.context, rep.dim).scale(c):
+        raise NotScalar("(g1 g2 g1)^2 differs from (g1 g2)^3")
+    return c
 
 
 def central_value(rep: Representation) -> FieldElement:
@@ -70,14 +79,7 @@ def central_value(rep: Representation) -> FieldElement:
     scalars differ, both of which indicate a broken construction.
     """
     A = rep.g1 @ rep.g2
-    A3 = A @ A @ A
-    if not A3.is_scalar():
-        raise NotScalar("(g1 g2)^3 is not scalar")
-    c = A3[0, 0]
-    B = A @ rep.g1
-    if B @ B != Matrix.identity(rep.context, rep.dim).scale(c):
-        raise NotScalar("(g1 g2 g1)^2 differs from (g1 g2)^3")
-    return c
+    return _central(rep, A, A @ A, A @ rep.g1)
 
 
 def expected_central(spec: RepSpec) -> FieldElement:
@@ -172,42 +174,30 @@ def expected_charpolys(spec: RepSpec) -> tuple[Polynomial, Polynomial]:
     raise BadSpec(f"no spectra for dimension {d}")
 
 
-def check_det_constraint(rep: Representation) -> bool:
-    """(prod x_i^{m_i})^6 = C^d, exactly."""
+def spectral_report(rep: Representation) -> SpectralReport:
+    """Every spectral identity for one representation, exactly compared."""
+    A = rep.g1 @ rep.g2
+    A2 = A @ A
+    B = A @ rep.g1
+    c = _central(rep, A, A2, B)
+    c_exp = expected_central(rep.spec)
+    tr_a, tr_a2, tr_b = A.trace(), A2.trace(), B.trace()
+    e_tr_a, e_tr_a2, e_tr_b = expected_traces(rep.spec)
+    chi_a, chi_b = charpoly(A), charpoly(B)
+    e_chi_a, e_chi_b = expected_charpolys(rep.spec)
     det = rep.context.one()
     for x, m in zip(rep.values, rep.multiplicities):
         det = det * x**m
-    c = central_value(rep)
-    return det**6 == c**rep.dim
-
-
-def _assemble(rep: Representation, with_charpolys: bool) -> SpectralReport:
-    A = rep.g1 @ rep.g2
-    B = A @ rep.g1
-    c = central_value(rep)
-    c_exp = expected_central(rep.spec)
-    tr_a, tr_a2, tr_b = A.trace(), (A @ A).trace(), B.trace()
-    e_tr_a, e_tr_a2, e_tr_b = expected_traces(rep.spec)
-    checks = [
+    det_ok = det**6 == c**rep.dim
+    checks = (
         ("central_matches_closed_form", c == c_exp),
         ("trace_A", tr_a == e_tr_a),
         ("trace_A2", tr_a2 == e_tr_a2),
         ("trace_B", tr_b == e_tr_b),
-    ]
-    chi_a = chi_b = e_chi_a = e_chi_b = None
-    det_ok = None
-    if with_charpolys:
-        chi_a, chi_b = charpoly(A), charpoly(B)
-        e_chi_a, e_chi_b = expected_charpolys(rep.spec)
-        det = rep.context.one()
-        for x, m in zip(rep.values, rep.multiplicities):
-            det = det * x**m
-        det_ok = det**6 == c**rep.dim
-        checks += [
-            ("charpoly_A", chi_a == e_chi_a),
-            ("charpoly_B", chi_b == e_chi_b),
-            ("det_constraint", det_ok),
-        ]
+        ("charpoly_A", chi_a == e_chi_a),
+        ("charpoly_B", chi_b == e_chi_b),
+        ("det_constraint", det_ok),
+    )
     return SpectralReport(
         C_rho=c,
         C_expected=c_exp,
@@ -223,15 +213,5 @@ def _assemble(rep: Representation, with_charpolys: bool) -> SpectralReport:
         charpoly_B_expected=e_chi_b,
         det_constraint_ok=det_ok,
         all_ok=all(ok for _, ok in checks),
-        checks=tuple(checks),
+        checks=checks,
     )
-
-
-def check_traces(rep: Representation) -> SpectralReport:
-    """Central value and trace identities only (no characteristic polynomials)."""
-    return _assemble(rep, with_charpolys=False)
-
-
-def spectral_report(rep: Representation) -> SpectralReport:
-    """Every spectral identity for one representation, exactly compared."""
-    return _assemble(rep, with_charpolys=True)

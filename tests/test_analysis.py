@@ -15,6 +15,7 @@ from braidreps import (
     BadLevel,
     CensusMismatch,
     DEFAULT_PROBE_WORDS,
+    FieldContext,
     InvalidWitness,
     Matrix,
     NotSemisimple,
@@ -34,7 +35,6 @@ from braidreps import (
     intertwiner_exists,
     invariant_subspace_witness,
     irreducible_oracle,
-    make_context,
     rationals,
     semisimplicity,
     verify_witness,
@@ -320,7 +320,7 @@ class TestModularCertificate:
         assert len(exact_calls) == 2
 
     def test_irrational_root_takes_exact_path(self, exact_calls):
-        ctx = make_context([-24, 0, 1])
+        ctx = FieldContext([-24, 0, 1])
         X = ParameterSet.from_rationals(ctx, [1, 2, 3, 4])
         rep = build_rep(RepSpec(dim=4, params=X, h=ctx.generator()))
         assert closure_dim_mod_p([rep.g1, rep.g2]) is None

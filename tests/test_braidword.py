@@ -125,6 +125,22 @@ class TestEvaluation:
         assert evaluate(parse("s2"), rep) == rep.g2
         assert evaluate(parse(""), rep) == Matrix.identity(Q, 2)
 
+    def test_single_factor_needs_no_product(self, monkeypatch):
+        rep = rep_at(1, 2, 3)
+        calls = []
+        real = Matrix.__matmul__
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        assert evaluate(parse("s2"), rep) == rep.g2
+        assert evaluate(parse("s1^1"), rep) == rep.g1
+        assert calls == []
+        assert evaluate(parse("s1 s2"), rep) == real(rep.g1, rep.g2)
+        assert len(calls) == 1
+
     def test_macro_expansions(self):
         rep = rep_at(1, 2, 3)
         a = rep.g1 @ rep.g2

@@ -200,6 +200,22 @@ class TestExitCodes:
         assert "braid relation" in err
 
 
+    def test_construction_failure_exits_one(self, capsys, monkeypatch):
+        import braidreps.reps as reps
+
+        real = reps._build_dim2
+
+        def corrupted(values):
+            g1, g2, mults = real(values)
+            return g1, g2.scale(2), mults
+
+        monkeypatch.setattr(reps, "_build_dim2", corrupted)
+        code, out, err = run_cli(capsys, "verify", "--params", "[1, 2]")
+        assert code == 1 and out == ""
+        assert err.startswith("check failed: braid relation failed")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestOutputPlumbing:
     def test_output_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -267,6 +283,41 @@ class TestScan:
         _, serial, _ = run_cli(capsys, "scan", "--params", f"@{cfg}", "--jobs", "1")
         _, parallel, _ = run_cli(capsys, "scan", "--params", f"@{cfg}", "--jobs", "3")
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "scan", "--params", '{"grid": [[1, 2]]}',
+                                 "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cpus,expected", [(3, [3]), (8, [4]), (None, [])])
+    def test_jobs_capped(self, capsys, monkeypatch, tmp_path, cpus, expected):
+        # A stub pool records the worker count and runs nothing in parallel.
+        import braidreps.cli as climod
+
+        started = []
+
+        class StubPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        cfg = self._write_grid(tmp_path)
+        _, serial, _ = run_cli(capsys, "scan", "--params", f"@{cfg}")
+        monkeypatch.setattr(climod, "Pool", StubPool)
+        monkeypatch.setattr(climod.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(capsys, "scan", "--params", f"@{cfg}", "--jobs", "64")
+        assert code == 0 and out == serial
+        assert started == expected
 
     def test_grid_required(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--params", "[1, 2]")

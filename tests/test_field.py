@@ -13,13 +13,12 @@ from braidreps import (
     NotSquarefree,
     cyclotomic5_context,
     element_kth_roots,
-    make_context,
     rational_kth_root,
     rationals,
 )
 
 Q = rationals()
-SQRT24 = make_context([-24, 0, 1])        # t^2 - 24
+SQRT24 = FieldContext([-24, 0, 1])        # t^2 - 24
 ZETA5 = cyclotomic5_context()             # 1 + t + t^2 + t^3 + t^4
 
 _fracs = st.fractions(min_value=-40, max_value=40, max_denominator=8)
@@ -38,21 +37,21 @@ class TestContextValidation:
 
     def test_non_monic_rejected(self):
         with pytest.raises(NonMonicModulus):
-            make_context([1, 0, 2])
+            FieldContext([1, 0, 2])
 
     def test_squarefree_enforced(self):
         # (t - 1)^2 = t^2 - 2t + 1 shares a factor with its derivative.
         with pytest.raises(NotSquarefree):
-            make_context([1, -2, 1])
+            FieldContext([1, -2, 1])
 
     def test_reducible_squarefree_modulus_allowed(self):
         # t^2 - 1 is reducible but squarefree; the ring has zero divisors.
-        ctx = make_context([-1, 0, 1])
+        ctx = FieldContext([-1, 0, 1])
         theta = ctx.generator()
         assert (theta - 1) * (theta + 1) == ctx.zero()
 
     def test_contexts_compare_by_modulus(self):
-        assert make_context([-24, 0, 1]) == SQRT24
+        assert FieldContext([-24, 0, 1]) == SQRT24
         assert SQRT24 != ZETA5
         with pytest.raises(ContextMismatch):
             SQRT24.generator() + ZETA5.generator()
@@ -73,7 +72,7 @@ class TestArithmetic:
         assert a * a.inverse() == SQRT24.one()
 
     def test_zero_divisor_raises(self):
-        ctx = make_context([-1, 0, 1])
+        ctx = FieldContext([-1, 0, 1])
         theta = ctx.generator()
         with pytest.raises(NotInvertible):
             (theta - 1).inverse()
@@ -160,7 +159,7 @@ class TestElementRoots:
             assert r ** 5 == 32
 
     def test_generator_as_its_own_root(self):
-        ctx = make_context([-2, 0, 0, 1])  # t^3 - 2
+        ctx = FieldContext([-2, 0, 0, 1])  # t^3 - 2
         t = ctx.generator()
         assert element_kth_roots(ctx.from_rational(2), 3) == [t]
 

@@ -1,0 +1,86 @@
+"""Golden corpus: fixed CLI calls whose exit code and stdout must not change.
+
+``tests/golden/cli_corpus.json`` holds each call's argv with the exit code
+and the exact stdout it produced when the corpus was recorded.  Every call
+is replayed through ``cli.main`` and compared byte for byte, so a refactor
+that changes any canonical JSON output fails here.
+
+Re-record only for an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from braidreps.cli import main
+
+CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
+
+CALLS = [
+    ["build", "--params", "[1, 2]"],
+    ["build", "--params", "[1, 2, 3, 6]"],
+    ["build", "--params", "[1, 2, 3, 4]", "--context", "t^2-24"],
+    ["build", "--params", "[1, 2, 3, 4, 5]", "--dim", "6"],
+    ["build", "--params", "[-4, 1, 2, 4, -1]"],
+    ["verify", "--params", "[3]"],
+    ["verify", "--params", "[1, 2]"],
+    ["verify", "--params", "[1, 2, 3]"],
+    ["verify", "--params", "[1, 2, 3, 6]"],
+    ["verify", "--params", "[-4, 1, 2, 4, -1]"],
+    ["verify", "--params", "[1, 2, 3, 4, 5]", "--dim", "6", "--variant", "2"],
+    ["verify", "--params", "[1, 2, 3, 4]", "--context", "t^2-24"],
+    ["irred", "--params", "[1, 2, 3]"],
+    ["irred", "--params", "[1, 2, 3, 4, 5]", "--dim", "6", "--variant", "4"],
+    ["irred", "--params", "[2, 1, -4]"],
+    ["irred", "--params", '[1, 2, "27/2", 3]', "--h", "9"],
+    ["irred", "--params", "[-4, 1, 2, 4, -1]"],
+    ["irred", "--params", "[1, 2, 3, 4, 24]", "--dim", "6", "--variant", "3"],
+    ["irred", "--params", "[1, 2, -3, 6, 5]", "--dim", "6"],
+    ["irred", "--params", '["2", "3", "-1", "1/6", "1"]', "--dim", "6",
+     "--variant", "5"],
+    ["semisimple", "--params", "[1, 2, 3, 4, 5]"],
+    ["semisimple", "--params", "[1, 2, 3, 6]", "--context", "t^4+t^3+t^2+t+1",
+     "--mode", "constructive"],
+    ["semisimple", "--params", "[1, 2, 3, 4, 24]"],
+    ["eval", "--params", "[1, 2, 3]", "--words", "(s1 s2)^3", "--words", "b^2",
+     "--words", "s1^-2 s2 a c^-1"],
+    ["scan", "--params", '{"grid": [[1, 2, 3], [2, 1, -4], [1, 2], [1, 2, 3, 4, 24]]}'],
+    ["build", "--params", "[1, 1]"],
+    ["build", "--params", "[1, 2, 3, 4]", "--dim", "4"],
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _corpus():
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("index", range(len(CALLS)), ids=lambda i: f"{i:02d}-{CALLS[i][0]}")
+def test_cli_output_unchanged(index):
+    entry = _corpus()[index]
+    code, stdout = _run(entry["argv"])
+    assert code == entry["exit_code"]
+    assert stdout == entry["stdout"]
+
+
+def test_corpus_lists_every_call():
+    assert [e["argv"] for e in _corpus()] == CALLS
+
+
+if __name__ == "__main__":
+    entries = []
+    for argv in CALLS:
+        code, stdout = _run(argv)
+        entries.append({"argv": argv, "exit_code": code, "stdout": stdout})
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")

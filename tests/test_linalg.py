@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidreps import (
+    FieldContext,
     Matrix,
     Polynomial,
     algebra_closure_dim,
@@ -14,7 +15,6 @@ from braidreps import (
     det_and_inverse,
     determinant,
     kernel_basis,
-    make_context,
     minpoly,
     poly_eval_matrix,
     rationals,
@@ -22,7 +22,21 @@ from braidreps import (
 from braidreps.linalg import closure_dim_mod_p
 
 Q = rationals()
-SQRT24 = make_context([-24, 0, 1])
+
+
+@pytest.fixture
+def matmuls(monkeypatch):
+    """Records every matrix product made while the test runs."""
+    calls = []
+    real = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a.rows, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    return calls
+SQRT24 = FieldContext([-24, 0, 1])
 
 _small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -53,6 +67,19 @@ class TestMatrixBasics:
         assert m.power(0) == Matrix.identity(Q, 2)
         assert m.power(3) == m @ m @ m
         assert m.power(-2) @ m.power(2) == Matrix.identity(Q, 2)
+
+    def test_power_product_count(self, matmuls):
+        m = Matrix.from_rows(Q, [[2, 1], [1, 1]])
+        expected = [Matrix.identity(Q, 2)]
+        for _ in range(9):
+            expected.append(expected[-1] @ m)
+        matmuls.clear()
+        for n, want in enumerate(expected):
+            assert m.power(n) == want
+            # squarings plus the multiplications that combine set bits
+            cost = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+            assert len(matmuls) == cost, n
+            matmuls.clear()
 
     def test_is_scalar(self):
         assert Matrix.identity(Q, 3).scale(Q.from_rational(7)).is_scalar()
@@ -115,6 +142,22 @@ class TestCharMinPoly:
         assert (charpoly(m) % mp).is_zero()
         assert poly_eval_matrix(mp, m) == Matrix.zeros(Q, 3, 3)
         assert mp.leading() == 1
+
+    def test_poly_eval_matrix_product_count(self, matmuls):
+        m = Matrix.from_rows(Q, [[1, 2, 0], [0, 3, 1], [1, 0, 1]])
+        p = Polynomial.from_coeffs(Q, [5, -1, 0, 2, 1])
+        powers = [Matrix.identity(Q, 3)]
+        for _ in range(4):
+            powers.append(powers[-1] @ m)
+        naive = Matrix.zeros(Q, 3, 3)
+        for c, mk in zip(p.coeffs, powers):
+            naive = naive + mk.scale(c)
+        matmuls.clear()
+        assert poly_eval_matrix(p, m) == naive
+        assert len(matmuls) == p.degree - 1
+        assert poly_eval_matrix(Polynomial.from_coeffs(Q, [7]), m) == \
+            Matrix.identity(Q, 3).scale(7)
+        assert poly_eval_matrix(Polynomial.zero(Q), m) == Matrix.zeros(Q, 3, 3)
 
     def test_minpoly_detects_repeated_structure(self):
         # diag(1, 1, 2) has charpoly (L-1)^2 (L-2) but minpoly (L-1)(L-2).

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidreps import Matrix, Polynomial, determinant, make_context, rationals, resultant
+from braidreps import FieldContext, Matrix, Polynomial, determinant, rationals, resultant
 
 Q = rationals()
-SQRT24 = make_context([-24, 0, 1])
+SQRT24 = FieldContext([-24, 0, 1])
 
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 _polys = st.lists(_small, min_size=1, max_size=5).map(

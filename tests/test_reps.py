@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from braidreps import (
     BadSpec,
+    ConstructionFailed,
     DeferredRoot,
+    FieldContext,
     IndexOutOfRange,
     Matrix,
     MissingRoot,
@@ -20,7 +22,6 @@ from braidreps import (
     determinant,
     elementary_symmetric,
     enumerate_irreps,
-    make_context,
     rationals,
     transpose_parameters,
 )
@@ -125,12 +126,12 @@ class TestSelfCheck:
         rows = [list(rep.g2.row(0)), list(rep.g2.row(1))]
         rows[0][0] = rows[0][0] + 1
         bad = Matrix.from_rows(Q, rows)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConstructionFailed):
             _self_check(rep.spec, rep.g1, bad, rep.multiplicities)
 
     def test_braid_violation_detected(self):
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConstructionFailed, match="braid relation"):
             _self_check(rep.spec, rep.g2, rep.g1 @ rep.g2, rep.multiplicities)
 
 
@@ -172,26 +173,12 @@ class TestTranspose:
         swapped = transpose_parameters(rep, 2, 3)
         assert [v.rational_value() for v in swapped.values] == [1, 3, 2]
 
-    def test_expression_mode(self):
-        def expr(values):
-            return values[0] ** 2 * values[1]
-
-        swapped = transpose_parameters(expr, 1, 2)
-        vals = tuple(qval(v) for v in (5, 7, 11))
-        assert swapped(vals) == 7 ** 2 * 5
-        # Double swap is the identity on expressions too.
-        again = transpose_parameters(swapped, 1, 2)
-        assert again(vals) == expr(vals)
-
     def test_bad_positions(self):
         rep = build_rep(RepSpec(dim=2, params=pset(1, 2)))
         with pytest.raises(BadSpec):
             transpose_parameters(rep, 1, 1)
         with pytest.raises(IndexOutOfRange):
             transpose_parameters(rep, 1, 5)
-        expr = transpose_parameters(lambda vs: vs[0], 1, 4)
-        with pytest.raises(IndexOutOfRange):
-            expr((qval(1), qval(2)))
 
     def test_dim6_variant_follows_moved_eigenvalue(self):
         # Swapping the doubled eigenvalue to a new slot keeps the same
@@ -260,7 +247,7 @@ class TestEnumeration:
         assert len(five) == 1 and five[0].spec.f == 2
 
     def test_context_lift(self):
-        ctx = make_context([-24, 0, 1])
+        ctx = FieldContext([-24, 0, 1])
         result = enumerate_irreps(pset(1, 2, 3, 4), context=ctx)
         four = [r for r in result.reps if r.dim == 4]
         t = ctx.generator()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from braidreps import (
+    FieldContext,
     Matrix,
     ParameterSet,
     RepSpec,
@@ -17,7 +18,6 @@ from braidreps import (
     encode_rational,
     encode_rep,
     encode_spec,
-    make_context,
     parse_element,
     parse_modulus,
     parse_rational,
@@ -51,21 +51,21 @@ class TestElements:
         assert encode_element(Q.from_rational(Fraction(3, 2))) == "3/2"
 
     def test_extension_uses_coefficient_lists(self):
-        ctx = make_context([-24, 0, 1])
+        ctx = FieldContext([-24, 0, 1])
         t = ctx.generator()
         assert encode_element(5 + 2 * t) == "[5, 2]"
         # Rational values collapse to plain form in any context.
         assert encode_element(ctx.from_rational(7)) == "7"
 
     def test_parse_element_accepts_both_shapes(self):
-        ctx = make_context([-24, 0, 1])
+        ctx = FieldContext([-24, 0, 1])
         assert parse_element(ctx, "[5, 2]") == 5 + 2 * ctx.generator()
         assert parse_element(ctx, "7") == ctx.from_rational(7)
         assert parse_element(Q, "3/2") == Q.from_rational(Fraction(3, 2))
         assert parse_element(ctx, [5, 2]) == 5 + 2 * ctx.generator()
 
     def test_parse_element_rejects_unbalanced_brackets(self):
-        ctx = make_context([-24, 0, 1])
+        ctx = FieldContext([-24, 0, 1])
         for bad in ("[1,23", "[1, 2", "["):
             with pytest.raises(ValueError, match="unbalanced"):
                 parse_element(ctx, bad)
@@ -87,7 +87,7 @@ class TestModulus:
 
     def test_context_from_spec(self):
         assert context_from_spec(None) == Q
-        assert context_from_spec("t^2-24") == make_context([-24, 0, 1])
+        assert context_from_spec("t^2-24") == FieldContext([-24, 0, 1])
 
     def test_bad_expressions(self):
         for bad in ("t^2 24", "x^2-1", "t**2-1"):

@@ -18,8 +18,6 @@ from braidreps import (
     Representation,
     build_rep,
     central_value,
-    check_det_constraint,
-    check_traces,
     rationals,
     spectral_report,
 )
@@ -68,7 +66,7 @@ class TestCentralValue:
 
     def test_matches_closed_form(self):
         for rep in (rep2(), rep3(), rep4(), rep5(), rep6(1), rep6(3)):
-            report = check_traces(rep)
+            report = spectral_report(rep)
             assert report.C_rho == report.C_expected
 
     def test_not_scalar_raised_on_broken_pair(self):
@@ -85,22 +83,21 @@ class TestCentralValue:
 
 class TestTraces:
     def test_frozen_trace_triples(self):
-        r = check_traces(rep2())
+        r = spectral_report(rep2())
         assert (r.trA, r.trA2, r.trB) == (2, -4, 0)
-        r = check_traces(rep3())
+        r = spectral_report(rep3())
         assert (r.trA, r.trA2, r.trB) == (0, 0, -6)
-        r = check_traces(rep4())
+        r = spectral_report(rep4())
         assert (r.trA, r.trA2, r.trB) == (6, 36, 0)
-        r = check_traces(rep5())
+        r = spectral_report(rep5())
         assert (r.trA, r.trA2, r.trB) == (-4, -16, 8)
-        r = check_traces(rep6())
+        r = spectral_report(rep6())
         assert (r.trA, r.trA2, r.trB) == (0, 0, 0)
 
     def test_reports_flag_everything_ok(self):
         for rep in (rep2(), rep3(), rep4(-1), rep5(), rep6(2)):
-            report = check_traces(rep)
+            report = spectral_report(rep)
             assert report.all_ok
-            assert report.charpoly_A is None  # traces-only pass skips them
 
 
 class TestCharpolys:
@@ -147,7 +144,7 @@ class TestCharpolys:
 class TestDeterminantConstraint:
     def test_on_fixtures(self):
         for rep in (rep2(), rep3(), rep4(), rep5(), rep6(4)):
-            assert check_det_constraint(rep)
+            assert spectral_report(rep).det_constraint_ok
 
     def test_closed_form_dim6(self):
         # (prod x_i^m_i)^6 = C^6 with C = -x5 e5; both sides frozen.
