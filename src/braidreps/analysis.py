@@ -8,8 +8,8 @@ over F_p, p = 2^61 - 1, on rational generators: a full d*d there certifies
 the full algebra over Q, since reduction mod p cannot raise a rank; any
 other outcome falls back to the exact closure, so no verdict depends on
 the prime.  Quantified predicates ("for every root h of t^2 = e4 ...") are
-decided root-free through resultants, so no field extension is needed to
-reach a verdict.
+decided root-free through their closed-form norms over all roots, so no
+field extension is needed to reach a verdict.
 
 For degenerate parameters the witness search produces an explicit invariant
 subspace: a coordinate subspace for dimensions up to 5, and for dimension 6
@@ -37,7 +37,6 @@ from .linalg import (
     intertwiner_dim,
     kernel_basis,
 )
-from .poly import Polynomial, resultant
 from .reps import (
     DeferredRoot,
     ParameterSet,
@@ -50,8 +49,6 @@ __all__ = [
     "BadLevel",
     "CensusMismatch",
     "InvalidWitness",
-    "NotSemisimple",
-    "RootsUnavailable",
     "PredicateValue",
     "Witness",
     "CensusEntry",
@@ -84,14 +81,6 @@ class CensusMismatch(ArithmeticError):
     """The squared irreducible dimensions do not sum to the algebra dimension."""
 
 
-class NotSemisimple(ValueError):
-    """Census requested for an algebra that fails the semisimplicity test."""
-
-
-class RootsUnavailable(ValueError):
-    """Strict constructive census refused because some roots were deferred."""
-
-
 ALGEBRA_DIMS = {1: 1, 2: 6, 3: 24, 4: 96, 5: 600}
 
 
@@ -102,8 +91,8 @@ ALGEBRA_DIMS = {1: 1, 2: 6, 3: 24, 4: 96, 5: 600}
 class PredicateValue:
     """One evaluated irreducibility predicate.
 
-    ``quantified`` marks resultant surrogates: the recorded value vanishes
-    iff the underlying predicate vanishes for some admissible root.
+    ``quantified`` marks a norm over all admissible roots: the recorded
+    value vanishes iff the underlying predicate vanishes for some root.
     ``subset`` gives the 4- or 5-element index set a root-quantified family
     was evaluated over; ``affects_variant`` records, for the dimension-6
     families, which variant a vanishing breaks (observed data, used by the
@@ -139,11 +128,6 @@ def _pairings(indices: tuple[int, ...]):
     return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
 
 
-def _root_poly(ctx: FieldContext, radicand: FieldElement, k: int) -> Polynomial:
-    coeffs = [-radicand] + [ctx.zero()] * (k - 1) + [ctx.one()]
-    return Polynomial.from_coeffs(ctx, coeffs)
-
-
 def evaluate_predicates(
     X: ParameterSet,
     level: int,
@@ -156,7 +140,10 @@ def evaluate_predicates(
     subsets of a larger set are the caller's job, and ``positions`` lets
     the caller keep global index labels).  With ``root`` given, the
     dimension-4/5 families are evaluated at that h or f directly; without
-    it they are quantified over all admissible roots via resultants.
+    it each value is its norm prod_r P(r) over the roots r of t^k - e (k = 2
+    for e4, k = 5 for e5), which has a closed form per family (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 6).  The norms are
+    polynomial identities in the eigenvalues, so they hold over any modulus.
     """
     needed = {2: 2, 3: 3, 4: 4, 5: 5, 6: 5}
     if level not in needed:
@@ -166,7 +153,7 @@ def evaluate_predicates(
         raise BadLevel(f"level {level} needs {needed[level]} eigenvalues, got {n}")
     pos = tuple(positions) if positions is not None else tuple(range(1, n + 1))
     vals = X.values
-    ctx = X.context
+    quant = root is None
     out: list[PredicateValue] = []
 
     if level == 2:
@@ -184,50 +171,34 @@ def evaluate_predicates(
             )
     elif level == 4:
         e4 = elementary_symmetric(vals, 4)
-        for i in range(4):
-            if root is not None:
-                value = vals[i] ** 2 - root
-                quant = False
-            else:
-                pred = Polynomial.from_coeffs(ctx, [vals[i] ** 2, -ctx.one()])
-                value = resultant(_root_poly(ctx, e4, 2), pred)
-                quant = True
-            out.append(PredicateValue("I4", (pos[i],), value, quant, subset=pos))
-        for (i, j), (k, l) in _pairings((0, 1, 2, 3)):
-            combo = vals[i] * vals[j] + vals[k] * vals[l]
-            if root is not None:
-                value = combo - root
-                quant = False
-            else:
-                pred = Polynomial.from_coeffs(ctx, [combo, -ctx.one()])
-                value = resultant(_root_poly(ctx, e4, 2), pred)
-                quant = True
+        combos = [("I4", (i,), vals[i] ** 2) for i in range(4)]
+        combos += [
+            ("J4", (i, j, k, l), vals[i] * vals[j] + vals[k] * vals[l])
+            for (i, j), (k, l) in _pairings((0, 1, 2, 3))
+        ]
+        for family, idx, c in combos:
+            # c - h, or its norm over both square roots of e4: c^2 - e4
+            value = c * c - e4 if quant else c - root
             out.append(
                 PredicateValue(
-                    "J4", (pos[i], pos[j], pos[k], pos[l]), value, quant, subset=pos
+                    family, tuple(pos[t] for t in idx), value, quant, subset=pos
                 )
             )
     elif level == 5:
         e5 = elementary_symmetric(vals, 5)
         for i in range(5):
-            if root is not None:
-                value = vals[i] ** 2 + vals[i] * root + root * root
-                quant = False
+            x = vals[i]
+            if quant:
+                # prod_f (x^2 + x f + f^2) = (x^15 - e5^3) / (x^5 - e5)
+                x5 = x**5
+                value = x5 * x5 + x5 * e5 + e5 * e5
             else:
-                pred = Polynomial.from_coeffs(ctx, [vals[i] ** 2, vals[i], ctx.one()])
-                value = resultant(_root_poly(ctx, e5, 5), pred)
-                quant = True
+                value = x * x + x * root + root * root
             out.append(PredicateValue("I5", (pos[i],), value, quant, subset=pos))
         for i, j in combinations(range(5), 2):
-            if root is not None:
-                value = vals[i] * vals[j] + root * root
-                quant = False
-            else:
-                pred = Polynomial.from_coeffs(
-                    ctx, [vals[i] * vals[j], ctx.zero(), ctx.one()]
-                )
-                value = resultant(_root_poly(ctx, e5, 5), pred)
-                quant = True
+            c = vals[i] * vals[j]
+            # c + f^2, or its norm over the fifth roots of e5: c^5 + e5^2
+            value = c**5 + e5 * e5 if quant else c + root * root
             out.append(
                 PredicateValue("J5", (pos[i], pos[j]), value, quant, subset=pos)
             )
@@ -601,20 +572,10 @@ class CensusReport:
 def _all_predicates(X: ParameterSet) -> list[PredicateValue]:
     n = len(X)
     preds: list[PredicateValue] = []
-    if n >= 2:
-        for c in combinations(range(n), 2):
+    for level in range(2, min(n, 4) + 1):
+        for c in combinations(range(n), level):
             preds += evaluate_predicates(
-                X.subset(c), 2, positions=tuple(i + 1 for i in c)
-            )
-    if n >= 3:
-        for c in combinations(range(n), 3):
-            preds += evaluate_predicates(
-                X.subset(c), 3, positions=tuple(i + 1 for i in c)
-            )
-    if n >= 4:
-        for c in combinations(range(n), 4):
-            preds += evaluate_predicates(
-                X.subset(c), 4, positions=tuple(i + 1 for i in c)
+                X.subset(c), level, positions=tuple(i + 1 for i in c)
             )
     if n == 5:
         preds += evaluate_predicates(X, 5)
@@ -625,9 +586,10 @@ def _all_predicates(X: ParameterSet) -> list[PredicateValue]:
 def semisimplicity(X: ParameterSet) -> CensusReport:
     """Whole-set verdict: no predicate in any family over any subset is 0.
 
-    Root-quantified families are evaluated through resultants, so the
-    verdict never needs an extension field.  Only the verdict fields of the
-    report are filled; run :func:`dimension_census` for the rest.
+    Root-quantified families are evaluated as closed-form norms over all
+    roots, so the verdict never needs an extension field.  Only the verdict
+    fields of the report are filled; :func:`dimension_census` returns this
+    same report when the verdict is negative and fills the rest otherwise.
     """
     preds = _all_predicates(X)
     failing = tuple(p for p in preds if p.is_zero)
@@ -660,24 +622,25 @@ def dimension_census(
     X: ParameterSet,
     context: FieldContext | None = None,
     mode: str = "constructive",
-    strict: bool = False,
 ) -> CensusReport:
     """Sum of squared irreducible dimensions against the algebra dimension.
 
-    Combinatorial mode counts subset representatives with their root
-    multiplicities (two h-variants, five f-variants) without building
+    The semisimplicity verdict comes first: when it is negative, its
+    report (with the failing predicates and no census fields) is returned
+    as it is.  Combinatorial mode counts subset representatives with their
+    root multiplicities (two h-variants, five f-variants) without building
     anything, matching the count over an algebraically closed field.
     Constructive mode builds everything :func:`enumerate_irreps` can reach
     in the context, separates the rest as deferred roots, and still counts
-    the deferred variants in the sum; ``strict=True`` turns deferrals into
-    a :class:`RootsUnavailable` error instead.  Pairwise inequivalence of
-    the built members is certified by character probes with an exact
-    intertwiner solve as the tie-breaker.
+    the deferred variants in the sum.  Pairwise inequivalence of the built
+    members is certified by character probes with an exact intertwiner
+    solve as the tie-breaker.
     """
+    if mode not in ("combinatorial", "constructive"):
+        raise ValueError(f"unknown census mode {mode!r}")
     verdict = semisimplicity(X)
     if not verdict.semisimple_verdict:
-        names = ", ".join(p.name for p in verdict.failing_predicates)
-        raise NotSemisimple(f"algebra is not semisimple; vanishing: {names}")
+        return verdict
     n = len(X)
     algebra_dim = ALGEBRA_DIMS[n]
     if mode == "combinatorial":
@@ -692,14 +655,7 @@ def dimension_census(
             failing_predicates=(),
             mode="combinatorial",
         )
-    if mode != "constructive":
-        raise ValueError(f"unknown census mode {mode!r}")
     enum = enumerate_irreps(X, context)
-    if enum.deferred and strict:
-        missing = ", ".join(
-            f"subset {d.subset} dim {d.dim} ({d.count} roots)" for d in enum.deferred
-        )
-        raise RootsUnavailable(f"cannot construct: {missing}")
     probes = [tuple(character(r, DEFAULT_PROBE_WORDS)) for r in enum.reps]
     extended: dict[int, tuple] = {}
 

@@ -10,11 +10,14 @@ Grammar:
     word    := term {term}
     term    := atom ['^' integer]
     atom    := 's1' | 's2' | 'a' | 'b' | 'c' | '(' word ')'
-    integer := ['-'] digits        (nonzero)
+    integer := ['-'] digits        (nonzero, |k| <= MAX_EXPONENT)
 
 '^' binds tighter than juxtaposition; whitespace separates factors.
 Exponentiated groups are expanded at parse time, so the AST is a flat
-factor list.  The empty string parses to the empty word (identity).
+factor list of at most MAX_FACTORS entries; a word past either bound is
+rejected before it is expanded.  A one-factor group merges its exponents,
+and the product obeys the same bound.  The empty string parses to the
+empty word (identity).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .linalg import Matrix
 
 __all__ = [
     "GENERATORS",
+    "MAX_EXPONENT",
+    "MAX_FACTORS",
     "BraidWord",
     "WordSyntaxError",
     "parse",
@@ -35,6 +40,8 @@ __all__ = [
 ]
 
 GENERATORS = ("s1", "s2", "a", "b", "c")
+MAX_EXPONENT = 1000
+MAX_FACTORS = 10_000
 
 
 class WordSyntaxError(ValueError):
@@ -110,6 +117,10 @@ class _Parser:
                     raise WordSyntaxError("unmatched ')'", self.pos())
                 return factors
             factors.extend(self.term())
+            if len(factors) > MAX_FACTORS:
+                raise WordSyntaxError(
+                    f"word expands to more than {MAX_FACTORS} factors", self.pos()
+                )
 
     def term(self) -> list[tuple[str, int]]:
         tok, at = self.tokens[self.i]
@@ -130,9 +141,20 @@ class _Parser:
         tok = self.peek()
         if tok is None or not re.fullmatch(r"-?\d+", tok):
             raise WordSyntaxError("expected an integer exponent after '^'", self.pos())
-        exp = int(tok)
-        if exp == 0:
+        digits = tok.lstrip("-").lstrip("0")
+        if not digits:
             raise WordSyntaxError("exponent must be nonzero", self.pos())
+        # a one-factor group merges: (s1^e)^k = s1^(e k), under the same bound
+        scale = abs(base[0][1]) if len(base) == 1 else 1
+        if len(digits) > len(str(MAX_EXPONENT)) or scale * int(digits) > MAX_EXPONENT:
+            raise WordSyntaxError(
+                f"exponent exceeds {MAX_EXPONENT} in absolute value", self.pos()
+            )
+        exp = -int(digits) if tok.startswith("-") else int(digits)
+        if len(base) * abs(exp) > MAX_FACTORS:
+            raise WordSyntaxError(
+                f"group expands to more than {MAX_FACTORS} factors", self.pos()
+            )
         self.i += 1
         if len(base) == 1:
             gen, e = base[0]

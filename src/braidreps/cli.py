@@ -6,7 +6,7 @@ identical inputs produce byte-identical output.  Exit codes: 0 when the
 requested analysis completed consistently (a "reducible" or "not
 semisimple" verdict is still 0), 1 when a mathematical identity that must
 hold was violated (the failing identity is named on stderr), 2 for input
-errors.
+errors and for a result too long to print exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from multiprocessing import Pool
 
 from .analysis import (
     CensusMismatch,
-    NotSemisimple,
-    RootsUnavailable,
     dimension_census,
     invariant_subspace_witness,
     irreducible_oracle,
@@ -41,6 +39,7 @@ from .reps import (
     elementary_symmetric,
 )
 from .serialize import (
+    TooLarge,
     canonical_dumps,
     context_from_spec,
     encode_census,
@@ -246,25 +245,19 @@ def _cmd_irred(args):
 
 def _cmd_semisimple(args):
     job = _load_job(args)
+    mode = job.get("mode", "combinatorial")
+    if mode not in ("combinatorial", "constructive"):
+        raise InputError(f"unknown census mode {mode!r}")
     ctx = _context(job)
     X = _parameter_set(ctx, job)
-    report = semisimplicity(X)
-    census = None
-    if report.semisimple_verdict:
-        mode = job.get("mode", "combinatorial")
-        if mode not in ("combinatorial", "constructive"):
-            raise InputError(f"unknown census mode {mode!r}")
-        try:
-            census = encode_census(dimension_census(X, mode=mode))
-        except (NotSemisimple, RootsUnavailable) as exc:
-            raise CheckFailure(str(exc))
+    report = dimension_census(X, mode=mode)
     return 0, {
         "command": "semisimple",
         "context": encode_context(ctx),
         "X": [encode_element(v) for v in X.values],
         "verdict": report.semisimple_verdict,
         "failing": [encode_predicate(p) for p in report.failing_predicates],
-        "census": census,
+        "census": encode_census(report) if report.semisimple_verdict else None,
     }
 
 
@@ -396,7 +389,7 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         code, payload = _COMMANDS[args.command](args)
-    except InputError as exc:
+    except (InputError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -159,9 +159,6 @@ class FieldContext:
     def __repr__(self) -> str:
         return f"FieldContext({[str(c) for c in self.modulus]})"
 
-    def is_base(self) -> bool:
-        return self.degree == 1
-
 
 def rationals() -> FieldContext:
     """The base field Q, realised as the degree-1 context with modulus t."""

@@ -28,7 +28,6 @@ __all__ = [
     "algebra_closure_dim",
     "closure_dim_mod_p",
     "intertwiner_dim",
-    "commutant_dim",
 ]
 
 
@@ -568,10 +567,3 @@ def intertwiner_dim(pairs: Sequence[tuple[Matrix, Matrix]]) -> int:
                 rows.append(row)
     system = Matrix(ctx, len(rows), d2 * d1, [e for row in rows for e in row])
     return len(kernel_basis(system))
-
-
-def commutant_dim(generators: Sequence[Matrix]) -> int:
-    """Dimension of {M : M G_i = G_i M for all i}."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    return intertwiner_dim([(g, g) for g in generators])

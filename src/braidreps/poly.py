@@ -1,9 +1,9 @@
 """Dense univariate polynomials over a :class:`~braidreps.field.FieldContext`.
 
 Coefficients are stored in ascending order with trailing zeros trimmed; the
-zero polynomial has an empty coefficient tuple and degree -1.  Division,
-gcd and resultants run the classical Euclidean scheme, which is exact over
-these coefficient fields.
+zero polynomial has an empty coefficient tuple and degree -1.  Division
+and gcd run the classical Euclidean scheme, which is exact over these
+coefficient fields.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .field import ContextMismatch, FieldContext, FieldElement
 
-__all__ = ["Polynomial", "ZeroPolynomial", "resultant"]
+__all__ = ["Polynomial", "ZeroPolynomial"]
 
 
 class ZeroPolynomial(ValueError):
@@ -47,10 +47,6 @@ class Polynomial:
     @classmethod
     def one(cls, context: FieldContext) -> "Polynomial":
         return cls(context, (context.one(),))
-
-    @classmethod
-    def variable(cls, context: FieldContext) -> "Polynomial":
-        return cls(context, (context.zero(), context.one()))
 
     @classmethod
     def from_roots(cls, context: FieldContext, roots: Sequence[FieldElement]) -> "Polynomial":
@@ -202,48 +198,3 @@ class Polynomial:
             return Polynomial.zero(self.context)
         g = self.gcd(other)
         return ((self * other) // g).monic()
-
-    def derivative(self) -> "Polynomial":
-        ctx = self.context
-        return Polynomial(
-            ctx,
-            tuple(c * i for i, c in enumerate(self.coeffs))[1:],
-        )
-
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        """Horner evaluation at a field element."""
-        acc = self.context.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def resultant(p: Polynomial, q: Polynomial) -> FieldElement:
-    """Res(p, q), computed with the Euclidean remainder scheme.
-
-    Vanishes exactly when p and q share a root in a splitting field, which
-    is how quantified spectral conditions ("for every root h of m") get
-    decided without leaving the coefficient field.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ZeroPolynomial("resultant needs nonzero polynomials")
-    ctx = p.context
-    acc = ctx.one()
-    negate = False
-    f, g = p, q
-    while g.degree > 0:
-        if f.degree < g.degree:
-            if (f.degree * g.degree) % 2 == 1:
-                negate = not negate
-            f, g = g, f
-            continue
-        r = f % g
-        if r.is_zero():
-            return ctx.zero()
-        acc = acc * g.leading() ** (f.degree - r.degree)
-        if (f.degree * g.degree) % 2 == 1:
-            negate = not negate
-        f, g = g, r
-    acc = acc * g.coeffs[0] ** f.degree
-    return -acc if negate else acc
-

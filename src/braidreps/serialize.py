@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .analysis import CensusReport, PredicateValue, Witness
@@ -22,6 +23,7 @@ from .reps import Representation, RepSpec
 from .spectral import SpectralReport
 
 __all__ = [
+    "TooLarge",
     "encode_rational",
     "parse_rational",
     "encode_element",
@@ -41,10 +43,18 @@ __all__ = [
 ]
 
 
+class TooLarge(ValueError):
+    """An exact value has more digits than Python converts to text."""
+
+
 def encode_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise TooLarge(f"a result has more than {limit} digits; too large to print") from None
 
 
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")

@@ -5,11 +5,16 @@ reproducible.  Sets are retried until they are generic for their dimension
 class: pairwise distinct, nonzero, and with the relevant degeneracy
 predicates nonvanishing (degenerate behaviour is covered by fixed fixtures,
 not by the sweep).
+
+``sylvester_resultant`` is the reference resultant for the closed-form
+norms the predicates use: the determinant of the Sylvester matrix.
 """
 
 from fractions import Fraction
 from itertools import combinations
 import random
+
+from braidreps import Matrix, determinant
 
 SWEEP_SEED = 20260814
 
@@ -38,6 +43,27 @@ def _e(vals, k):
     return total
 
 
+def sylvester_resultant(p, q):
+    """Res(p, q) as the determinant of the Sylvester matrix, over p's context."""
+    ctx = p.context
+    m, n = p.degree, q.degree
+    if m < 0 or n < 0:
+        return ctx.zero()
+    if m == 0:
+        return p.coeffs[0] ** n
+    if n == 0:
+        return q.coeffs[0] ** m
+    size = m + n
+    rows = []
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(q.coeffs))
+    for i in range(n):
+        rows.append([ctx.zero()] * i + pc + [ctx.zero()] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([ctx.zero()] * i + qc + [ctx.zero()] * (size - n - 1 - i))
+    return determinant(Matrix.from_rows(ctx, rows))
+
+
 def _level2_ok(x):
     return x[0] ** 2 - x[0] * x[1] + x[1] ** 2 != 0
 
@@ -48,7 +74,7 @@ def _level3_ok(x):
 
 
 def _level4_ok(x):
-    # Quantified over both square roots of e4: resultant surrogates.
+    # Quantified over both square roots of e4: the norms over both roots.
     e4 = _e(x, 4)
     if any(v ** 4 - e4 == 0 for v in x):
         return False

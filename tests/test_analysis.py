@@ -7,6 +7,7 @@ the distinguished one rather than equality of the whole set.
 """
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -18,20 +19,20 @@ from braidreps import (
     FieldContext,
     InvalidWitness,
     Matrix,
-    NotSemisimple,
     ParameterSet,
+    Polynomial,
     RepSpec,
     Representation,
-    RootsUnavailable,
     Witness,
     algebra_closure_dim,
     build_rep,
     character,
-    commutant_dim,
     cyclotomic5_context,
     decomposability_check,
     dimension_census,
+    elementary_symmetric,
     evaluate_predicates,
+    intertwiner_dim,
     intertwiner_exists,
     invariant_subspace_witness,
     irreducible_oracle,
@@ -43,7 +44,7 @@ from braidreps import (
 from braidreps.linalg import closure_dim_mod_p
 
 import braidreps.analysis as analysis
-from conftest import sweep_plans
+from conftest import SWEEP_SEED, sweep_plans, sylvester_resultant
 
 Q = rationals()
 
@@ -136,11 +137,74 @@ class TestPredicateValues:
         assert any(p.name == "I6(5)" and p.is_zero and p.affects_variant == 5
                    for p in preds)
 
+    def test_quantified_values_are_sylvester_resultants(self):
+        # Each quantified value is Res_t(t^k - e, P) for its family's P(t),
+        # checked against the Sylvester determinant on seeded sets.
+        rng = random.Random(SWEEP_SEED)
+        contexts = (Q, FieldContext([-24, 0, 1]), cyclotomic5_context())
+        for ctx in contexts:
+            for level in (4, 5):
+                sets = [_random_set(rng, ctx, level) for _ in range(5)]
+                if ctx == Q:  # with vanishing values too
+                    sets.append(FIX_I4 if level == 4 else FIX_J5)
+                for X in sets:
+                    preds = evaluate_predicates(X, level)
+                    assert len(preds) == {4: 7, 5: 15}[level]
+                    for p in preds:
+                        assert p.quantified and p.subset == tuple(range(1, level + 1))
+                        assert p.value == _norm_by_sylvester(X.values, p)
+
+    def test_quantified_values_on_reducible_modulus(self):
+        # Q[t]/(t^2 - 1) = Q x Q through t -> 1 and t -> -1.  The norms are
+        # polynomial identities, so each value maps to the norm of the
+        # mapped eigenvalues, even where the mapped set is degenerate.
+        ctx = FieldContext([-1, 0, 1])
+        rng = random.Random(SWEEP_SEED + 1)
+        for level in (4, 5):
+            for _ in range(5):
+                X = _random_set(rng, ctx, level)
+                for p in evaluate_predicates(X, level):
+                    for sign in (1, -1):
+                        at = [qv(v.coeffs[0] + sign * v.coeffs[1]) for v in X.values]
+                        image = p.value.coeffs[0] + sign * p.value.coeffs[1]
+                        assert _norm_by_sylvester(at, p) == image
+
     def test_bad_level(self):
         with pytest.raises(BadLevel):
             evaluate_predicates(ps(1, 2), 7)
         with pytest.raises(BadLevel):
             evaluate_predicates(ps(1, 2, 3), 2)
+
+
+def _random_set(rng, ctx, n):
+    """n distinct nonzero elements with small rational coefficients."""
+    while True:
+        vals = [
+            ctx.element([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                         for _ in range(ctx.degree)])
+            for _ in range(n)
+        ]
+        try:
+            return ParameterSet(tuple(vals))
+        except ValueError:
+            continue
+
+
+def _norm_by_sylvester(vals, p):
+    """Res_t(t^k - e, P): P(t) vanishes at a root t iff predicate p does."""
+    ctx = vals[0].context
+    x = [vals[i - 1] for i in p.indices]
+    if p.family == "I4":
+        coeffs, k = [x[0] ** 2, -1], 2
+    elif p.family == "J4":
+        coeffs, k = [x[0] * x[1] + x[2] * x[3], -1], 2
+    elif p.family == "I5":
+        coeffs, k = [x[0] ** 2, x[0], 1], 5
+    else:
+        coeffs, k = [x[0] * x[1], 0, 1], 5
+    e = elementary_symmetric(vals, len(vals))
+    radical = Polynomial.from_coeffs(ctx, [-e] + [0] * (k - 1) + [1])
+    return sylvester_resultant(radical, Polynomial.from_coeffs(ctx, coeffs))
 
 
 class TestWitnessMachinery:
@@ -223,7 +287,7 @@ class TestDegenerateFixtures:
             rep = build_rep(RepSpec(dim=6, params=FIX_J6, variant=variant))
             assert irreducible_oracle(rep)
             assert invariant_subspace_witness(rep) is None
-            assert commutant_dim([rep.g1, rep.g2]) == 1
+            assert intertwiner_dim([(rep.g1, rep.g1), (rep.g2, rep.g2)]) == 1
 
     def test_dim6_k6_fixture(self):
         v5 = build_rep(RepSpec(dim=6, params=FIX_K6, variant=5))
@@ -408,13 +472,11 @@ class TestCensus:
         assert len(report.deferred) == 1
         assert report.deferred[0].radicand == 24
 
-    def test_strict_mode_raises(self):
-        with pytest.raises(RootsUnavailable):
-            dimension_census(ps(1, 2, 3, 4), strict=True)
-
     def test_degenerate_raises(self):
-        with pytest.raises(NotSemisimple, match="J6"):
-            dimension_census(FIX_J6)
+        report = dimension_census(FIX_J6)
+        assert not report.semisimple_verdict
+        assert "J6(1,5)" in [p.name for p in report.failing_predicates]
+        assert report.sum_of_squares is None and report.entries == ()
 
     def test_sum_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(analysis, "_combinatorial_count", lambda n: 5)

