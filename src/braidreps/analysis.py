@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 from .braidword import BraidWord, evaluate, parse
-from .field import FieldContext, FieldElement, element_kth_roots
+from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
 from .linalg import (
     Matrix,
     algebra_closure_dim,
@@ -583,6 +583,20 @@ def _all_predicates(X: ParameterSet) -> list[PredicateValue]:
     return preds
 
 
+def _require_units(preds: list[PredicateValue], ctx: FieldContext) -> None:
+    try:
+        prod((p.value for p in preds), start=ctx.one()).inverse()
+    except NotInvertible:
+        for p in preds:
+            try:
+                p.value.inverse()
+            except NotInvertible as exc:
+                raise NotInvertible(
+                    f"no verdict: predicate {p.name} vanishes on a factor of the modulus ({exc})"
+                ) from None
+        raise
+
+
 def semisimplicity(X: ParameterSet) -> CensusReport:
     """Whole-set verdict: no predicate in any family over any subset is 0.
 
@@ -590,9 +604,15 @@ def semisimplicity(X: ParameterSet) -> CensusReport:
     roots, so the verdict never needs an extension field.  Only the verdict
     fields of the report are filled; :func:`dimension_census` returns this
     same report when the verdict is negative and fills the rest otherwise.
+
+    Over a reducible modulus every nonzero value must also be a unit, else
+    :class:`NotInvertible` names the predicate and there is no verdict; the
+    product is inverted once, as it is a unit iff each factor is.
     """
     preds = _all_predicates(X)
     failing = tuple(p for p in preds if p.is_zero)
+    if X.context.degree > 1:
+        _require_units([p for p in preds if not p.is_zero], X.context)
     return CensusReport(
         entries=(),
         deferred=(),

@@ -14,9 +14,12 @@ Grammar:
 
 '^' binds tighter than juxtaposition; whitespace separates factors.
 Exponentiated groups are expanded at parse time, so the AST is a flat
-factor list of at most MAX_FACTORS entries; a word past either bound is
-rejected before it is expanded.  A one-factor group merges its exponents,
-and the product obeys the same bound.  The empty string parses to the
+factor list.  A word is measured in letters: a factor g^k counts |k|
+letters of g, and a macro counts the letters it stands for (a 2, b 3,
+c 6).  A word or group longer than MAX_FACTORS letters, or an exponent
+past MAX_EXPONENT, is rejected before it is expanded, which also bounds
+the work of :func:`evaluate`.  A one-factor group merges its exponents,
+and the product obeys the exponent bound.  The empty string parses to the
 empty word (identity).
 """
 
@@ -41,7 +44,8 @@ __all__ = [
 
 GENERATORS = ("s1", "s2", "a", "b", "c")
 MAX_EXPONENT = 1000
-MAX_FACTORS = 10_000
+MAX_FACTORS = 10_000  # letters in a word or group, see _letters
+_LETTER_LENGTH = {"s1": 1, "s2": 1, "a": 2, "b": 3, "c": 6}
 
 
 class WordSyntaxError(ValueError):
@@ -96,6 +100,11 @@ def _invert(factors: list[tuple[str, int]]) -> list[tuple[str, int]]:
     return [(g, -e) for g, e in reversed(factors)]
 
 
+def _letters(factors: list[tuple[str, int]]) -> int:
+    """Length in s1/s2 letters: g^k counts |k| times the letters of g."""
+    return sum(abs(e) * _LETTER_LENGTH[g] for g, e in factors)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -110,16 +119,19 @@ class _Parser:
 
     def word(self, inside_group: bool) -> list[tuple[str, int]]:
         factors: list[tuple[str, int]] = []
+        letters = 0
         while True:
             tok = self.peek()
             if tok is None or tok == ")":
                 if not inside_group and tok == ")":
                     raise WordSyntaxError("unmatched ')'", self.pos())
                 return factors
-            factors.extend(self.term())
-            if len(factors) > MAX_FACTORS:
+            term = self.term()
+            factors.extend(term)
+            letters += _letters(term)
+            if letters > MAX_FACTORS:
                 raise WordSyntaxError(
-                    f"word expands to more than {MAX_FACTORS} factors", self.pos()
+                    f"word expands to more than {MAX_FACTORS} letters", self.pos()
                 )
 
     def term(self) -> list[tuple[str, int]]:
@@ -151,9 +163,9 @@ class _Parser:
                 f"exponent exceeds {MAX_EXPONENT} in absolute value", self.pos()
             )
         exp = -int(digits) if tok.startswith("-") else int(digits)
-        if len(base) * abs(exp) > MAX_FACTORS:
+        if _letters(base) * abs(exp) > MAX_FACTORS:
             raise WordSyntaxError(
-                f"group expands to more than {MAX_FACTORS} factors", self.pos()
+                f"group expands to more than {MAX_FACTORS} letters", self.pos()
             )
         self.i += 1
         if len(base) == 1:

@@ -293,8 +293,8 @@ class FieldElement:
                 break
         if len(r0) != 1:
             raise NotInvertible(
-                "zero divisor: element shares the factor "
-                f"{[str(c) for c in r0]} with the modulus"
+                "zero divisor: element shares the monic factor "
+                f"{[str(c / r0[-1]) for c in r0]} with the modulus"
             )
         scale = 1 / r0[0]
         inv = [c * scale for c in s0]
@@ -331,7 +331,7 @@ class FieldElement:
     # -- predicates and views ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -151,14 +151,16 @@ class Matrix:
             raise ContextMismatch("matrices over different contexts")
         n, m, p = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
+        zero = self.context.zero()
+        # skip products with a zero factor (exact sums do not change)
+        cols = [[(k, b[k * p + j]) for k in range(m) if not b[k * p + j].is_zero()]
+                for j in range(p)]
         out = []
         for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            for j in range(p):
-                acc = arow[0] * b[j]
-                for k in range(1, m):
-                    acc = acc + arow[k] * b[k * p + j]
-                out.append(acc)
+            arow = [None if e.is_zero() else e for e in a[i * m : (i + 1) * m]]
+            for col in cols:
+                terms = [arow[k] * e for k, e in col if arow[k] is not None]
+                out.append(sum(terms[1:], terms[0]) if terms else zero)
         return Matrix(self.context, n, p, out)
 
     def scale(self, s) -> "Matrix":
@@ -245,7 +247,10 @@ class Matrix:
 
 
 def determinant(m: Matrix) -> FieldElement:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    ``reps`` checks det g2 with it; a zero-divisor pivot raises NotInvertible.
+    """
     if m.rows != m.cols:
         raise NotSquare("determinant of a non-square matrix")
     n = m.rows
@@ -265,9 +270,11 @@ def determinant(m: Matrix) -> FieldElement:
             else:
                 return ctx.zero()
         pivot = a[k][k]
+        # the exact division by the previous pivot, as one inverse per step
+        inv_prev = prev.inverse()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) / prev
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) * inv_prev
             a[i][k] = ctx.zero()
         prev = pivot
     det = a[n - 1][n - 1]

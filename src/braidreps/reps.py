@@ -4,9 +4,10 @@ For an ordered set X of n distinct nonzero eigenvalues (n <= 5) the quotient
 of C[B3] by prod_{x in X} (g - x) on the generators is finite dimensional,
 and its irreducible representations in dimensions 1..6 admit closed-form
 matrices once g1 is diagonalised.  This module transcribes those closed
-forms.  Every constructor re-checks the braid relation, the generator
-relation P_X(g2) = 0 and the characteristic polynomial of g2 before
-returning, so a transcription or root error cannot escape silently.
+forms.  Every constructor checks the braid relation, g1 diagonal with the
+eigenvalues at their multiplicities, and det g2 = det g1 before returning;
+by similarity these imply P_X(g2) = 0 and the characteristic polynomial of
+g2 (see :func:`_self_check`), so a transcription or root error cannot escape.
 
 Representations of dimension 4 need a square root h of e4(X); dimension 5
 needs a fifth root f of e5(X).  When the coefficient context lacks such a
@@ -16,12 +17,14 @@ with a modulus that would provide the root, rather than dropping it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 from typing import Iterable, Sequence
 
-from .field import FieldContext, FieldElement, element_kth_roots
-from .linalg import Matrix, charpoly, poly_eval_matrix
+from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
+from .linalg import Matrix, charpoly, determinant, poly_eval_matrix
 from .poly import Polynomial
 
 __all__ = [
@@ -500,15 +503,34 @@ def _build_dim6(values, variant: int):
 
 
 def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix, mults: tuple[int, ...]) -> None:
-    """Raise :class:`ConstructionFailed` naming the first identity that fails."""
+    """Raise :class:`ConstructionFailed` naming the first identity that fails.
+
+    Checks the braid relation A g1 = g2 A with A = g1 g2, that g1 is diagonal
+    with the eigenvalues at their multiplicities, and det g2 = det g1.  Then
+    det A is a unit and g2 = A g1 A^-1, so charpoly(g2) = prod (t - x_i)^{m_i}
+    and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked directly only
+    when a zero divisor (a reducible modulus) blocks the argument.
+    """
     values = spec.params.values
     ctx = spec.context
-    if (g1 @ g2) @ g1 != (g2 @ g1) @ g2:
+    a = g1 @ g2
+    if a @ g1 != g2 @ a:
         raise ConstructionFailed(f"braid relation failed for {spec}")
+    roots = [x for x, m in zip(values, mults) for _ in range(m)]
+    diag = [g1[i, i] for i in range(g1.rows)]
+    if g1 != Matrix.diagonal(ctx, diag) or Counter(diag) != Counter(roots):
+        raise ConstructionFailed(f"g1 is not diagonal with entries X at {mults} for {spec}")
+    det_g1 = prod(roots, start=ctx.one())
+    try:
+        det_g1.inverse()
+        if determinant(g2) != det_g1:
+            raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
+        return
+    except NotInvertible:  # no similarity argument: check what it implies
+        pass
     p_x = Polynomial.from_roots(ctx, values)
     if any(not e.is_zero() for e in poly_eval_matrix(p_x, g2).entries):
         raise ConstructionFailed(f"generator relation P_X(g2) != 0 for {spec}")
-    roots = [x for x, m in zip(values, mults) for _ in range(m)]
     if charpoly(g2) != Polynomial.from_roots(ctx, roots):
         raise ConstructionFailed(f"characteristic polynomial mismatch for {spec}")
 

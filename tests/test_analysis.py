@@ -19,6 +19,7 @@ from braidreps import (
     FieldContext,
     InvalidWitness,
     Matrix,
+    NotInvertible,
     ParameterSet,
     Polynomial,
     RepSpec,
@@ -435,6 +436,18 @@ class TestSemisimplicity:
             report = semisimplicity(fixture)
             assert not report.semisimple_verdict
             assert name in [p.name for p in report.failing_predicates]
+
+    def test_zero_divisor_gives_no_verdict(self):
+        # over Q[t]/(t^2 - 1) = Q x Q the set maps to the fixture (2, 1, -4)
+        # at t = 1 and to (3, 1, 5) at t = -1: I3 vanishes on one factor only
+        ctx = FieldContext([-1, 0, 1])
+        X = ParameterSet((ctx.element([Fraction(5, 2), Fraction(-1, 2)]), ctx.one(),
+                          ctx.element([Fraction(1, 2), Fraction(-9, 2)])))
+        with pytest.raises(NotInvertible, match=r"I3\(1,2,3\).*\['-1', '1'\]"):
+            semisimplicity(X)
+        # a set that is generic on both factors still gets its verdict
+        report = semisimplicity(ParameterSet.from_rationals(ctx, [1, 2, 3, 6]))
+        assert report.semisimple_verdict and report.failing_predicates == ()
 
     def test_j5_fixture_full_failing_set(self):
         names = [p.name for p in semisimplicity(FIX_J5).failing_predicates]

@@ -94,6 +94,19 @@ class TestParsing:
         with pytest.raises(WordSyntaxError, match="word expands"):
             parse("(s1 s2)^1000 " * 5 + "s1")
 
+    def test_length_counts_letters(self):
+        # g^k counts |k| letters and a macro its length: a 2, b 3, c 6
+        assert parse("c^1000 a^-1000 b^666").factors == (
+            ("c", 1000), ("a", -1000), ("b", 666))
+        with pytest.raises(WordSyntaxError, match="word expands"):
+            parse("c^1000 a^-1000 b^667")
+        with pytest.raises(WordSyntaxError, match="word expands"):
+            parse("s1^1000 " * 10 + "s2")
+        with pytest.raises(WordSyntaxError, match="group expands"):
+            parse("(s1^1000 s2^1000)^1000")
+        with pytest.raises(WordSyntaxError, match="group expands"):
+            parse("(c^1000 s1)^2")
+
     def test_word_validation(self):
         with pytest.raises(ValueError):
             BraidWord((("s3", 1),))

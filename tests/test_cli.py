@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,25 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["semisimple", "irred"])
+    def test_zero_divisor_exits_two(self, capsys, command):
+        # Q[t]/(t^2 - 1) = Q x Q, and at t = 1 this is the fixture (2, 1, -4):
+        # no verdict is printed, and the factor t - 1 is named
+        code, out, err = run_cli(capsys, command, "--context", "t^2-1", "--params",
+                                 '["[5/2,-1/2]", 1, "[1/2,-9/2]"]')
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero divisor" in err and "['-1', '1']" in err
+
+    def test_long_word_rejected_before_evaluation(self, capsys):
+        # 2 000 000 letters in 2000 factors: refused at parse time
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", "--params", "[1,2]",
+                                 "--words", "(s1^1000 s2^1000)^1000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "letters" in err
 
     def test_census_mismatch_exits_one(self, capsys, monkeypatch):
         import braidreps.analysis as analysis

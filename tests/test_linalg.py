@@ -11,6 +11,7 @@ from braidreps import (
     Polynomial,
     algebra_closure_dim,
     charpoly,
+    cyclotomic5_context,
     det_and_inverse,
     determinant,
     intertwiner_dim,
@@ -49,6 +50,36 @@ _mats3 = st.lists(_small, min_size=9, max_size=9).map(lambda xs: _sq(xs, 3))
 _mats4 = st.lists(_small, min_size=16, max_size=16).map(lambda xs: _sq(xs, 4))
 
 
+ZETA5 = cyclotomic5_context()
+_coeff = st.one_of(st.just(Fraction(0)), _small)
+
+
+def _sparse_matrix(data, ctx, rows, cols):
+    """Random entries, many zero, with whole rows and columns zeroed too."""
+    ents = [ctx.element(data.draw(st.lists(_coeff, min_size=ctx.degree,
+                                           max_size=ctx.degree)))
+            if data.draw(st.booleans()) else ctx.zero()
+            for _ in range(rows * cols)]
+    zero_rows = data.draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = data.draw(st.sets(st.integers(0, cols - 1)))
+    for i in range(rows):
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols:
+                ents[i * cols + j] = ctx.zero()
+    return Matrix(ctx, rows, cols, ents)
+
+
+def _dense_product(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a.context.zero()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            out.append(acc)
+    return Matrix(a.context, a.rows, b.cols, out)
+
+
 class TestMatrixBasics:
     def test_shapes_and_indexing(self):
         m = Matrix.from_rows(Q, [[1, 2], [3, 4]])
@@ -80,6 +111,16 @@ class TestMatrixBasics:
             cost = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
             assert len(matmuls) == cost, n
             matmuls.clear()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matmul_matches_dense_reference(self, data):
+        # the product skips zero factors; a plain triple loop is the reference
+        ctx = data.draw(st.sampled_from([Q, ZETA5]))
+        n, m, p = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a = _sparse_matrix(data, ctx, n, m)
+        b = _sparse_matrix(data, ctx, m, p)
+        assert a @ b == _dense_product(a, b)
 
     def test_is_scalar(self):
         assert Matrix.identity(Q, 3).scale(Q.from_rational(7)).is_scalar()

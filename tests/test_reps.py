@@ -14,6 +14,7 @@ from braidreps import (
     Matrix,
     MissingRoot,
     ParameterSet,
+    Polynomial,
     RepSpec,
     build_rep,
     charpoly,
@@ -22,10 +23,12 @@ from braidreps import (
     determinant,
     elementary_symmetric,
     enumerate_irreps,
+    poly_eval_matrix,
     rationals,
     transpose_parameters,
 )
 from braidreps.reps import _self_check
+from conftest import SWEEP_SEED, sweep_plans
 
 Q = rationals()
 
@@ -133,6 +136,54 @@ class TestSelfCheck:
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
         with pytest.raises(ConstructionFailed, match="braid relation"):
             _self_check(rep.spec, rep.g2, rep.g1 @ rep.g2, rep.multiplicities)
+
+    def test_corrupted_g1_diagonal_detected(self):
+        # g1 = g2 commute, so the braid relation holds; only the g1 check sees
+        # the wrong eigenvalue, and an off-diagonal entry is caught as well
+        rep = build_rep(RepSpec(dim=2, params=pset(1, 2)))
+        for bad in (Matrix.diagonal(Q, [qval(1), qval(3)]),
+                    Matrix.from_rows(Q, [[1, 1], [0, 2]])):
+            with pytest.raises(ConstructionFailed, match="g1 is not diagonal"):
+                _self_check(rep.spec, bad, bad, rep.multiplicities)
+
+    def test_determinant_identity_detected(self):
+        # g2 = 0 satisfies the braid relation with any g1
+        rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
+        with pytest.raises(ConstructionFailed, match="determinant"):
+            _self_check(rep.spec, rep.g1, Matrix.zeros(Q, 3, 3), rep.multiplicities)
+
+    def test_zero_divisor_eigenvalue_takes_the_direct_checks(self, monkeypatch):
+        # over Q[t]/(t^2 - 1) = Q x Q the eigenvalue 1 + t maps to (2, 0):
+        # det g1 is no unit, so P_X(g2) and charpoly(g2) are checked directly
+        import braidreps.reps as reps
+
+        ctx = FieldContext([-1, 0, 1])
+        calls = []
+        real = reps.charpoly
+        monkeypatch.setattr(reps, "charpoly", lambda m: calls.append(m) or real(m))
+        x = ctx.element([1, 1])
+        rep = build_rep(RepSpec(dim=1, params=ParameterSet((x,))))
+        assert rep.g1 == rep.g2 == Matrix.diagonal(ctx, [x])
+        assert len(calls) == 1
+        # y maps to (2, 5): x y x = y x y holds, but P_X(y) = y - x maps to (0, 5)
+        y = ctx.element([Fraction(7, 2), Fraction(-3, 2)])
+        assert x * y * x == y * x * y
+        with pytest.raises(ConstructionFailed, match="generator relation"):
+            _self_check(rep.spec, rep.g1, Matrix.diagonal(ctx, [y]), (1,))
+
+    def test_spectral_identities_hold_on_sweep(self):
+        # the identities the build no longer checks directly, kept here as
+        # the reference: charpoly(g2) = prod (t - x_i)^{m_i} and P_X(g2) = 0
+        for plan in sweep_plans(5, seed=SWEEP_SEED + 2):
+            roots = {k: qval(plan[k]) for k in ("h", "f") if k in plan}
+            spec = RepSpec(dim=plan["dim"], params=pset(*plan["values"]),
+                           variant=plan.get("variant"), **roots)
+            rep = build_rep(spec)
+            with_mult = [v for v, m in zip(rep.values, rep.multiplicities)
+                         for _ in range(m)]
+            assert charpoly(rep.g2) == Polynomial.from_roots(Q, with_mult), spec
+            p_x = Polynomial.from_roots(Q, rep.values)
+            assert poly_eval_matrix(p_x, rep.g2) == Matrix.zeros(Q, rep.dim, rep.dim)
 
 
 @st.composite
