@@ -196,8 +196,9 @@ def _cmd_build(args):
 
 def _cmd_verify(args):
     ctx, rep = _single_rep(_load_job(args))
-    # build_rep has checked the braid relation, and its g1 and determinant
-    # checks imply P_X(g2) = 0, so generator_relation_ok keeps its meaning
+    # build_rep has checked the braid relation; P_X(g2) = 0 follows from its
+    # g1 and determinant checks (or is checked directly over a reducible
+    # modulus), so generator_relation_ok keeps its meaning
     minpoly_ok = minpoly(rep.g2) == Polynomial.from_roots(ctx, rep.values)
     report = spectral_report(rep)
     out = {
