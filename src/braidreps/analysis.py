@@ -35,7 +35,7 @@ from .linalg import (
     algebra_closure_dim,
     closure_dim_mod_p,
     intertwiner_dim,
-    kernel_basis,
+    rank,
 )
 from .reps import (
     DeferredRoot,
@@ -311,10 +311,6 @@ def witness_vectors(rep: Representation, w: Witness) -> list[list[FieldElement]]
     return vecs
 
 
-def _rank(m: Matrix) -> int:
-    return m.cols - len(kernel_basis(m))
-
-
 def verify_witness(rep: Representation, w: Witness) -> bool:
     """Exact invariance of the witness span under both generators."""
     vecs = witness_vectors(rep, w)
@@ -322,13 +318,13 @@ def verify_witness(rep: Representation, w: Witness) -> bool:
     if not 0 < k < rep.dim:
         return False
     span = Matrix.from_rows(rep.context, vecs)
-    if _rank(span) != k:
+    if rank(span) != k:
         return False
     # the span is invariant iff adding the rows g v, for both g, keeps rank k
     entries = span.entries
     for g in (rep.g1, rep.g2):
         entries += (span @ g.transpose()).entries
-    return _rank(Matrix(rep.context, 3 * k, rep.dim, entries)) == k
+    return rank(Matrix(rep.context, 3 * k, rep.dim, entries)) == k
 
 
 def _plane_block(g2: Matrix):

@@ -25,9 +25,12 @@ empty word (identity).
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 
+from .field import TooLarge
 from .linalg import Matrix
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "WordSyntaxError",
     "parse",
     "format_word",
-    "free_reduce",
     "evaluate",
 ]
 
@@ -60,8 +62,7 @@ class WordSyntaxError(ValueError):
 class BraidWord:
     """Flat product of generator powers.
 
-    Zero exponents are tolerated (free_reduce drops them) so that words can
-    be assembled programmatically before cleanup.
+    Zero exponents are tolerated; such a factor evaluates to the identity.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -189,34 +190,20 @@ def format_word(w: BraidWord) -> str:
     return " ".join(g if e == 1 else f"{g}^{e}" for g, e in w.factors)
 
 
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Merge adjacent equal generators and drop zero exponents, to a fixpoint."""
-    factors = list(w.factors)
-    changed = True
-    while changed:
-        changed = False
-        out: list[tuple[str, int]] = []
-        for gen, exp in factors:
-            if exp == 0:
-                changed = True
-                continue
-            if out and out[-1][0] == gen:
-                out[-1] = (gen, out[-1][1] + exp)
-                changed = True
-            else:
-                out.append((gen, exp))
-        factors = out
-    return BraidWord(tuple(factors))
-
-
 def evaluate(w: BraidWord, rep) -> Matrix:
     """Exact product of the factor matrices inside ``rep``.
 
     Inverses exist because det g_i = prod x_i^{m_i} is nonzero for every
-    valid representation.
+    valid representation.  Raises :class:`TooLarge` as soon as a numerator
+    or denominator in the running product has more digits than Python
+    converts to text (``sys.get_int_max_str_digits()``; 0 means no limit).
     """
+    limit = sys.get_int_max_str_digits()
+    # an integer past this many bits is at least 10^limit
+    max_bits = math.ceil(limit * math.log2(10)) + 1 if limit else None
     g1, g2 = rep.g1, rep.g2
     base: dict[str, Matrix] = {"s1": g1, "s2": g2}
+    steps: dict[tuple[str, int], Matrix] = {}
     result = None
     for gen, exp in w.factors:
         if gen not in base:
@@ -228,6 +215,14 @@ def evaluate(w: BraidWord, rep) -> Matrix:
             else:
                 base[gen] = a @ a @ a
         if exp != 0:
-            step = base[gen].power(exp)
+            if (gen, exp) not in steps:
+                steps[gen, exp] = base[gen].power(exp)
+            step = steps[gen, exp]
             result = step if result is None else result @ step
+            if max_bits and any(
+                max(c.numerator.bit_length(), c.denominator.bit_length()) > max_bits
+                for e in result.entries
+                for c in e.coeffs
+            ):
+                raise TooLarge()
     return Matrix.identity(rep.context, rep.dim) if result is None else result

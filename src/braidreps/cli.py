@@ -26,7 +26,7 @@ from .analysis import (
     semisimplicity,
 )
 from .braidword import WordSyntaxError, evaluate, parse
-from .field import NotInvertible, element_kth_roots
+from .field import NotInvertible, TooLarge, element_kth_roots
 from .linalg import minpoly
 from .poly import Polynomial
 from .reps import (
@@ -39,7 +39,6 @@ from .reps import (
     elementary_symmetric,
 )
 from .serialize import (
-    TooLarge,
     canonical_dumps,
     context_from_spec,
     encode_census,

@@ -14,6 +14,7 @@ anywhere in this module.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -25,6 +26,7 @@ __all__ = [
     "NotSquarefree",
     "ContextMismatch",
     "NotInvertible",
+    "TooLarge",
     "rationals",
     "cyclotomic5_context",
     "rational_kth_root",
@@ -50,6 +52,14 @@ class ContextMismatch(ValueError):
 
 class NotInvertible(ArithmeticError):
     """A zero divisor was inverted (the modulus is reducible)."""
+
+
+class TooLarge(ValueError):
+    """An exact value has more digits than Python converts to text."""
+
+    def __str__(self) -> str:
+        limit = sys.get_int_max_str_digits()
+        return f"a result has more than {limit} digits; too large to print"
 
 
 # -- polynomial helpers on raw Fraction lists (used only for moduli) --------

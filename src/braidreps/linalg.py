@@ -2,10 +2,16 @@
 
 Everything here is written for small matrices (dimension at most 6 for the
 representation work, 36 for flattened algebra closures) where exact
-arithmetic matters more than asymptotics.  Pivoting always takes the first
-nonzero entry; there are no magnitude heuristics because the arithmetic is
-exact.  The one computation over a finite field, :func:`closure_dim_mod_p`,
-only certifies a full closure; every other outcome defers to the exact one.
+arithmetic matters more than asymptotics.  One exact elimination step,
+:func:`_reduce_vector`, serves :func:`determinant`, :func:`inverse`,
+:func:`rank`, :func:`minpoly` and :func:`algebra_closure_dim`: it reduces a
+row against pivot-normalised rows and keeps it if it stays nonzero.
+Pivoting always takes the first nonzero entry; there are no magnitude
+heuristics because the arithmetic is exact.  Every pivot is inverted, so
+over a reducible modulus a zero-divisor pivot raises NotInvertible.  The one
+computation over a finite field, :func:`closure_dim_mod_p`, keeps its own
+loop on ints mod p; it only certifies a full closure, and every other
+outcome defers to the exact one.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ __all__ = [
     "ShapeMismatch",
     "NotSquare",
     "determinant",
-    "det_and_inverse",
+    "inverse",
+    "rank",
     "charpoly",
     "minpoly",
-    "kernel_basis",
     "poly_eval_matrix",
     "algebra_closure_dim",
     "closure_dim_mod_p",
@@ -195,10 +201,9 @@ class Matrix:
             raise NotSquare("power of a non-square matrix")
         base = self
         if n < 0:
-            det, inv = det_and_inverse(self)
-            if inv is None:
+            base = inverse(self)
+            if base is None:
                 raise ZeroDivisionError("negative power of a singular matrix")
-            base = inv
             n = -n
         if n == 0:
             return Matrix.identity(self.context, self.rows)
@@ -247,71 +252,60 @@ class Matrix:
 
 
 def determinant(m: Matrix) -> FieldElement:
-    """Determinant by fraction-free (Bareiss) elimination.
+    """Determinant by forward elimination with :func:`_reduce_vector`.
 
-    ``reps`` checks det g2 with it; a zero-divisor pivot raises NotInvertible.
+    The rows go in in order.  A dependent row means det = 0.  Otherwise the
+    reduced rows are L*M with L unit lower-triangular, so det M is the
+    product of their lead values times the sign of the lead-column
+    permutation.  ``reps`` checks det g2 with it.  Every pivot is inverted:
+    over a reducible modulus a nonzero zero-divisor pivot raises
+    NotInvertible even where the determinant exists.
     """
     if m.rows != m.cols:
         raise NotSquare("determinant of a non-square matrix")
-    n = m.rows
-    ctx = m.context
-    if n == 0:
-        return ctx.one()
-    a = m.to_lists()
-    sign = 1
-    prev = ctx.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ctx.zero()
-        pivot = a[k][k]
-        # the exact division by the previous pivot, as one inverse per step
-        inv_prev = prev.inverse()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) * inv_prev
-            a[i][k] = ctx.zero()
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    det = m.context.one()
+    basis: list[tuple[int, list[FieldElement]]] = []
+    for i in range(m.rows):
+        lead = _reduce_vector(list(m.row(i)), basis, m.cols)
+        if lead is None:
+            return m.context.zero()
+        det = det * lead
+    cols = [c for c, _ in basis]
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+    return -det if inversions % 2 else det
 
 
-def det_and_inverse(m: Matrix) -> tuple[FieldElement, Matrix | None]:
-    """Gauss-Jordan elimination on [M | I]; returns (det, inverse or None)."""
+def inverse(m: Matrix) -> Matrix | None:
+    """Inverse of M, or None when M is singular.
+
+    The rows of [M | I] are reduced on their left half; each basis row is
+    then cleared against the later ones, and the rows, in lead-column order,
+    carry M^-1 in their right half.  As in :func:`determinant`, a zero-divisor
+    pivot raises NotInvertible.
+    """
     if m.rows != m.cols:
         raise NotSquare("inverse of a non-square matrix")
     n = m.rows
-    ctx = m.context
-    zero, one = ctx.zero(), ctx.one()
-    aug = [list(m.row(i)) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    det = one
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if not aug[i][k].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ctx.zero(), None
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-            det = -det
-        pivot = aug[k][k]
-        det = det * pivot
-        inv_p = pivot.inverse()
-        aug[k] = [e * inv_p for e in aug[k]]
-        for i in range(n):
-            if i != k:
-                f = aug[i][k]
-                if not f.is_zero():
-                    aug[i] = [e - f * p for e, p in zip(aug[i], aug[k])]
-    inv_entries = [aug[i][n + j] for i in range(n) for j in range(n)]
-    return det, Matrix(ctx, n, n, inv_entries)
+    zero, one = m.context.zero(), m.context.one()
+    basis: list[tuple[int, list[FieldElement]]] = []
+    for i in range(n):
+        row = list(m.row(i)) + [one if j == i else zero for j in range(n)]
+        if _reduce_vector(row, basis, n) is None:
+            return None
+    for k, (_, row) in enumerate(basis):
+        _reduce_vector(row, basis[k + 1 :], 0)
+    basis.sort(key=lambda b: b[0])
+    return Matrix(m.context, n, n, [e for _, row in basis for e in row[n:]])
+
+
+def rank(m: Matrix) -> int:
+    """Rank of M: the number of rows :func:`_reduce_vector` keeps."""
+    basis: list[tuple[int, list[FieldElement]]] = []
+    for i in range(m.rows):
+        if len(basis) == m.cols:
+            break
+        _reduce_vector(list(m.row(i)), basis, m.cols)
+    return len(basis)
 
 
 def charpoly(m: Matrix) -> Polynomial:
@@ -354,20 +348,27 @@ def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:
 def _reduce_vector(
     vec: list[FieldElement],
     basis: list[tuple[int, list[FieldElement]]],
-) -> list[FieldElement]:
-    """Subtract the span of pivot-normalised basis rows from vec, in place."""
+    width: int,
+) -> FieldElement | None:
+    """The one exact elimination step: reduce vec in place against basis.
+
+    ``basis`` holds (lead column, row) pairs of pivot-normalised rows.  If
+    an entry among the first ``width`` of the reduced vec is nonzero, vec
+    is scaled so that the first such entry is 1, appended with that column,
+    and the entry's value before scaling is returned; otherwise None.
+    """
     for pivot, row in basis:
         c = vec[pivot]
         if not c.is_zero():
             for i in range(pivot, len(vec)):
                 vec[i] = vec[i] - c * row[i]
-    return vec
-
-
-def _first_nonzero(vec: Sequence[FieldElement]) -> int | None:
-    for i, e in enumerate(vec):
-        if not e.is_zero():
-            return i
+    for lead in range(width):
+        value = vec[lead]
+        if not value.is_zero():
+            inv = value.inverse()
+            vec[lead:] = [e * inv for e in vec[lead:]]
+            basis.append((lead, vec))
+            return value
     return None
 
 
@@ -384,32 +385,17 @@ def minpoly(m: Matrix) -> Polynomial:
     zero, one = ctx.zero(), ctx.one()
     result = Polynomial.one(ctx)
     for start in range(n):
-        v = [zero] * n
-        v[start] = one
-        # rows of (vector | power-tag) reduced on the vector part only
+        cur = [zero] * n
+        cur[start] = one
+        # rows of (vector | power tag), reduced on the vector part only
         basis: list[tuple[int, list[FieldElement]]] = []
-        tags: list[list[FieldElement]] = []
-        power = 0
-        cur = v
-        while True:
+        for power in range(n + 1):
             tag = [zero] * (n + 1)
             tag[power] = one
-            work = list(cur)
-            for (pivot, row), trow in zip(basis, tags):
-                c = work[pivot]
-                if not c.is_zero():
-                    for i in range(pivot, n):
-                        work[i] = work[i] - c * row[i]
-                    for i in range(n + 1):
-                        tag[i] = tag[i] - c * trow[i]
-            lead = _first_nonzero(work)
-            if lead is None:
-                ann = Polynomial(ctx, tag).monic()
-                result = result.lcm(ann)
+            work = cur + tag
+            if _reduce_vector(work, basis, n) is None:
+                result = result.lcm(Polynomial(ctx, work[n:]).monic())
                 break
-            inv = work[lead].inverse()
-            basis.append((lead, [e * inv for e in work]))
-            tags.append([e * inv for e in tag])
             # next Krylov vector
             cur = [
                 sum(
@@ -418,48 +404,9 @@ def minpoly(m: Matrix) -> Polynomial:
                 )
                 for i in range(n)
             ]
-            power += 1
         if result.degree == n:
             break
     return result.monic()
-
-
-def kernel_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
-    """Basis of the right null space, one vector per free column."""
-    ctx = m.context
-    zero, one = ctx.zero(), ctx.one()
-    rows = m.to_lists()
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nr):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [zero] * nc
-        v[fc] = one
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][fc]
-        out.append(tuple(v))
-    return out
 
 
 def algebra_closure_dim(generators: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
@@ -487,12 +434,8 @@ def algebra_closure_dim(generators: Sequence[Matrix]) -> tuple[int, list[Matrix]
     while qi < len(queue) and len(accepted) < full:
         mat = queue[qi]
         qi += 1
-        vec = _reduce_vector(list(mat.entries), reduced)
-        lead = _first_nonzero(vec)
-        if lead is None:
+        if _reduce_vector(list(mat.entries), reduced, full) is None:
             continue
-        inv = vec[lead].inverse()
-        reduced.append((lead, [e * inv for e in vec]))
         accepted.append(mat)
         for g in generators:
             queue.append(mat @ g)
@@ -552,7 +495,7 @@ def closure_dim_mod_p(generators: Sequence[Matrix]) -> int | None:
 
 
 def intertwiner_dim(pairs: Sequence[tuple[Matrix, Matrix]]) -> int:
-    """Dimension of {M : M A = B M for every pair (A, B)} via one exact kernel.
+    """Dimension of {M : M A = B M for every pair (A, B)}: unknowns minus rank.
 
     M has as many rows as each B and as many columns as each A.
     """
@@ -573,4 +516,4 @@ def intertwiner_dim(pairs: Sequence[tuple[Matrix, Matrix]]) -> int:
                     row[k * d1 + j] = row[k * d1 + j] - b[i, k]
                 rows.append(row)
     system = Matrix(ctx, len(rows), d2 * d1, [e for row in rows for e in row])
-    return len(kernel_basis(system))
+    return system.cols - rank(system)

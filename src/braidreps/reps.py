@@ -30,7 +30,6 @@ from .poly import Polynomial
 __all__ = [
     "BadSpec",
     "MissingRoot",
-    "IndexOutOfRange",
     "ConstructionFailed",
     "ParameterSet",
     "RepSpec",
@@ -40,7 +39,6 @@ __all__ = [
     "elementary_symmetric",
     "delta",
     "build_rep",
-    "transpose_parameters",
     "compose_fifth_roots",
     "enumerate_irreps",
 ]
@@ -52,10 +50,6 @@ class BadSpec(ValueError):
 
 class MissingRoot(ValueError):
     """The requested representation needs a root the context cannot supply."""
-
-
-class IndexOutOfRange(ValueError):
-    """A 1-based eigenvalue position outside the parameter list."""
 
 
 class ConstructionFailed(ArithmeticError):
@@ -552,30 +546,6 @@ def build_rep(spec: RepSpec) -> Representation:
         g1, g2, mults = _build_dim6(values, spec.variant)
     _self_check(spec, g1, g2, mults)
     return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
-
-
-def transpose_parameters(rep: Representation, i: int, j: int) -> Representation:
-    """Swap the eigenvalues at 1-based positions i and j, then rebuild.
-
-    Acting twice with the same pair returns the original.  For the
-    6-dimensional family this realises the transposition action that links
-    the five variants.
-    """
-    if i == j:
-        raise BadSpec("positions must be distinct")
-    n = len(rep.spec.params)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRange(f"positions {i},{j} out of range for {n} eigenvalues")
-    vs = list(rep.spec.params.values)
-    vs[i - 1], vs[j - 1] = vs[j - 1], vs[i - 1]
-    spec = RepSpec(
-        dim=rep.spec.dim,
-        params=ParameterSet(tuple(vs)),
-        h=rep.spec.h,
-        f=rep.spec.f,
-        variant=rep.spec.variant,
-    )
-    return build_rep(spec)
 
 
 CYCLOTOMIC5 = (1, 1, 1, 1, 1)  # ascending coefficients of t^4+t^3+t^2+t+1

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 
 from .analysis import CensusReport, PredicateValue, Witness
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, TooLarge
 from .linalg import Matrix
 from .poly import Polynomial
 from .reps import Representation, RepSpec
 from .spectral import SpectralReport
 
 __all__ = [
-    "TooLarge",
     "encode_rational",
     "parse_rational",
     "encode_element",
@@ -43,18 +41,13 @@ __all__ = [
 ]
 
 
-class TooLarge(ValueError):
-    """An exact value has more digits than Python converts to text."""
-
-
 def encode_rational(value: Fraction) -> str:
     try:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise TooLarge(f"a result has more than {limit} digits; too large to print") from None
+        raise TooLarge() from None
 
 
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
@@ -70,6 +63,8 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"not a rational: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
 
 

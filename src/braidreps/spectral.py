@@ -8,7 +8,7 @@ the eigenvalues and the auxiliary root.  Everything here is compared
 exactly; a mismatch means a broken construction, not numerical noise.
 
 :func:`spectral_report` checks all of them from one computation of A, A^2
-and B; :func:`central_value` shares its scalar test.
+and B.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -26,7 +26,6 @@ from .reps import RepSpec, Representation, BadSpec, elementary_symmetric
 __all__ = [
     "NotScalar",
     "SpectralReport",
-    "central_value",
     "expected_central",
     "expected_traces",
     "expected_charpolys",
@@ -60,26 +59,6 @@ class SpectralReport:
     det_constraint_ok: bool
     all_ok: bool
     checks: tuple[tuple[str, bool], ...]
-
-
-def _central(rep: Representation, A: Matrix, A2: Matrix, B: Matrix) -> FieldElement:
-    A3 = A2 @ A
-    if not A3.is_scalar():
-        raise NotScalar("(g1 g2)^3 is not scalar")
-    c = A3[0, 0]
-    if B @ B != Matrix.identity(rep.context, rep.dim).scale(c):
-        raise NotScalar("(g1 g2 g1)^2 differs from (g1 g2)^3")
-    return c
-
-
-def central_value(rep: Representation) -> FieldElement:
-    """The scalar through which (g1 g2)^3 acts; also verifies (g1 g2 g1)^2.
-
-    Raises :class:`NotScalar` when either power is non-scalar or the two
-    scalars differ, both of which indicate a broken construction.
-    """
-    A = rep.g1 @ rep.g2
-    return _central(rep, A, A @ A, A @ rep.g1)
 
 
 def expected_central(spec: RepSpec) -> FieldElement:
@@ -175,11 +154,20 @@ def expected_charpolys(spec: RepSpec) -> tuple[Polynomial, Polynomial]:
 
 
 def spectral_report(rep: Representation) -> SpectralReport:
-    """Every spectral identity for one representation, exactly compared."""
+    """Every spectral identity for one representation, exactly compared.
+
+    Raises :class:`NotScalar` when (g1 g2)^3 is not scalar or (g1 g2 g1)^2
+    differs from it, both of which indicate a broken construction.
+    """
     A = rep.g1 @ rep.g2
     A2 = A @ A
     B = A @ rep.g1
-    c = _central(rep, A, A2, B)
+    A3 = A2 @ A
+    if not A3.is_scalar():
+        raise NotScalar("(g1 g2)^3 is not scalar")
+    c = A3[0, 0]
+    if B @ B != Matrix.identity(rep.context, rep.dim).scale(c):
+        raise NotScalar("(g1 g2 g1)^2 differs from (g1 g2)^3")
     c_exp = expected_central(rep.spec)
     tr_a, tr_a2, tr_b = A.trace(), A2.trace(), B.trace()
     e_tr_a, e_tr_a2, e_tr_b = expected_traces(rep.spec)

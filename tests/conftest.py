@@ -8,13 +8,24 @@ not by the sweep).
 
 ``sylvester_resultant`` is the reference resultant for the closed-form
 norms the predicates use: the determinant of the Sylvester matrix.
+``leibniz_determinant`` is the reference for :func:`determinant`.
+``transpose_parameters`` and ``free_reduce`` are operations only the tests
+use.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 import random
 
-from braidreps import Matrix, determinant
+from braidreps import (
+    BadSpec,
+    BraidWord,
+    Matrix,
+    ParameterSet,
+    RepSpec,
+    build_rep,
+    determinant,
+)
 
 SWEEP_SEED = 20260814
 
@@ -62,6 +73,68 @@ def sylvester_resultant(p, q):
     for i in range(m):
         rows.append([ctx.zero()] * i + qc + [ctx.zero()] * (size - n - 1 - i))
     return determinant(Matrix.from_rows(ctx, rows))
+
+
+def leibniz_determinant(m):
+    """Sum over permutations of signed products; for n <= 5 only."""
+    n = m.rows
+    assert n == m.cols and n <= 5
+    total = m.context.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = m.context.one()
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+class IndexOutOfRange(ValueError):
+    """A 1-based eigenvalue position outside the parameter list."""
+
+
+def transpose_parameters(rep, i, j):
+    """Swap the eigenvalues at 1-based positions i and j, then rebuild.
+
+    Acting twice with the same pair returns the original.  For the
+    6-dimensional family this realises the transposition action that links
+    the five variants.
+    """
+    if i == j:
+        raise BadSpec("positions must be distinct")
+    n = len(rep.spec.params)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexOutOfRange(f"positions {i},{j} out of range for {n} eigenvalues")
+    vs = list(rep.spec.params.values)
+    vs[i - 1], vs[j - 1] = vs[j - 1], vs[i - 1]
+    spec = RepSpec(
+        dim=rep.spec.dim,
+        params=ParameterSet(tuple(vs)),
+        h=rep.spec.h,
+        f=rep.spec.f,
+        variant=rep.spec.variant,
+    )
+    return build_rep(spec)
+
+
+def free_reduce(w):
+    """Merge adjacent equal generators and drop zero exponents, to a fixpoint."""
+    factors = list(w.factors)
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for gen, exp in factors:
+            if exp == 0:
+                changed = True
+                continue
+            if out and out[-1][0] == gen:
+                out[-1] = (gen, out[-1][1] + exp)
+                changed = True
+            else:
+                out.append((gen, exp))
+        factors = out
+    return BraidWord(tuple(factors))
 
 
 def _level2_ok(x):

@@ -15,10 +15,10 @@ from braidreps import (
     build_rep,
     evaluate,
     format_word,
-    free_reduce,
     parse,
     rationals,
 )
+from conftest import free_reduce
 
 Q = rationals()
 

@@ -180,10 +180,17 @@ class TestExitCodes:
         ("eval", "--params", "[1, 2]", "--words", "(s1^1000)^2"),
         ("eval", "--params", "[1, 2]", "--words", "(s1 s2)^1000 " * 6),
         ("eval", "--params", '["1/99991", 2]', "--words", "s1^1000"),
+        ("verify", "--params", '[1, "1/0"]'),
+        ("semisimple", "--params", '[1, "2/0", 3]'),
+        ("build", "--context", "t^2-1/0", "--params", "[1,2]"),
+        ("build", "--params", "[1,2]", "--dim", "4", "--h", "1/0"),
+        ("scan", "--params", '{"grid": [["1/0", "2"]]}'),
     ], ids=["X-int", "X-string", "build-dim", "variant", "scan-jobs",
             "grid-row", "unbalanced-bracket", "mode-not-semisimple",
             "mode-semisimple", "word-exponent", "word-merged-exponent",
-            "word-length", "result-too-large"])
+            "word-length", "result-too-large", "zero-denominator-X",
+            "zero-denominator-semisimple", "zero-denominator-context",
+            "zero-denominator-h", "zero-denominator-grid"])
     def test_malformed_job_fields(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -207,6 +214,25 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "letters" in err
+
+    def test_growing_product_stopped_during_evaluation(self, capsys, monkeypatch):
+        # 10 000 letters, within the parse bounds: the running product passes
+        # the printable digit limit before the last factor, and evaluation
+        # stops there instead of finishing the word
+        products = []
+        real = braidreps.Matrix.__matmul__
+
+        def counting(a, b):
+            products.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(braidreps.Matrix, "__matmul__", counting)
+        code, out, err = run_cli(
+            capsys, "eval", "--params", "[1,2,3]", "--words",
+            "((s1 s2^-1)^1000)^2 (s1 s2^-1)^1000 (s1 s2^-1)^1000 ((s1 s2^-1)^1000)")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "too large to print" in err
+        assert len(products) < 10_000 - 1
 
     def test_census_mismatch_exits_one(self, capsys, monkeypatch):
         import braidreps.analysis as analysis

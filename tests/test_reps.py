@@ -10,7 +10,6 @@ from braidreps import (
     ConstructionFailed,
     DeferredRoot,
     FieldContext,
-    IndexOutOfRange,
     Matrix,
     MissingRoot,
     ParameterSet,
@@ -25,10 +24,9 @@ from braidreps import (
     enumerate_irreps,
     poly_eval_matrix,
     rationals,
-    transpose_parameters,
 )
 from braidreps.reps import _self_check
-from conftest import SWEEP_SEED, sweep_plans
+from conftest import SWEEP_SEED, IndexOutOfRange, sweep_plans, transpose_parameters
 
 Q = rationals()
 

@@ -17,7 +17,6 @@ from braidreps import (
     RepSpec,
     Representation,
     build_rep,
-    central_value,
     rationals,
     spectral_report,
 )
@@ -53,16 +52,16 @@ def rep6(variant=5):
 
 class TestCentralValue:
     def test_frozen_scalars(self):
-        assert central_value(rep2()) == -8          # -e2^3, e2 = 2
-        assert central_value(rep3()) == 36          # e3^2, e3 = 6
-        assert central_value(rep4()) == 216         # h^3, h = 6
-        assert central_value(rep4(-1)) == -216
-        assert central_value(rep5()) == 64          # f^6, f = 2
-        assert central_value(rep6()) == -13824      # -x5 e5 = -24 * 576
+        assert spectral_report(rep2()).C_rho == -8          # -e2^3, e2 = 2
+        assert spectral_report(rep3()).C_rho == 36          # e3^2, e3 = 6
+        assert spectral_report(rep4()).C_rho == 216         # h^3, h = 6
+        assert spectral_report(rep4(-1)).C_rho == -216
+        assert spectral_report(rep5()).C_rho == 64          # f^6, f = 2
+        assert spectral_report(rep6()).C_rho == -13824      # -x5 e5 = -24 * 576
 
     def test_dim1(self):
         rep = build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))
-        assert central_value(rep) == Fraction(64, 729)
+        assert spectral_report(rep).C_rho == Fraction(64, 729)
 
     def test_matches_closed_form(self):
         for rep in (rep2(), rep3(), rep4(), rep5(), rep6(1), rep6(3)):
@@ -78,7 +77,7 @@ class TestCentralValue:
             multiplicities=good.multiplicities,
         )
         with pytest.raises(NotScalar):
-            central_value(broken)
+            spectral_report(broken)
 
 
 class TestTraces:
