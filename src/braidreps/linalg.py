@@ -114,9 +114,6 @@ class Matrix:
     def column(self, j: int) -> tuple[FieldElement, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_lists(self) -> list[list[FieldElement]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     # -- ring structure -------------------------------------------------
 
     def _check_same_shape(self, other: "Matrix") -> None:
