@@ -240,14 +240,6 @@ class TestRank:
     def test_rank_one(self):
         assert rank(Matrix.from_rows(Q, [[1, 2, 3], [2, 4, 6]])) == 1
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_full_rank_iff_nonzero_determinant(self, data):
-        ctx = data.draw(st.sampled_from([Q, SQRT24, ZETA5]))
-        n = data.draw(st.integers(1, 5))
-        m = _sparse_matrix(data, ctx, n, n)
-        assert (rank(m) == n) == (not leibniz_determinant(m).is_zero())
-
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_rank_of_product(self, data):
@@ -256,6 +248,27 @@ class TestRank:
         a = _sparse_matrix(data, ctx, n, m)
         b = _sparse_matrix(data, ctx, m, p)
         assert rank(a @ b) <= min(rank(a), rank(b))
+
+
+class TestKernel:
+    """The kernel's dimension, read off as columns minus rank."""
+
+    def test_invertible_has_trivial_kernel(self):
+        m = Matrix.from_rows(Q, [[2, 1], [1, 1]])
+        assert m.cols - rank(m) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rank_nullity(self, data):
+        # a nonzero kernel exactly when the Leibniz determinant vanishes
+        ctx = data.draw(st.sampled_from([Q, SQRT24, ZETA5]))
+        n = data.draw(st.integers(1, 5))
+        m = _sparse_matrix(data, ctx, n, n)
+        nullity = n - rank(m)
+        if leibniz_determinant(m).is_zero():
+            assert nullity >= 1
+        else:
+            assert nullity == 0
 
 
 class TestClosures:
