@@ -2,14 +2,23 @@
 
 Two independent routes decide irreducibility and they are always compared:
 closed-form scalar predicates in the eigenvalues (one family per dimension
-class), and a Burnside closure oracle that computes the dimension of the
-matrix algebra generated by g1 and g2.  The oracle first runs the closure
-over F_p, p = 2^61 - 1, on rational generators: a full d*d there certifies
-the full algebra over Q, since reduction mod p cannot raise a rank; any
-other outcome falls back to the exact closure, so no verdict depends on
-the prime.  Quantified predicates ("for every root h of t^2 = e4 ...") are
-decided root-free through their closed-form norms over all roots, so no
-field extension is needed to reach a verdict.
+class), and a Burnside oracle: g1 and g2 act irreducibly iff they generate
+the full d*d matrix algebra.  The oracle decides in three steps and stops
+at the first that applies, so every verdict rests on an exact certificate
+where one exists:
+
+1. the closure over F_p, p = 2^61 - 1, on rational generators: a full d*d
+   there certifies the full algebra over Q, since reduction mod p cannot
+   raise a rank (irreducible);
+2. an exactly verified proper invariant subspace from the witness search:
+   the algebra preserves it, so it is not full (reducible);
+3. only when neither exists (an irrational entry, p dividing a
+   denominator, a dimension-6 line that needs a square root the context
+   lacks), the exact closure over the context decides.
+
+No verdict depends on the prime.  Quantified predicates ("for every root h
+of t^2 = e4 ...") are decided root-free through their closed-form norms
+over all roots, so no field extension is needed to reach a verdict.
 
 For degenerate parameters the witness search produces an explicit invariant
 subspace: a coordinate subspace for dimensions up to 5, and for dimension 6
@@ -57,6 +66,7 @@ __all__ = [
     "DEFAULT_PROBE_WORDS",
     "evaluate_predicates",
     "rep_predicates",
+    "irreducibility",
     "irreducible_oracle",
     "invariant_subspace_witness",
     "witness_vectors",
@@ -258,20 +268,45 @@ def rep_predicates(
 # -- reducibility oracle and witnesses ------------------------------------
 
 
-def irreducible_oracle(rep: Representation) -> bool:
-    """True iff g1 and g2 generate the full matrix algebra (Burnside).
+def irreducibility(rep: Representation) -> tuple[bool, Witness | None]:
+    """The Burnside verdict of :func:`irreducible_oracle` with its witness.
 
-    The closure runs over F_p (p = 2^61 - 1) first: if it reaches d*d
-    there, the accepted words are independent mod p and hence over Q, so
-    the algebra is full.  Otherwise (a smaller F_p dimension, an irrational
-    entry, or p dividing a denominator) the exact closure decides.
+    Returns (True, None) when the algebra is full, (False, w) when the
+    witness search finds the verified invariant subspace w, and
+    (False, None) when only the exact closure shows the algebra is not
+    full.
     """
     gens = [rep.g1, rep.g2]
     full = rep.dim * rep.dim
     if closure_dim_mod_p(gens) == full:
-        return True
+        return True, None
+    try:
+        witness = invariant_subspace_witness(rep)
+    except (InvalidWitness, NotInvertible):
+        # a zero-pattern candidate that fails exact verification (g1 not
+        # diagonal), or a zero divisor of a reducible modulus: no certificate
+        witness = None
+    if witness is not None:
+        return False, witness
     dim, _ = algebra_closure_dim(gens)
-    return dim == full
+    return dim == full, None
+
+
+def irreducible_oracle(rep: Representation) -> bool:
+    """True iff g1 and g2 generate the full matrix algebra (Burnside).
+
+    Three steps, the first that applies decides:
+
+    1. the closure over F_p (p = 2^61 - 1) reaches d*d: the accepted words
+       are independent mod p and hence over Q, so the algebra is full;
+    2. the witness search finds an exactly verified proper invariant
+       subspace: every element of the algebra preserves it, so the algebra
+       is not full -- the verdict the exact closure would give;
+    3. otherwise (an irrational entry, p dividing a denominator, or a
+       reducible rep whose invariant subspace the search cannot name in
+       this context) the exact closure decides.
+    """
+    return irreducibility(rep)[0]
 
 
 @dataclass(frozen=True)

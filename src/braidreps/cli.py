@@ -12,6 +12,7 @@ errors and for a result too long to print exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,8 +21,7 @@ from multiprocessing import Pool
 from .analysis import (
     CensusMismatch,
     dimension_census,
-    invariant_subspace_witness,
-    irreducible_oracle,
+    irreducibility,
     rep_predicates,
     semisimplicity,
 )
@@ -221,8 +221,7 @@ def _cmd_irred(args):
     ctx, rep = _single_rep(_load_job(args))
     preds, relevant = rep_predicates(rep)
     predicate_verdict = not any(p.is_zero for p in relevant)
-    oracle = irreducible_oracle(rep)
-    witness = None if oracle else invariant_subspace_witness(rep)
+    oracle, witness = irreducibility(rep)
     out = {
         "command": "irred",
         "context": encode_context(ctx),
@@ -347,7 +346,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="braidreps",
         description="Exact representations of the braid quotient algebras.",

@@ -7,6 +7,7 @@ the distinguished one rather than equality of the whole set.
 """
 
 from fractions import Fraction
+import json
 import random
 
 import pytest
@@ -36,15 +37,17 @@ from braidreps import (
     intertwiner_dim,
     intertwiner_exists,
     invariant_subspace_witness,
+    irreducibility,
     irreducible_oracle,
     rationals,
     semisimplicity,
     verify_witness,
     witness_vectors,
 )
-from braidreps.linalg import closure_dim_mod_p
+from braidreps.linalg import closure_dim_mod_p, inverse
 
 import braidreps.analysis as analysis
+import braidreps.cli as cli
 from conftest import SWEEP_SEED, sweep_plans, sylvester_resultant
 
 Q = rationals()
@@ -366,10 +369,10 @@ class TestModularCertificate:
             dim, _ = algebra_closure_dim(gens)
             assert dim < rep.dim ** 2
             assert closure_dim_mod_p(gens) == dim
-            # a reducible set always reaches the exact closure
+            # the verified witness decides, so the exact closure never runs
             before = len(exact_calls)
             assert not irreducible_oracle(rep)
-            assert len(exact_calls) == before + 1
+            assert len(exact_calls) == before
 
     def test_certified_sets_skip_the_exact_closure(self, exact_calls):
         rep = build_rep(RepSpec(dim=6, params=FIX_J6, variant=1))
@@ -382,7 +385,9 @@ class TestModularCertificate:
         for rep, verdict in ((irred, True), (red, False)):
             assert closure_dim_mod_p([rep.g1, rep.g2]) is None
             assert irreducible_oracle(rep) is verdict
-        assert len(exact_calls) == 2
+        # the diagonal change of basis keeps red's coordinate witness
+        assert irreducibility(red)[1] is not None
+        assert len(exact_calls) == 1
 
     def test_irrational_root_takes_exact_path(self, exact_calls):
         ctx = FieldContext([-24, 0, 1])
@@ -391,6 +396,51 @@ class TestModularCertificate:
         assert closure_dim_mod_p([rep.g1, rep.g2]) is None
         assert irreducible_oracle(rep)
         assert len(exact_calls) == 1
+
+    def test_fixture_verdicts_carry_the_witness(self, exact_calls):
+        for rep in _fixture_reps():
+            assert irreducibility(rep) == (False, invariant_subspace_witness(rep))
+        assert exact_calls == []
+
+    def test_reducible_without_witness_takes_exact_path(self, exact_calls):
+        # conjugating by I + E12 leaves no invariant coordinate subspace
+        rep = build_rep(RepSpec(dim=3, params=FIX_I3))
+        e12 = Matrix(Q, 3, 3, [qv(1) if k in (0, 1, 4, 8) else qv(0) for k in range(9)])
+        conj = Representation(spec=rep.spec, g1=e12 @ rep.g1 @ inverse(e12),
+                              g2=e12 @ rep.g2 @ inverse(e12),
+                              multiplicities=rep.multiplicities)
+        assert closure_dim_mod_p([conj.g1, conj.g2]) == 7
+        assert invariant_subspace_witness(conj) is None
+        assert irreducibility(conj) == (False, None)
+        assert len(exact_calls) == 1
+
+    def test_failed_candidate_is_no_certificate(self, exact_calls):
+        # s1 <-> s2 is an automorphism of B3; after the swap g2 is diagonal,
+        # so the zero-pattern search proposes a coordinate line that g1 moves
+        rep = build_rep(RepSpec(dim=3, params=FIX_I3))
+        swapped = Representation(spec=rep.spec, g1=rep.g2, g2=rep.g1,
+                                 multiplicities=rep.multiplicities)
+        with pytest.raises(InvalidWitness):
+            invariant_subspace_witness(swapped)
+        assert irreducibility(swapped) == (False, None)
+        assert len(exact_calls) == 1
+
+    def test_irred_command_searches_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(rep):
+            calls.append(rep)
+            return invariant_subspace_witness(rep)
+
+        monkeypatch.setattr(analysis, "invariant_subspace_witness", counting)
+        monkeypatch.setattr(cli, "invariant_subspace_witness", counting, raising=False)
+        for argv, searches in ((["[2, 1, -4]"], 1), (["[1, 2, 3]"], 0),
+                               (['["2", "3", "-1", "1/6", "1"]', "--dim", "6",
+                                 "--variant", "5"], 1)):
+            calls.clear()
+            assert cli.main(["irred", "--params", *argv]) == 0
+            assert len(calls) == searches
+            assert (json.loads(capsys.readouterr().out)["witness"] is None) == (not searches)
 
     def test_oracle_agrees_with_exact_closure_on_sweep(self):
         for plan in sweep_plans(10):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import braidreps
+from braidreps import cli
 from braidreps.cli import main
 
 
@@ -289,6 +290,20 @@ class TestOutputPlumbing:
         _, out1, _ = run_cli(capsys, "semisimple", "--params", "[1, 2, 3]")
         _, out2, _ = run_cli(capsys, "semisimple", "--params", "[1, 2, 3]")
         assert out1 == out2
+
+    def test_parser_reused_without_leaks(self, capsys):
+        # one parser serves every call in the process; no option value of
+        # one call may reach the next
+        first = run_json(capsys, "eval", "--params", "[1, 2, 3]", "--dim", "3",
+                         "--words", "s1", "--words", "s2")
+        second = run_json(capsys, "eval", "--params", "[1, 2]", "--words", "s1 s2")
+        third = run_json(capsys, "irred", "--params", "[2, 1, -4]")
+        assert [w["word"] for w in first["words"]] == ["s1", "s2"]
+        assert [w["word"] for w in second["words"]] == ["s1 s2"]
+        assert second["spec"]["dim"] == 2
+        assert third["command"] == "irred" and "words" not in third
+        assert third["spec"]["dim"] == 3
+        assert cli._make_parser() is cli._make_parser()
 
     def test_module_entry_point(self):
         src = str(Path(braidreps.__file__).resolve().parents[1])

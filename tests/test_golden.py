@@ -56,6 +56,8 @@ CALLS = [
     ["semisimple", "--params", "[-4, 1, 2, 4, -1]", "--context", "t^4+t^3+t^2+t+1"],
     ["semisimple", "--params", '[1, 2, "27/2", 3]'],
     ["semisimple", "--params", '[1, 2, "27/2", 3]', "--context", "t^4+t^3+t^2+t+1"],
+    ["irred", "--context", "t^2-1", "--params", '["[5/2,-1/2]", 1, "[1/2,-9/2]"]'],
+    ["irred", "--context", "t^2-24", "--params", "[1, 2, 3, 4]", "--h", "[0,1]"],
 ]
 
 
