@@ -405,10 +405,10 @@ class TestModularCertificate:
     def test_reducible_without_witness_takes_exact_path(self, exact_calls):
         # conjugating by I + E12 leaves no invariant coordinate subspace
         rep = build_rep(RepSpec(dim=3, params=FIX_I3))
-        e12 = Matrix(Q, 3, 3, [qv(1) if k in (0, 1, 4, 8) else qv(0) for k in range(9)])
-        conj = Representation(spec=rep.spec, g1=e12 @ rep.g1 @ inverse(e12),
-                              g2=e12 @ rep.g2 @ inverse(e12),
-                              multiplicities=rep.multiplicities)
+        s = Matrix(Q, 3, 3, [qv(1) if k in (0, 1, 4, 8) else qv(0) for k in range(9)])
+        s_inv = inverse(s)
+        conj = Representation(spec=rep.spec, g1=s @ rep.g1 @ s_inv,
+                              g2=s @ rep.g2 @ s_inv, multiplicities=rep.multiplicities)
         assert closure_dim_mod_p([conj.g1, conj.g2]) == 7
         assert invariant_subspace_witness(conj) is None
         assert irreducibility(conj) == (False, None)
