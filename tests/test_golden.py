@@ -58,6 +58,9 @@ CALLS = [
     ["semisimple", "--params", '[1, 2, "27/2", 3]', "--context", "t^4+t^3+t^2+t+1"],
     ["irred", "--context", "t^2-1", "--params", '["[5/2,-1/2]", 1, "[1/2,-9/2]"]'],
     ["irred", "--context", "t^2-24", "--params", "[1, 2, 3, 4]", "--h", "[0,1]"],
+    ["irred", "--params", "[1, 2, 3, 4, 24]", "--dim", "6", "--variant", "5"],
+    ["verify", "--params", "[-4, 1, 2, 4, -1]", "--context", "t^4+t^3+t^2+t+1",
+     "--f", "[0, 2]"],
 ]
 
 
