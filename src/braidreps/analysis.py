@@ -21,10 +21,10 @@ of t^2 = e4 ...") are decided root-free through their closed-form norms
 over all roots, so no field extension is needed to reach a verdict.
 
 For degenerate parameters the witness search produces an explicit invariant
-subspace: a coordinate subspace for dimensions up to 5, and for dimension 6
-a coordinate set optionally extended by the doubled-eigenvalue plane or a
-line inside it.  Witnesses are re-verified by exact rank computations
-before being returned.
+subspace: a set of simple g1-eigenlines, in dimension 6 optionally extended
+by the doubled-eigenvalue plane or a line inside it.  Each candidate is
+checked once and exactly: a coordinate subspace by the zero pattern of both
+generators, one with a line by exact rank computations.
 
 Semisimplicity of the whole quotient algebra reduces to the same predicate
 families evaluated over all subsets, and the dimension census cross-checks
@@ -34,7 +34,7 @@ the verdict against the algebra dimension (6, 24, 96 or 600).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, prod
 
 from .braidword import BraidWord, evaluate, parse
@@ -282,9 +282,7 @@ def irreducibility(rep: Representation) -> tuple[bool, Witness | None]:
         return True, None
     try:
         witness = invariant_subspace_witness(rep)
-    except (InvalidWitness, NotInvertible):
-        # a zero-pattern candidate that fails exact verification (g1 not
-        # diagonal), or a zero divisor of a reducible modulus: no certificate
+    except NotInvertible:  # a zero divisor of a reducible modulus: no certificate
         witness = None
     if witness is not None:
         return False, witness
@@ -426,125 +424,111 @@ def _line_candidates(rep: Representation, S: tuple[int, ...]):
     return out
 
 
-def _canonical_witness(
-    S: tuple[int, ...],
-    kind: str,
-    line: tuple[FieldElement, FieldElement] | None,
-) -> Witness:
-    idx = [i + 1 for i in S]
-    if kind == "plane":
-        idx += [5, 6]
-        return Witness(tuple(idx))
-    if kind == "line":
-        alpha, beta = line
-        if beta.is_zero():
-            return Witness(tuple(idx + [5]))
-        if alpha.is_zero():
-            return Witness(tuple(idx + [6]))
-        return Witness(tuple(idx), extra_line=(alpha, beta))
-    return Witness(tuple(idx))
+def _witness(S: tuple[int, ...], part=None) -> Witness:
+    """Coordinates S (0-based) with nothing, the plane, or a line of it.
+
+    ``part`` is None, "plane" or a line (alpha, beta); a line along a
+    coordinate axis is reported as that coordinate.
+    """
+    idx = tuple(i + 1 for i in S)
+    if part is None:
+        return Witness(idx)
+    if part == "plane":
+        return Witness(idx + (5, 6))
+    alpha, beta = part
+    if beta.is_zero():
+        return Witness(idx + (5,))
+    if alpha.is_zero():
+        return Witness(idx + (6,))
+    return Witness(idx, extra_line=part)
 
 
-def _dim6_candidates(rep: Representation):
-    subsets = sorted(
-        (c for size in range(5) for c in combinations(range(4), size)),
-        key=lambda c: (len(c), c),
+def _candidates(rep: Representation):
+    """Proper candidate subspaces in search order.
+
+    The coordinate sets S of the simple g1-eigenlines come in (size, lex)
+    order, each a candidate on its own.  When g1 doubles an eigenvalue (its
+    plane is the last two coordinates), S is also a candidate together
+    with each line :func:`_line_candidates` allows and with the whole plane.
+    """
+    d = rep.dim
+    n = rep.multiplicities.count(1)
+    for S in (c for size in range(n + 1) for c in combinations(range(n), size)):
+        if 0 < len(S) < d:
+            yield _witness(S)
+        if n < d:
+            for line in _line_candidates(rep, S):
+                yield _witness(S, line)
+            if len(S) + 2 < d:
+                yield _witness(S, "plane")
+
+
+def _invariant(rep: Representation, w: Witness) -> bool:
+    """Exact invariance of a proper candidate under both generators.
+
+    A coordinate subspace is invariant iff neither generator has a nonzero
+    entry in its columns outside its rows, whatever the matrices; a
+    subspace with a line goes through :func:`verify_witness`.
+    """
+    if w.extra_line is not None:
+        return verify_witness(rep, w)
+    inside = {i - 1 for i in w.index_set}
+    outside = [i for i in range(rep.dim) if i not in inside]
+    return all(
+        g[i, j].is_zero() for g in (rep.g1, rep.g2) for j in inside for i in outside
     )
-    for S in subsets:
-        if S:
-            yield _canonical_witness(S, "bare", None)
-        for line in _line_candidates(rep, S):
-            yield _canonical_witness(S, "line", line)
-        if len(S) < 4:
-            yield _canonical_witness(S, "plane", None)
 
 
 def invariant_subspace_witness(rep: Representation) -> Witness | None:
-    """First verified proper nonzero invariant subspace, or None.
+    """First proper nonzero invariant subspace among the candidates, or None.
 
-    Dimensions up to 5 only admit coordinate witnesses; dimension 6 is
-    searched over coordinate sets combined with the doubled plane or a line
-    inside it, in increasing size.  Whatever the search proposes is
-    re-verified by exact rank checks before being returned, and the
-    complement search result is recorded on the witness.
+    Each candidate of :func:`_candidates` is checked once, exactly, and the
+    complement search result is recorded on the witness found.
     """
-    d = rep.dim
-    if d == 1:
-        return None
-    if d <= 5:
-        g2 = rep.g2
-        for size in range(1, d):
-            for Y in combinations(range(d), size):
-                inside = set(Y)
-                if all(
-                    g2[i, j].is_zero()
-                    for j in Y
-                    for i in range(d)
-                    if i not in inside
-                ):
-                    w = Witness(tuple(y + 1 for y in Y))
-                    return Witness(
-                        w.index_set, None, decomposability_check(rep, w)
-                    )
-        return None
-    for w in _dim6_candidates(rep):
-        if verify_witness(rep, w):
-            return Witness(
-                w.index_set, w.extra_line, decomposability_check(rep, w)
-            )
+    for w in _candidates(rep):
+        if _invariant(rep, w):
+            return Witness(w.index_set, w.extra_line, _complement_found(rep, w))
     return None
 
 
-def _split_dim6_witness(w: Witness):
-    S = tuple(i - 1 for i in w.index_set if i <= 4)
-    has5 = 5 in w.index_set
-    has6 = 6 in w.index_set
+def _complement_found(rep: Representation, w: Witness) -> bool:
+    """Does the invariant subspace w have an invariant complement?
+
+    The complement takes the simple coordinates w lacks and the part of the
+    plane w lacks: all of it, none of it, or, when w holds one line of the
+    plane, a second invariant line.
+    """
+    n = rep.multiplicities.count(1)
+    ctx = rep.context
+    plane = [i for i in w.index_set if i > n]
     if w.extra_line is not None:
-        if has5 or has6:
+        if plane:
             raise InvalidWitness("extra_line together with plane coordinates")
-        return S, "line", w.extra_line
-    if has5 and has6:
-        return S, "plane", None
-    if has5:
-        return S, "line", None  # line resolved against the context later
-    if has6:
-        return S, "line", "axis6"
-    return S, "bare", None
+        line = w.extra_line
+    elif len(plane) == 1:
+        line = (ctx.one(), ctx.zero()) if plane == [n + 1] else (ctx.zero(), ctx.one())
+    else:
+        rest = tuple(i for i in range(1, rep.dim + 1) if i not in w.index_set)
+        return _invariant(rep, Witness(rest))
+    alpha, beta = line
+    Sbar = tuple(i for i in range(n) if i + 1 not in w.index_set)
+    return any(
+        alpha * cb != ca * beta and _invariant(rep, _witness(Sbar, (ca, cb)))
+        for ca, cb in _line_candidates(rep, Sbar)
+    )
 
 
 def decomposability_check(rep: Representation, w: Witness) -> bool:
     """Does the witness subspace admit an invariant complement?
 
-    For dimensions up to 5 the only candidate is the complementary
-    coordinate subspace.  For dimension 6 the complement must combine the
-    remaining simple coordinates with a second, independent invariant line
-    (or the absence/whole of the plane, mirroring the witness).
+    The witness is verified first (:class:`InvalidWitness` otherwise).  The
+    complement combines the simple coordinates the witness lacks with the
+    rest of the doubled-eigenvalue plane, if any: all of it, none of it, or
+    a second invariant line.
     """
     if not verify_witness(rep, w):
         raise InvalidWitness(f"not an invariant subspace: {w}")
-    d = rep.dim
-    if d <= 5:
-        comp = tuple(i for i in range(1, d + 1) if i not in w.index_set)
-        return verify_witness(rep, Witness(comp))
-    ctx = rep.context
-    S, kind, line = _split_dim6_witness(w)
-    Sbar = tuple(i for i in range(4) if i not in S)
-    if kind == "bare":
-        return verify_witness(rep, _canonical_witness(Sbar, "plane", None))
-    if kind == "plane":
-        return bool(Sbar) and verify_witness(rep, _canonical_witness(Sbar, "bare", None))
-    if line is None:
-        line = (ctx.one(), ctx.zero())
-    elif line == "axis6":
-        line = (ctx.zero(), ctx.one())
-    alpha, beta = line
-    for cand in _line_candidates(rep, Sbar):
-        ca, cb = cand
-        if alpha * cb == ca * beta:
-            continue  # same line, not a complement
-        if verify_witness(rep, _canonical_witness(Sbar, "line", cand)):
-            return True
-    return False
+    return _complement_found(rep, w)
 
 
 # -- characters and equivalence -------------------------------------------
@@ -558,14 +542,6 @@ DEFAULT_PROBE_WORDS: tuple[BraidWord, ...] = tuple(
 def character(rep: Representation, words) -> list[FieldElement]:
     """Traces of the given words in the representation."""
     return [evaluate(w, rep).trace() for w in words]
-
-
-def _extended_probe_words() -> list[BraidWord]:
-    words = []
-    for length in range(1, 5):
-        for gens in product(("s1", "s2"), repeat=length):
-            words.append(BraidWord(tuple((g, 1) for g in gens)))
-    return words
 
 
 def intertwiner_exists(rep1: Representation, rep2: Representation) -> bool:
@@ -684,8 +660,8 @@ def dimension_census(
     Constructive mode builds everything :func:`enumerate_irreps` can reach
     in the context, separates the rest as deferred roots, and still counts
     the deferred variants in the sum.  Pairwise inequivalence of the built
-    members is certified by character probes with an exact intertwiner
-    solve as the tie-breaker.
+    members is certified by character probes; equal probes go to the exact
+    intertwiner solve, which decides equivalence of irreducibles (Schur).
     """
     if mode not in ("combinatorial", "constructive"):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -708,24 +684,12 @@ def dimension_census(
         )
     enum = enumerate_irreps(X, context)
     probes = [tuple(character(r, DEFAULT_PROBE_WORDS)) for r in enum.reps]
-    extended: dict[int, tuple] = {}
-
-    def ext(i: int) -> tuple:
-        if i not in extended:
-            extended[i] = tuple(character(enum.reps[i], _extended_probe_words()))
-        return extended[i]
-
     class_reps: list[int] = []
     ids: list[int] = []
     for i, rep in enumerate(enum.reps):
         assigned = None
         for cid, j in enumerate(class_reps):
-            other = enum.reps[j]
-            if rep.dim != other.dim or probes[i] != probes[j]:
-                continue
-            if ext(i) != ext(j):
-                continue
-            if intertwiner_exists(other, rep):
+            if probes[i] == probes[j] and intertwiner_exists(enum.reps[j], rep):
                 assigned = cid
                 break
         if assigned is None:

@@ -394,10 +394,7 @@ def main(argv=None) -> int:
     except (InputError, TooLarge, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except (ConstructionFailed, NotScalar, CensusMismatch) as exc:
+    except (CheckFailure, ConstructionFailed, NotScalar, CensusMismatch) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     text = canonical_dumps(payload)

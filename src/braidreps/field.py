@@ -71,25 +71,30 @@ def _trim(cs: list[Fraction]) -> list[Fraction]:
     return cs
 
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = _trim(list(a))
+def _poly_divmod(
+    a: list[Fraction], b: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of a by b (b trimmed and nonzero)."""
+    rem = _trim(list(a))
+    q = [Fraction(0)] * max(len(rem) - len(b) + 1, 1)
     inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
+    while len(rem) >= len(b):
+        if rem[-1] == 0:
+            rem.pop()
             continue
-        c = a[-1] * inv_lead
-        off = len(a) - len(b)
+        c = rem[-1] * inv_lead
+        off = len(rem) - len(b)
+        q[off] = c
         for i, bc in enumerate(b):
-            a[off + i] -= c * bc
-        a.pop()
-    return _trim(a)
+            rem[off + i] -= c * bc
+        rem.pop()
+    return q, _trim(rem)
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return a
 
 
@@ -272,22 +277,8 @@ class FieldElement:
         r1 = _trim(list(self.coeffs))
         s0 = [Fraction(0)]
         s1 = [Fraction(1)]
-        while True:
-            # divide r0 by r1
-            q = [Fraction(0)] * max(len(r0) - len(r1) + 1, 1)
-            rem = list(r0)
-            inv_lead = 1 / r1[-1]
-            while len(rem) >= len(r1):
-                if rem[-1] == 0:
-                    rem.pop()
-                    continue
-                c = rem[-1] * inv_lead
-                q[len(rem) - len(r1)] = c
-                off = len(rem) - len(r1)
-                for i, bc in enumerate(r1):
-                    rem[off + i] -= c * bc
-                rem.pop()
-            _trim(rem)
+        while r1:
+            q, rem = _poly_divmod(r0, r1)
             # s_new = s0 - q*s1
             s_new = list(s0) + [Fraction(0)] * max(
                 0, len(q) + len(s1) - 1 - len(s0)
@@ -299,8 +290,6 @@ class FieldElement:
             _trim(s_new)
             r0, r1 = r1, rem
             s0, s1 = s1, s_new
-            if not r1:
-                break
         if len(r0) != 1:
             raise NotInvertible(
                 "zero divisor: element shares the monic factor "

@@ -8,7 +8,7 @@ the eigenvalues and the auxiliary root.  Everything here is compared
 exactly; a mismatch means a broken construction, not numerical noise.
 
 :func:`spectral_report` checks all of them from one computation of A, A^2
-and B.
+and B against one table of closed forms per dimension.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -26,9 +26,6 @@ from .reps import RepSpec, Representation, BadSpec, elementary_symmetric
 __all__ = [
     "NotScalar",
     "SpectralReport",
-    "expected_central",
-    "expected_traces",
-    "expected_charpolys",
     "spectral_report",
 ]
 
@@ -61,96 +58,50 @@ class SpectralReport:
     checks: tuple[tuple[str, bool], ...]
 
 
-def expected_central(spec: RepSpec) -> FieldElement:
-    """Closed form of the central scalar for each dimension."""
-    values = spec.params.values
-    d = spec.dim
-    if d == 1:
-        return values[0] ** 6
-    if d == 2:
-        return -(elementary_symmetric(values, 2) ** 3)
-    if d == 3:
-        return elementary_symmetric(values, 3) ** 2
-    if d == 4:
-        return spec.h**3
-    if d == 5:
-        return spec.f**6
-    if d == 6:
-        e5 = elementary_symmetric(values, 5)
-        return -(values[spec.variant - 1] * e5)
-    raise BadSpec(f"no central value for dimension {d}")
+def _closed_forms(spec: RepSpec):
+    """C, (tr A, tr A^2, tr B) and the expanded charpolys of A and B.
 
-
-def expected_traces(
-    spec: RepSpec,
-) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """Closed forms of (tr A, tr A^2, tr B)."""
-    values = spec.params.values
-    ctx = spec.context
-    d = spec.dim
-    if d == 1:
-        x = values[0]
-        return x**2, x**4, x**3
-    if d == 2:
-        e2 = elementary_symmetric(values, 2)
-        return e2, -(e2**2), ctx.zero()
-    if d == 3:
-        e3 = elementary_symmetric(values, 3)
-        return ctx.zero(), ctx.zero(), -e3
-    if d == 4:
-        e4 = elementary_symmetric(values, 4)
-        # tr A = C/e4 = h^3/h^2
-        return spec.h, e4, ctx.zero()
-    if d == 5:
-        f = spec.f
-        return -(f**2), -(f**4), f**3
-    if d == 6:
-        return ctx.zero(), ctx.zero(), ctx.zero()
-    raise BadSpec(f"no trace identities for dimension {d}")
-
-
-def expected_charpolys(spec: RepSpec) -> tuple[Polynomial, Polynomial]:
-    """Expected characteristic polynomials of A and B, fully expanded.
-
-    The eigenvalue lists involve a primitive cube (resp. square) root of
-    unity; multiplying the factors out eliminates it, so both results live
-    over the working field.
+    The eigenvalue lists of A and B involve a primitive cube (resp. square)
+    root of unity; multiplying the factors out eliminates it, so every
+    form lives over the working field.
     """
     values = spec.params.values
     ctx = spec.context
-    d = spec.dim
+    zero, one = ctx.zero(), ctx.one()
 
     def poly(*coeffs):
         return Polynomial.from_coeffs(ctx, list(coeffs))
 
-    one = ctx.one()
+    d = spec.dim
     if d == 1:
         x = values[0]
-        return poly(-(x**2), one), poly(-(x**3), one)
+        return x**6, (x**2, x**4, x**3), (poly(-(x**2), one), poly(-(x**3), one))
     if d == 2:
         e2 = elementary_symmetric(values, 2)
-        return poly(e2**2, -e2, one), poly(e2**3, ctx.zero(), one)
+        chi_a, chi_b = poly(e2**2, -e2, one), poly(e2**3, zero, one)
+        return -(e2**3), (e2, -(e2**2), zero), (chi_a, chi_b)
     if d == 3:
         e3 = elementary_symmetric(values, 3)
-        chi_a = poly(-(e3**2), ctx.zero(), ctx.zero(), one)
+        chi_a = poly(-(e3**2), zero, zero, one)
         chi_b = poly(-e3, one) * poly(e3, one) ** 2
-        return chi_a, chi_b
+        return e3**2, (zero, zero, -e3), (chi_a, chi_b)
     if d == 4:
         h = spec.h
         chi_a = poly(-h, one) ** 2 * poly(h**2, h, one)
-        chi_b = poly(-(h**3), ctx.zero(), one) ** 2
-        return chi_a, chi_b
+        chi_b = poly(-(h**3), zero, one) ** 2
+        # tr A = C/e4 = h^3/h^2
+        return h**3, (h, elementary_symmetric(values, 4), zero), (chi_a, chi_b)
     if d == 5:
         f = spec.f
         chi_a = poly(-(f**2), one) * poly(f**4, f**2, one) ** 2
         chi_b = poly(-(f**3), one) ** 3 * poly(f**3, one) ** 2
-        return chi_a, chi_b
+        return f**6, (-(f**2), -(f**4), f**3), (chi_a, chi_b)
     if d == 6:
         xie5 = values[spec.variant - 1] * elementary_symmetric(values, 5)
-        chi_a = poly(xie5, ctx.zero(), ctx.zero(), one) ** 2
-        chi_b = poly(xie5, ctx.zero(), one) ** 3
-        return chi_a, chi_b
-    raise BadSpec(f"no spectra for dimension {d}")
+        chi_a = poly(xie5, zero, zero, one) ** 2
+        chi_b = poly(xie5, zero, one) ** 3
+        return -xie5, (zero, zero, zero), (chi_a, chi_b)
+    raise BadSpec(f"no closed forms for dimension {d}")
 
 
 def spectral_report(rep: Representation) -> SpectralReport:
@@ -168,11 +119,9 @@ def spectral_report(rep: Representation) -> SpectralReport:
     c = A3[0, 0]
     if B @ B != Matrix.identity(rep.context, rep.dim).scale(c):
         raise NotScalar("(g1 g2 g1)^2 differs from (g1 g2)^3")
-    c_exp = expected_central(rep.spec)
+    c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec)
     tr_a, tr_a2, tr_b = A.trace(), A2.trace(), B.trace()
-    e_tr_a, e_tr_a2, e_tr_b = expected_traces(rep.spec)
     chi_a, chi_b = charpoly(A), charpoly(B)
-    e_chi_a, e_chi_b = expected_charpolys(rep.spec)
     det = rep.context.one()
     for x, m in zip(rep.values, rep.multiplicities):
         det = det * x**m

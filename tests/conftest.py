@@ -6,6 +6,9 @@ class: pairwise distinct, nonzero, and with the relevant degeneracy
 predicates nonvanishing (degenerate behaviour is covered by fixed fixtures,
 not by the sweep).
 
+``reducible_plan`` is the reducible-side counterpart: it solves for one
+eigenvalue so that a chosen predicate vanishes.
+
 ``sylvester_resultant`` is the reference resultant for the closed-form
 norms the predicates use: the determinant of the Sylvester matrix.
 ``leibniz_determinant`` is the reference for :func:`determinant`.
@@ -248,3 +251,52 @@ def sweep_plans(per_class: int, seed: int = SWEEP_SEED):
     for k in range(per_class):
         plans.append(gen_set_dim6(rng, 1 + k % 5))
     return plans
+
+
+REDUCIBLE_FAMILIES = ("I3", "I4", "J5", "I6", "J6", "K6")
+
+
+def _prod(vals):
+    out = Fraction(1)
+    for v in vals:
+        out *= v
+    return out
+
+
+def reducible_plan(rng: random.Random, family: str) -> dict:
+    """A plan whose representation is reducible through ``family``.
+
+    One eigenvalue at a random position is solved so that a predicate of the
+    family vanishes: I3 in dimension 3, I4 at the root h = x_i^2 in dimension
+    4, J5 at a random root f in dimension 5, and I6, J6, K6 in the dimension-6
+    variant they affect.  Only sets with distinct nonzero values are kept.
+    """
+    n = {"I3": 3, "I4": 4}.get(family, 5)
+    while True:
+        x = distinct_nonzero(rng, n)
+        i, j, k, l, m = rng.sample(range(n), n) + [None] * (5 - n)
+
+        def solve(pos, numerator):
+            x[pos] = numerator / _prod(x[t] for t in range(n) if t != pos)
+
+        plan = {"dim": 6, "variant": i + 1}
+        if family == "I3":  # x_i^2 + x_j x_k
+            x[k] = -x[i] ** 2 / x[j]
+            plan = {"dim": 3}
+        elif family == "I4":  # x_i^2 - h with e4 = h^2
+            h = x[i] ** 2
+            solve(j, h ** 2)
+            plan = {"dim": 4, "h": h}
+        elif family == "J5":  # x_i x_j + f^2 with e5 = f^5
+            f = rand_fraction(rng)
+            x[j] = -f ** 2 / x[i]
+            solve(k, f ** 5)
+            plan = {"dim": 5, "f": f}
+        elif family == "I6":  # e5 + x_i^5
+            solve(j, -x[i] ** 5)
+        elif family == "J6":  # e5 - x_j^3 x_i^2, affects variant i
+            solve(k, x[j] ** 3 * x[i] ** 2)
+        else:  # K6(i; j, k, l, m): x_j x_k + x_l x_m
+            x[m] = -x[j] * x[k] / x[l]
+        if 0 not in x and len(set(x)) == n:
+            return {**plan, "values": x}

@@ -40,6 +40,7 @@ from braidreps import (
     irreducibility,
     irreducible_oracle,
     rationals,
+    rep_predicates,
     semisimplicity,
     verify_witness,
     witness_vectors,
@@ -48,7 +49,13 @@ from braidreps.linalg import closure_dim_mod_p, inverse
 
 import braidreps.analysis as analysis
 import braidreps.cli as cli
-from conftest import SWEEP_SEED, sweep_plans, sylvester_resultant
+from conftest import (
+    REDUCIBLE_FAMILIES,
+    SWEEP_SEED,
+    reducible_plan,
+    sweep_plans,
+    sylvester_resultant,
+)
 
 Q = rationals()
 
@@ -338,6 +345,12 @@ def _fixture_reps():
     ]
 
 
+def _swap(rep):
+    """The same module with s1 and s2 exchanged (an automorphism of B3)."""
+    return Representation(spec=rep.spec, g1=rep.g2, g2=rep.g1,
+                          multiplicities=rep.multiplicities)
+
+
 def _conjugate_by_p(rep):
     """The same rep after the change of basis diag(1, ..., 1, 2^61 - 1)."""
     d = rep.dim
@@ -415,15 +428,22 @@ class TestModularCertificate:
         assert len(exact_calls) == 1
 
     def test_failed_candidate_is_no_certificate(self, exact_calls):
-        # s1 <-> s2 is an automorphism of B3; after the swap g2 is diagonal,
-        # so the zero-pattern search proposes a coordinate line that g1 moves
+        # s1 <-> s2 is an automorphism of B3; after the swap g1 is not
+        # diagonal, so the coordinate line (1,) is invariant under g2 but
+        # moved by g1: the search must skip it, not return or raise on it
         rep = build_rep(RepSpec(dim=3, params=FIX_I3))
-        swapped = Representation(spec=rep.spec, g1=rep.g2, g2=rep.g1,
-                                 multiplicities=rep.multiplicities)
-        with pytest.raises(InvalidWitness):
-            invariant_subspace_witness(swapped)
-        assert irreducibility(swapped) == (False, None)
-        assert len(exact_calls) == 1
+        swapped = _swap(rep)
+        w = invariant_subspace_witness(swapped)
+        assert w == Witness((2, 3))
+        assert verify_witness(swapped, w)
+        assert irreducibility(swapped) == (False, w)
+        assert exact_calls == []
+        for rep in _fixture_reps():
+            swapped = _swap(rep)
+            w = invariant_subspace_witness(swapped)
+            if w is not None:
+                assert verify_witness(swapped, w)
+                assert w.complement_found == decomposability_check(swapped, w)
 
     def test_irred_command_searches_once(self, capsys, monkeypatch):
         calls = []
@@ -463,6 +483,36 @@ class TestDecomposableExample:
         w = Witness((1,))
         assert verify_witness(rep, w)
         assert decomposability_check(rep, w)
+        assert invariant_subspace_witness(rep) == Witness((1,), None, True)
+        assert intertwiner_dim([(rep.g1, rep.g1), (rep.g2, rep.g2)]) >= 2
+
+
+def _plan_rep(plan):
+    roots = {k: qv(plan[k]) for k in ("h", "f") if k in plan}
+    return build_rep(RepSpec(dim=plan["dim"], params=ps(*plan["values"]),
+                             variant=plan.get("variant"), **roots))
+
+
+class TestReducibleSweep:
+    @pytest.mark.parametrize("family", REDUCIBLE_FAMILIES)
+    def test_vanishing_predicate_gives_verified_witness(self, family):
+        rng = random.Random(SWEEP_SEED)
+        for _ in range(10):
+            plan = reducible_plan(rng, family)
+            rep = _plan_rep(plan)
+            _, deciding = rep_predicates(rep)
+            assert any(p.is_zero and p.family == family for p in deciding), plan
+            irreducible, w = irreducibility(rep)
+            assert not irreducible, plan
+            assert w == invariant_subspace_witness(rep)
+            if rep.dim <= 5:
+                assert w is not None, plan
+            if w is None:
+                continue
+            assert verify_witness(rep, w), plan
+            assert w.complement_found == decomposability_check(rep, w), plan
+            if w.complement_found:
+                assert intertwiner_dim([(rep.g1, rep.g1), (rep.g2, rep.g2)]) >= 2
 
 
 class TestSemisimplicity:
@@ -534,6 +584,18 @@ class TestCensus:
         assert report.sum_of_squares == 96
         assert len(report.deferred) == 1
         assert report.deferred[0].radicand == 24
+
+    def test_intertwiner_alone_separates_classes(self, monkeypatch):
+        # with no probe words every pair of equal dimension reaches the
+        # exact intertwiner solve, which decides equivalence (Schur)
+        sets = (ps(1, 2, 3, 6), ps(1, 2, 3, 4, Fraction(4, 3)))
+        before = [dimension_census(X) for X in sets]
+        monkeypatch.setattr(analysis, "DEFAULT_PROBE_WORDS", ())
+        for X, report in zip(sets, before):
+            after = dimension_census(X)
+            assert [e.class_id for e in after.entries] == \
+                [e.class_id for e in report.entries]
+            assert after.sum_of_squares == report.sum_of_squares
 
     def test_degenerate_raises(self):
         report = dimension_census(FIX_J6)
