@@ -18,6 +18,7 @@ use.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+import math
 import random
 
 from braidreps import (
@@ -256,13 +257,6 @@ def sweep_plans(per_class: int, seed: int = SWEEP_SEED):
 REDUCIBLE_FAMILIES = ("I3", "I4", "J5", "I6", "J6", "K6")
 
 
-def _prod(vals):
-    out = Fraction(1)
-    for v in vals:
-        out *= v
-    return out
-
-
 def reducible_plan(rng: random.Random, family: str) -> dict:
     """A plan whose representation is reducible through ``family``.
 
@@ -277,7 +271,7 @@ def reducible_plan(rng: random.Random, family: str) -> dict:
         i, j, k, l, m = rng.sample(range(n), n) + [None] * (5 - n)
 
         def solve(pos, numerator):
-            x[pos] = numerator / _prod(x[t] for t in range(n) if t != pos)
+            x[pos] = numerator / math.prod(x[t] for t in range(n) if t != pos)
 
         plan = {"dim": 6, "variant": i + 1}
         if family == "I3":  # x_i^2 + x_j x_k

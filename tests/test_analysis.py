@@ -586,8 +586,8 @@ class TestCensus:
         assert report.deferred[0].radicand == 24
 
     def test_intertwiner_alone_separates_classes(self, monkeypatch):
-        # with no probe words every pair of equal dimension reaches the
-        # exact intertwiner solve, which decides equivalence (Schur)
+        # with no probe words every pair reaches the exact intertwiner
+        # solve, which decides equivalence of irreducibles (Schur)
         sets = (ps(1, 2, 3, 6), ps(1, 2, 3, 4, Fraction(4, 3)))
         before = [dimension_census(X) for X in sets]
         monkeypatch.setattr(analysis, "DEFAULT_PROBE_WORDS", ())
