@@ -61,6 +61,8 @@ CALLS = [
     ["irred", "--params", "[1, 2, 3, 4, 24]", "--dim", "6", "--variant", "5"],
     ["verify", "--params", "[-4, 1, 2, 4, -1]", "--context", "t^4+t^3+t^2+t+1",
      "--f", "[0, 2]"],
+    ["irred", "--params", "[1, 2, 3, 6]", "--h", "6"],
+    ["irred", "--params", '[1, 2, 4, 8, "1/2"]', "--f", "2"],
 ]
 
 
