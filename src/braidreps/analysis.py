@@ -3,28 +3,23 @@
 Two independent routes decide irreducibility and they are always compared:
 closed-form scalar predicates in the eigenvalues (one family per dimension
 class), and a Burnside oracle: g1 and g2 act irreducibly iff they generate
-the full d*d matrix algebra.  The oracle decides in three steps and stops
-at the first that applies, so every verdict rests on an exact certificate
-where one exists:
+the full d*d matrix algebra.  The oracle decides in two steps:
 
-1. the closure over F_p, p = 2^61 - 1, on rational generators: a full d*d
-   there certifies the full algebra over Q, since reduction mod p cannot
-   raise a rank (irreducible);
-2. an exactly verified proper invariant subspace from the witness search:
-   the algebra preserves it, so it is not full (reducible);
-3. only when neither exists (an irrational entry, p dividing a
-   denominator, a dimension-6 line that needs a square root the context
-   lacks), the exact closure over the context decides.
+1. the witness search: an exactly verified proper invariant subspace means
+   reducible;
+2. no witness: for a rep with rational entries and g1 laid out as the
+   builders make it, the search is complete, so irreducible; otherwise (an
+   irrational entry, another layout of g1, a zero divisor met by the
+   search) the exact closure over the context decides.
 
-No verdict depends on the prime.  Quantified predicates ("for every root h
-of t^2 = e4 ...") are decided root-free through their closed-form norms
-over all roots, so no field extension is needed to reach a verdict.
+Quantified predicates ("for every root h of t^2 = e4 ...") are decided
+root-free through their closed-form norms over all roots, so no field
+extension is needed to reach a verdict.
 
-For degenerate parameters the witness search produces an explicit invariant
-subspace: a set of simple g1-eigenlines, in dimension 6 optionally extended
-by the doubled-eigenvalue plane or a line inside it.  Each candidate is
-checked once and exactly: a coordinate subspace by the zero pattern of both
-generators, one with a line by exact rank computations.
+The candidate subspaces are the sets of simple g1-eigenlines, in dimension
+6 optionally extended by the doubled-eigenvalue plane or a line inside it.
+Each is checked once and exactly: a coordinate subspace by the zero pattern
+of both generators, one with a line by exact rank computations.
 
 Semisimplicity of the whole quotient algebra reduces to the same predicate
 families evaluated over all subsets, and the dimension census cross-checks
@@ -42,7 +37,6 @@ from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
 from .linalg import (
     Matrix,
     algebra_closure_dim,
-    closure_dim_mod_p,
     intertwiner_dim,
     rank,
 )
@@ -271,40 +265,56 @@ def rep_predicates(
 def irreducibility(rep: Representation) -> tuple[bool, Witness | None]:
     """The Burnside verdict of :func:`irreducible_oracle` with its witness.
 
-    Returns (True, None) when the algebra is full, (False, w) when the
-    witness search finds the verified invariant subspace w, and
-    (False, None) when only the exact closure shows the algebra is not
-    full.
+    Returns (False, w) when the witness search finds the verified invariant
+    subspace w, (True, None) when it finds none and is complete, and
+    otherwise the verdict of the exact closure with no witness.
     """
-    gens = [rep.g1, rep.g2]
-    full = rep.dim * rep.dim
-    if closure_dim_mod_p(gens) == full:
-        return True, None
     try:
         witness = invariant_subspace_witness(rep)
+        if witness is not None:
+            return False, witness
+        if _search_is_complete(rep):
+            return True, None
     except NotInvertible:  # a zero divisor of a reducible modulus: no certificate
-        witness = None
-    if witness is not None:
-        return False, witness
-    dim, _ = algebra_closure_dim(gens)
-    return dim == full, None
+        pass
+    dim, _ = algebra_closure_dim([rep.g1, rep.g2])
+    return dim == rep.dim * rep.dim, None
 
 
 def irreducible_oracle(rep: Representation) -> bool:
     """True iff g1 and g2 generate the full matrix algebra (Burnside).
 
-    Three steps, the first that applies decides:
-
-    1. the closure over F_p (p = 2^61 - 1) reaches d*d: the accepted words
-       are independent mod p and hence over Q, so the algebra is full;
-    2. the witness search finds an exactly verified proper invariant
-       subspace: every element of the algebra preserves it, so the algebra
-       is not full -- the verdict the exact closure would give;
-    3. otherwise (an irrational entry, p dividing a denominator, or a
-       reducible rep whose invariant subspace the search cannot name in
-       this context) the exact closure decides.
+    A verified witness means not full, the verdict the exact closure would
+    give.  No witness means full when :func:`_search_is_complete` holds;
+    otherwise the exact closure decides.
     """
     return irreducibility(rep)[0]
+
+
+def _search_is_complete(rep: Representation) -> bool:
+    """Does a fruitless witness search prove that rep is irreducible?
+
+    Yes when every entry is rational (a reducible modulus cannot split the
+    zero pattern) and g1 is diagonal with its n simple eigenvalues first
+    and the doubled one, if any, last.  A g1-invariant subspace W is then
+    the sum of its parts in the g1 eigenspaces: a coordinate subspace for
+    d <= 5, and for d = 6 simple coordinates S plus nothing, a line L or
+    the plane.  All but S + L are candidates; so is S + L when a linear
+    condition of :func:`_line_candidates` is nonzero (L is then unique and
+    rational); when all vanish and S + L is invariant, so is S or, for
+    empty S, the plane.  So no invariant candidate means no invariant
+    subspace over the algebraic closure: the algebra is full (Burnside).
+    """
+    d, n = rep.dim, rep.multiplicities.count(1)
+    g1 = rep.g1
+    diag = [g1[i, i] for i in range(d)]
+    return (
+        (n == d or (d, n) == (6, 4))  # the only plane the search knows
+        and all(e.is_rational() for g in (g1, rep.g2) for e in g.entries)
+        and g1 == Matrix.diagonal(rep.context, diag)
+        and len(set(diag)) == n + (n < d)
+        and len(set(diag[n:])) <= 1
+    )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ identical inputs produce byte-identical output.  Exit codes: 0 when the
 requested analysis completed consistently (a "reducible" or "not
 semisimple" verdict is still 0), 1 when a mathematical identity that must
 hold was violated (the failing identity is named on stderr), 2 for input
-errors and for a result too long to print exactly.
+errors, for a result too long to print exactly and for an --output path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -399,8 +400,12 @@ def main(argv=None) -> int:
         return 1
     text = canonical_dumps(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

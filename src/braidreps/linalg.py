@@ -8,10 +8,7 @@ arithmetic matters more than asymptotics.  One exact elimination step,
 row against pivot-normalised rows and keeps it if it stays nonzero.
 Pivoting always takes the first nonzero entry; there are no magnitude
 heuristics because the arithmetic is exact.  Every pivot is inverted, so
-over a reducible modulus a zero-divisor pivot raises NotInvertible.  The one
-computation over a finite field, :func:`closure_dim_mod_p`, keeps its own
-loop on ints mod p; it only certifies a full closure, and every other
-outcome defers to the exact one.
+over a reducible modulus a zero-divisor pivot raises NotInvertible.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "minpoly",
     "poly_eval_matrix",
     "algebra_closure_dim",
-    "closure_dim_mod_p",
     "intertwiner_dim",
 ]
 
@@ -437,58 +433,6 @@ def algebra_closure_dim(generators: Sequence[Matrix]) -> tuple[int, list[Matrix]
         for g in generators:
             queue.append(mat @ g)
     return len(accepted), accepted
-
-
-_CLOSURE_PRIME = (1 << 61) - 1
-
-
-def closure_dim_mod_p(generators: Sequence[Matrix]) -> int | None:
-    """Span dimension over F_p, p = 2^61 - 1, of the algebra the generators produce.
-
-    The breadth-first closure of :func:`algebra_closure_dim`, on plain int
-    vectors reduced mod p.  Returns None when the reduction is undefined:
-    some entry is not rational, or p divides a denominator.  Reduction mod
-    p cannot raise a rank, so a result of d*d certifies the full matrix
-    algebra over Q as well; a smaller result decides nothing.
-    """
-    p = _CLOSURE_PRIME
-    d = generators[0].rows
-    full = d * d
-    flats, gens = [], []
-    for g in generators:
-        flat = []
-        for e in g.entries:
-            if not e.is_rational():
-                return None
-            r = e.coeffs[0]
-            if r.denominator % p == 0:
-                return None
-            flat.append(r.numerator * pow(r.denominator, -1, p) % p)
-        flats.append(flat)
-        # columns of g, for the row-by-column products below
-        gens.append([flat[j::d] for j in range(d)])
-    reduced: list[tuple[int, list[int]]] = []
-    queue = [[int(i == j) for i in range(d) for j in range(d)], *flats]
-    qi = 0
-    while qi < len(queue) and len(reduced) < full:
-        mat = queue[qi]
-        qi += 1
-        vec = mat
-        for pivot, row in reduced:
-            c = vec[pivot]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-        lead = next((i for i, e in enumerate(vec) if e), None)
-        if lead is None:
-            continue
-        inv = pow(vec[lead], -1, p)
-        reduced.append((lead, [e * inv % p for e in vec]))
-        rows = [mat[i * d : (i + 1) * d] for i in range(d)]
-        for cols in gens:
-            queue.append(
-                [sum(a * b for a, b in zip(r, c)) % p for r in rows for c in cols]
-            )
-    return len(reduced)
 
 
 def intertwiner_dim(pairs: Sequence[tuple[Matrix, Matrix]]) -> int:

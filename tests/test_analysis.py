@@ -45,7 +45,7 @@ from braidreps import (
     verify_witness,
     witness_vectors,
 )
-from braidreps.linalg import closure_dim_mod_p, inverse
+from braidreps.linalg import inverse
 
 import braidreps.analysis as analysis
 import braidreps.cli as cli
@@ -376,37 +376,25 @@ def exact_calls(monkeypatch):
 
 
 class TestModularCertificate:
-    def test_mod_p_dimension_matches_exact_on_fixtures(self, exact_calls):
-        for rep in _fixture_reps():
-            gens = [rep.g1, rep.g2]
-            dim, _ = algebra_closure_dim(gens)
-            assert dim < rep.dim ** 2
-            assert closure_dim_mod_p(gens) == dim
-            # the verified witness decides, so the exact closure never runs
-            before = len(exact_calls)
-            assert not irreducible_oracle(rep)
-            assert len(exact_calls) == before
-
     def test_certified_sets_skip_the_exact_closure(self, exact_calls):
         rep = build_rep(RepSpec(dim=6, params=FIX_J6, variant=1))
         assert irreducible_oracle(rep)
         assert exact_calls == []
 
     def test_p_in_a_denominator_takes_exact_path(self, exact_calls):
+        # a large denominator changes nothing: the diagonal change of basis
+        # keeps g1 diagonal and the zero pattern, so the search decides both
         irred = _conjugate_by_p(build_rep(RepSpec(dim=2, params=ps(1, 2))))
         red = _conjugate_by_p(build_rep(RepSpec(dim=3, params=FIX_I3)))
         for rep, verdict in ((irred, True), (red, False)):
-            assert closure_dim_mod_p([rep.g1, rep.g2]) is None
             assert irreducible_oracle(rep) is verdict
-        # the diagonal change of basis keeps red's coordinate witness
         assert irreducibility(red)[1] is not None
-        assert len(exact_calls) == 1
+        assert exact_calls == []
 
     def test_irrational_root_takes_exact_path(self, exact_calls):
         ctx = FieldContext([-24, 0, 1])
         X = ParameterSet.from_rationals(ctx, [1, 2, 3, 4])
         rep = build_rep(RepSpec(dim=4, params=X, h=ctx.generator()))
-        assert closure_dim_mod_p([rep.g1, rep.g2]) is None
         assert irreducible_oracle(rep)
         assert len(exact_calls) == 1
 
@@ -422,7 +410,7 @@ class TestModularCertificate:
         s_inv = inverse(s)
         conj = Representation(spec=rep.spec, g1=s @ rep.g1 @ s_inv,
                               g2=s @ rep.g2 @ s_inv, multiplicities=rep.multiplicities)
-        assert closure_dim_mod_p([conj.g1, conj.g2]) == 7
+        assert algebra_closure_dim([conj.g1, conj.g2])[0] == 7
         assert invariant_subspace_witness(conj) is None
         assert irreducibility(conj) == (False, None)
         assert len(exact_calls) == 1
@@ -454,23 +442,46 @@ class TestModularCertificate:
 
         monkeypatch.setattr(analysis, "invariant_subspace_witness", counting)
         monkeypatch.setattr(cli, "invariant_subspace_witness", counting, raising=False)
-        for argv, searches in ((["[2, 1, -4]"], 1), (["[1, 2, 3]"], 0),
-                               (['["2", "3", "-1", "1/6", "1"]', "--dim", "6",
-                                 "--variant", "5"], 1)):
+        for argv, reducible in ((["[2, 1, -4]"], True), (["[1, 2, 3]"], False),
+                                (['["2", "3", "-1", "1/6", "1"]', "--dim", "6",
+                                  "--variant", "5"], True)):
             calls.clear()
             assert cli.main(["irred", "--params", *argv]) == 0
-            assert len(calls) == searches
-            assert (json.loads(capsys.readouterr().out)["witness"] is None) == (not searches)
+            assert len(calls) == 1
+            assert (json.loads(capsys.readouterr().out)["witness"] is None) == (not reducible)
 
-    def test_oracle_agrees_with_exact_closure_on_sweep(self):
-        for plan in sweep_plans(10):
-            roots = {k: qv(plan[k]) for k in ("h", "f") if k in plan}
-            spec = RepSpec(dim=plan["dim"], params=ps(*plan["values"]),
-                           variant=plan.get("variant"), **roots)
-            rep = build_rep(spec)
+    def test_oracle_agrees_with_exact_closure_on_sweep(self, exact_calls):
+        rng = random.Random(SWEEP_SEED)
+        plans = sweep_plans(10)
+        plans += [reducible_plan(rng, f) for f in REDUCIBLE_FAMILIES for _ in range(10)]
+        for rep in [_plan_rep(plan) for plan in plans] + _fixture_reps():
             dim, _ = algebra_closure_dim([rep.g1, rep.g2])
-            assert closure_dim_mod_p([rep.g1, rep.g2]) == dim, spec
-            assert irreducible_oracle(rep) == (dim == rep.dim ** 2), spec
+            for same in (rep, _conjugate_by_p(rep)):
+                assert irreducible_oracle(same) == (dim == rep.dim ** 2), rep.spec
+        # built reps and their diagonal conjugates satisfy the guard
+        assert exact_calls == []
+
+    def test_exact_closure_decides_when_the_guard_fails(self, exact_calls):
+        # after s1 <-> s2, g1 is not diagonal
+        swapped = _swap(build_rep(RepSpec(dim=3, params=ps(1, 2, 3))))
+        # coordinates (5, 6, 1, 2, 3, 4): the doubled eigenvalue comes first
+        rep6 = build_rep(RepSpec(dim=6, params=ps(1, 2, 3, 4, 5), variant=5))
+        s = Matrix(Q, 6, 6, [qv(int(j == (i + 4) % 6)) for i in range(6) for j in range(6)])
+        permuted = Representation(spec=rep6.spec, g1=s @ rep6.g1 @ inverse(s),
+                                  g2=s @ rep6.g2 @ inverse(s),
+                                  multiplicities=rep6.multiplicities)
+        assert permuted.g1[0, 0] == permuted.g1[1, 1] == qv(5)
+        # a tripled eigenvalue: span(e4) is invariant, but the search only
+        # knows a doubled one on coordinates 5, 6 and never tries e4
+        rng = random.Random(SWEEP_SEED)
+        g2 = Matrix(Q, 6, 6, [qv(5 * (i == 3) if j == 3 else rng.randint(-3, 3))
+                              for i in range(6) for j in range(6)])
+        tripled = Representation(spec=rep6.spec, g2=g2, multiplicities=(1, 1, 1, 3),
+                                 g1=Matrix.diagonal(Q, [qv(v) for v in (1, 2, 3, 4, 4, 4)]))
+        for rep, verdict in ((swapped, True), (permuted, True), (tripled, False)):
+            exact_calls.clear()
+            assert irreducibility(rep) == (verdict, None)
+            assert len(exact_calls) == 1
 
 
 class TestDecomposableExample:

@@ -280,6 +280,14 @@ class TestOutputPlumbing:
         payload = json.loads(target.read_text())
         assert payload["verdict"] is True
 
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "build", "--params", "[1, 2]",
+                                 "--output", str(target))
+        assert code == 2 and out == "" and not target.exists()
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_job_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"X": [1, 2, 3, 6], "dim": 4, "h": "6"}))
