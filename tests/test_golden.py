@@ -1,9 +1,9 @@
-"""Golden corpus: fixed CLI calls whose exit code and stdout must not change.
+"""Golden corpus: fixed CLI calls whose exit code, stdout and stderr must not change.
 
 ``tests/golden/cli_corpus.json`` holds each call's argv with the exit code
-and the exact stdout it produced when the corpus was recorded.  Every call
-is replayed through ``cli.main`` and compared byte for byte, so a refactor
-that changes any canonical JSON output fails here.
+and the exact stdout and stderr it produced when the corpus was recorded.
+Every call is replayed through ``cli.main`` and compared byte for byte, so a
+refactor that changes any canonical JSON output or error message fails here.
 
 Re-record only for an intended change of output:
 
@@ -63,6 +63,9 @@ CALLS = [
      "--f", "[0, 2]"],
     ["irred", "--params", "[1, 2, 3, 6]", "--h", "6"],
     ["irred", "--params", '[1, 2, 4, 8, "1/2"]', "--f", "2"],
+    ["verify", "--context", "t^2-1", "--params", '["-4","3/2","[0,3]","-1","1/2"]',
+     "--dim", "6", "--variant", "2"],
+    ["irred", "--params", '["-3/4","3/2","-2/3","27"]', "--h=-9/2"],
 ]
 
 
@@ -70,7 +73,7 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _corpus():
@@ -80,9 +83,10 @@ def _corpus():
 @pytest.mark.parametrize("index", range(len(CALLS)), ids=lambda i: f"{i:02d}-{CALLS[i][0]}")
 def test_cli_output_unchanged(index):
     entry = _corpus()[index]
-    code, stdout = _run(entry["argv"])
+    code, stdout, stderr = _run(entry["argv"])
     assert code == entry["exit_code"]
     assert stdout == entry["stdout"]
+    assert stderr == entry["stderr"]
 
 
 def test_corpus_lists_every_call():
@@ -92,6 +96,8 @@ def test_corpus_lists_every_call():
 if __name__ == "__main__":
     entries = []
     for argv in CALLS:
-        code, stdout = _run(argv)
-        entries.append({"argv": argv, "exit_code": code, "stdout": stdout})
+        code, stdout, stderr = _run(argv)
+        entries.append(
+            {"argv": argv, "exit_code": code, "stdout": stdout, "stderr": stderr}
+        )
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
