@@ -309,7 +309,7 @@ def _search_is_complete(rep: Representation) -> bool:
     g1 = rep.g1
     diag = [g1[i, i] for i in range(d)]
     return (
-        (n == d or (d, n) == (6, 4))  # the only plane the search knows
+        (n == d or _has_plane(rep))
         and all(e.is_rational() for g in (g1, rep.g2) for e in g.entries)
         and g1 == Matrix.diagonal(rep.context, diag)
         and len(set(diag)) == n + (n < d)
@@ -368,6 +368,11 @@ def verify_witness(rep: Representation, w: Witness) -> bool:
     for g in (rep.g1, rep.g2):
         entries += (span @ g.transpose()).entries
     return rank(Matrix(rep.context, 3 * k, rep.dim, entries)) == k
+
+
+def _has_plane(rep: Representation) -> bool:
+    """Is there a doubled-eigenvalue plane the search knows (d = 6, n = 4)?"""
+    return (rep.dim, rep.multiplicities.count(1)) == (6, 4)
 
 
 def _plane_block(g2: Matrix):
@@ -457,16 +462,16 @@ def _candidates(rep: Representation):
     """Proper candidate subspaces in search order.
 
     The coordinate sets S of the simple g1-eigenlines come in (size, lex)
-    order, each a candidate on its own.  When g1 doubles an eigenvalue (its
-    plane is the last two coordinates), S is also a candidate together
-    with each line :func:`_line_candidates` allows and with the whole plane.
+    order, each a candidate on its own.  When :func:`_has_plane` holds,
+    S is also a candidate together with each line :func:`_line_candidates`
+    allows and with the whole plane.
     """
     d = rep.dim
     n = rep.multiplicities.count(1)
     for S in (c for size in range(n + 1) for c in combinations(range(n), size)):
         if 0 < len(S) < d:
             yield _witness(S)
-        if n < d:
+        if _has_plane(rep):
             for line in _line_candidates(rep, S):
                 yield _witness(S, line)
             if len(S) + 2 < d:

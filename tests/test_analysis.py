@@ -483,6 +483,23 @@ class TestModularCertificate:
             assert irreducibility(rep) == (verdict, None)
             assert len(exact_calls) == 1
 
+    def test_doubled_eigenvalue_outside_dimension_6(self, exact_calls):
+        # d = 4 with g1 = diag(1, 2, 3, 3): the search has no plane to offer,
+        # so it tries coordinate sets of e1, e2 only and the closure decides
+        spec = RepSpec(dim=4, params=ps(1, 2, 3, 6), h=qv(6))
+        g1 = Matrix.diagonal(Q, [qv(v) for v in (1, 2, 3, 3)])
+        rng = random.Random(SWEEP_SEED)
+        full = Matrix(Q, 4, 4, [qv(rng.randint(1, 3)) for _ in range(16)])
+        # span(e3) is invariant, but e3 lies in the doubled eigenspace
+        line = Matrix(Q, 4, 4, [qv(5 * (i == 2) if j == 2 else rng.randint(1, 3))
+                                for i in range(4) for j in range(4)])
+        for g2, verdict in ((full, True), (line, False)):
+            rep = Representation(spec=spec, g1=g1, g2=g2, multiplicities=(1, 1, 2))
+            assert invariant_subspace_witness(rep) is None
+            exact_calls.clear()
+            assert irreducibility(rep) == (verdict, None)
+            assert len(exact_calls) == 1
+
 
 class TestDecomposableExample:
     def test_artificial_direct_sum(self):
