@@ -388,8 +388,20 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_root_values(argv: list[str]) -> list[str]:
+    """Write "--h V" and "--f V" as "--h=V", so argparse reads V = -9/2 as a value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--h", "--f") and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _make_parser().parse_args(_attach_root_values(argv))
     try:
         code, payload = _COMMANDS[args.command](args)
     except (InputError, TooLarge, NotInvertible) as exc:

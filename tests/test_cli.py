@@ -100,6 +100,16 @@ class TestIrred:
         assert payload["witness"]["Y"] == []
         assert payload["witness"]["line"] == ["-441/5", "-63/5"]
 
+    @pytest.mark.parametrize("params, option, root", [
+        ('["-3/4", "3/2", "-2/3", "27"]', "--h", "-9/2"),
+        ('[1, -1, 2, 4, "1/256"]', "--f", "-1/2"),
+    ])
+    def test_negative_fractional_root_in_either_form(self, capsys, params, option, root):
+        spaced = run_cli(capsys, "irred", "--params", params, option, root)
+        joined = run_cli(capsys, "irred", "--params", params, f"{option}={root}")
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == joined
+
 
 class TestSemisimple:
     def test_generic_census(self, capsys):
