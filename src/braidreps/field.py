@@ -14,6 +14,7 @@ anywhere in this module.
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -96,6 +97,22 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     return a
+
+
+def _power(base, n: int, mul=operator.mul):
+    """base^n for n >= 1 by binary powering, starting from the base.
+
+    No product with one and no squaring after the top bit: n = 2 costs one
+    product and n = 5 three.  Fields, polynomials and matrices share it.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 class FieldContext:
@@ -315,17 +332,9 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if not isinstance(n, int):
             return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = self.context.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.context.one()
+        return _power(self.inverse() if n < 0 else self, abs(n))
 
     # -- predicates and views ---------------------------------------------
 

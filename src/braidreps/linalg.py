@@ -13,9 +13,10 @@ over a reducible modulus a zero-divisor pivot raises NotInvertible.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
-from .field import ContextMismatch, FieldContext, FieldElement
+from .field import ContextMismatch, FieldContext, FieldElement, _power
 from .poly import Polynomial
 
 __all__ = [
@@ -107,39 +108,21 @@ class Matrix:
     def row(self, i: int) -> tuple[FieldElement, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     # -- ring structure -------------------------------------------------
 
-    def _check_same_shape(self, other: "Matrix") -> None:
+    def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch(
                 f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
         if self.context.modulus != other.context.modulus:
             raise ContextMismatch("matrices over different contexts")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
         return Matrix(
             self.context,
             self.rows,
             self.cols,
             [a + b for a, b in zip(self.entries, other.entries)],
         )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            self.context,
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.context, self.rows, self.cols, [-a for a in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -200,14 +183,7 @@ class Matrix:
             n = -n
         if n == 0:
             return Matrix.identity(self.context, self.rows)
-        result = None
-        while True:
-            if n & 1:
-                result = base if result is None else result @ base
-            n >>= 1
-            if not n:
-                return result
-            base = base @ base
+        return _power(base, n, operator.matmul)
 
     def is_scalar(self) -> bool:
         if self.rows != self.cols:
@@ -366,20 +342,32 @@ def _reduce_vector(
 
 
 def minpoly(m: Matrix) -> Polynomial:
-    """Minimal polynomial via Krylov chains from the standard basis.
+    """Minimal polynomial as a product of Krylov-chain annihilators.
 
-    For each start vector the first linear dependence among v, Mv, M^2 v,...
-    yields a monic annihilator; the minimal polynomial is the lcm of these.
+    r starts at 1.  For each standard basis vector e_j, w = r(M) e_j is
+    computed by Horner on the vector, and the first linear dependence among
+    w, Mw, M^2 w, ... gives the monic annihilator a of w; r becomes r * a.
+    Since ann(r(M) v) = ann(v) / gcd(ann(v), r), r ends as the lcm of the
+    annihilators of all e_j, with no polynomial division (as in Wiedemann's
+    algorithm).
     """
     if m.rows != m.cols:
         raise NotSquare("minpoly of a non-square matrix")
     n = m.rows
     ctx = m.context
     zero, one = ctx.zero(), ctx.one()
+    rows = [m.row(i) for i in range(n)]
+
+    def times(v: list[FieldElement]) -> list[FieldElement]:
+        return [sum((a * b for a, b in zip(row, v)), start=zero) for row in rows]
+
     result = Polynomial.one(ctx)
     for start in range(n):
         cur = [zero] * n
         cur[start] = one
+        for c in reversed(result.coeffs[:-1]):
+            cur = times(cur)
+            cur[start] = cur[start] + c
         # rows of (vector | power tag), reduced on the vector part only
         basis: list[tuple[int, list[FieldElement]]] = []
         for power in range(n + 1):
@@ -387,19 +375,13 @@ def minpoly(m: Matrix) -> Polynomial:
             tag[power] = one
             work = cur + tag
             if _reduce_vector(work, basis, n) is None:
-                result = result.lcm(Polynomial(ctx, work[n:]).monic())
+                # the top tag is never reduced, so the annihilator is monic
+                result = result * Polynomial(ctx, work[n:])
                 break
-            # next Krylov vector
-            cur = [
-                sum(
-                    (m.entries[i * n + j] * cur[j] for j in range(n)),
-                    start=zero,
-                )
-                for i in range(n)
-            ]
+            cur = times(cur)
         if result.degree == n:
             break
-    return result.monic()
+    return result
 
 
 def algebra_closure_dim(generators: Sequence[Matrix]) -> tuple[int, list[Matrix]]:

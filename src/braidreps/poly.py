@@ -1,22 +1,19 @@
 """Dense univariate polynomials over a :class:`~braidreps.field.FieldContext`.
 
 Coefficients are stored in ascending order with trailing zeros trimmed; the
-zero polynomial has an empty coefficient tuple and degree -1.  Division
-and gcd run the classical Euclidean scheme, which is exact over these
-coefficient fields.
+zero polynomial has an empty coefficient tuple and degree -1.  The ring
+operations are products and powers: the library builds characteristic and
+minimal polynomials as products of monic factors and compares them
+exactly, so it never divides one polynomial by another here.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import ContextMismatch, FieldContext, FieldElement
+from .field import ContextMismatch, FieldContext, FieldElement, _power
 
-__all__ = ["Polynomial", "ZeroPolynomial"]
-
-
-class ZeroPolynomial(ValueError):
-    """An operation that needs a nonzero polynomial received zero."""
+__all__ = ["Polynomial"]
 
 
 class Polynomial:
@@ -65,18 +62,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> FieldElement:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "Polynomial":
-        lead = self.leading()
-        if lead == 1:
-            return self
-        inv = lead.inverse()
-        return Polynomial(self.context, tuple(c * inv for c in self.coeffs))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -109,22 +94,6 @@ class Polynomial:
         if self.context.modulus != other.context.modulus:
             raise ContextMismatch("polynomials over different contexts")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.context, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.context, tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -139,62 +108,7 @@ class Polynomial:
                     out[i + j] = out[i + j] + a * b
         return Polynomial(self.context, out)
 
-    def scale(self, s: FieldElement) -> "Polynomial":
-        return Polynomial(self.context, tuple(c * s for c in self.coeffs))
-
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.context)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
-        ctx = self.context
-        rem = list(self.coeffs)
-        dn = other.degree
-        if self.degree < dn:
-            return Polynomial.zero(ctx), self
-        inv_lead = other.leading().inverse()
-        quot = [ctx.zero()] * (self.degree - dn + 1)
-        while len(rem) - 1 >= dn:
-            top = rem[-1]
-            if top.is_zero():
-                rem.pop()
-                continue
-            c = top * inv_lead
-            off = len(rem) - 1 - dn
-            quot[off] = c
-            for i, b in enumerate(other.coeffs):
-                rem[off + i] = rem[off + i] - c * b
-            rem.pop()
-        return Polynomial(ctx, quot), Polynomial(ctx, rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor (Euclid)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    def lcm(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.context)
-        g = self.gcd(other)
-        return ((self * other) // g).monic()
+        return _power(self, n) if n else Polynomial.one(self.context)

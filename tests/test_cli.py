@@ -11,6 +11,16 @@ from pathlib import Path
 import pytest
 
 import braidreps
+from braidreps import (
+    FieldContext,
+    Matrix,
+    RepSpec,
+    ParameterSet,
+    build_rep,
+    minpoly,
+    parse_element,
+    rationals,
+)
 from braidreps import cli
 from braidreps.cli import main
 
@@ -73,6 +83,27 @@ class TestVerify:
         ):
             payload = run_json(capsys, "verify", "--params", params, *extra)
             assert payload["all_ok"] is True, params
+
+    @pytest.mark.parametrize("params, variant", [
+        *((["-4", "3/2", "[0,3]", "-1", "1/2"], v) for v in (1, 2, 3, 4, 5)),
+        (["-1", "-2", "-4", "3", "[-4,1/2]"], 2),
+    ])
+    def test_minpoly_over_reducible_modulus(self, capsys, params, variant):
+        # Q[t]/(t^2 - 1) = Q x Q through t -> 1 and t -> -1: minpoly(g2) is
+        # P_X, and it maps to the minimal polynomial of each image over Q
+        payload = run_json(capsys, "verify", "--context", "t^2-1", "--params",
+                           json.dumps(params), "--dim", "6", "--variant", str(variant))
+        assert payload["minpoly_ok"] is True and payload["all_ok"] is True
+        ctx = FieldContext([-1, 0, 1])
+        X = ParameterSet(tuple(parse_element(ctx, v) for v in params))
+        rep = build_rep(RepSpec(dim=6, params=X, variant=variant))
+        mp = minpoly(rep.g2)
+        q = rationals()
+        for sign in (1, -1):
+            image = Matrix(q, 6, 6, [q.from_rational(e.coeffs[0] + sign * e.coeffs[1])
+                                     for e in rep.g2.entries])
+            assert [c.coeffs[0] + sign * c.coeffs[1] for c in mp.coeffs] == \
+                [c.rational_value() for c in minpoly(image).coeffs]
 
 
 class TestIrred:

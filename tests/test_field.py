@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from braidreps import (
     ContextMismatch,
     FieldContext,
+    FieldElement,
     NonMonicModulus,
     NotInvertible,
     NotSquarefree,
@@ -56,6 +57,20 @@ class TestContextValidation:
             SQRT24.generator() + ZETA5.generator()
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Records every field multiplication made while the test runs."""
+    calls = []
+    real = FieldElement.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    return calls
+
+
 class TestArithmetic:
     def test_generator_satisfies_modulus(self):
         t = SQRT24.generator()
@@ -86,6 +101,18 @@ class TestArithmetic:
         t = SQRT24.generator()
         assert t ** -2 == Fraction(1, 24)
         assert (t + 5) ** -1 == (t + 5).inverse()
+
+    def test_pow_is_binary_from_the_base(self, products):
+        x = ZETA5.element([Fraction(1, 2), 3, 0, -1])
+        for n in range(-7, 10):
+            expected = ZETA5.one()
+            for _ in range(abs(n)):
+                expected = expected * (x if n > 0 else x.inverse())
+            assert x ** n == expected, n
+        for n, cost in ((1, 0), (2, 1), (5, 3), (8, 3)):
+            products.clear()
+            x ** n
+            assert len(products) == cost, n
 
     def test_mixed_coercion(self):
         a = Q.from_rational(Fraction(2, 3))

