@@ -1,10 +1,10 @@
 """Dense univariate polynomials over a :class:`~braidreps.field.FieldContext`.
 
 Coefficients are stored in ascending order with trailing zeros trimmed; the
-zero polynomial has an empty coefficient tuple and degree -1.  The ring
-operations are products and powers: the library builds characteristic and
-minimal polynomials as products of monic factors and compares them
-exactly, so it never divides one polynomial by another here.
+zero polynomial has an empty coefficient tuple and degree -1.  Products
+and powers are the only ring operations: P_X and the closed-form charpolys
+are products of small factors and :func:`~braidreps.linalg.minpoly` is a
+product of monic annihilators, so no polynomial is divided by another.
 """
 
 from __future__ import annotations
