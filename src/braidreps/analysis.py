@@ -7,10 +7,10 @@ the full d*d matrix algebra.  The oracle decides in two steps:
 
 1. the witness search: an exactly verified proper invariant subspace means
    reducible;
-2. no witness: for a rep with rational entries and g1 laid out as the
-   builders make it, the search is complete, so irreducible; otherwise (an
-   irrational entry, another layout of g1, a zero divisor met by the
-   search) the exact closure over the context decides.
+2. no witness: for a rep with rational entries and g1 laid out as
+   ``build_rep`` makes it, the search is complete, so irreducible;
+   otherwise (an irrational entry, another layout of g1, a zero divisor
+   met by the search) the exact closure over the context decides.
 
 Quantified predicates ("for every root h of t^2 = e4 ...") are decided
 root-free through their closed-form norms over all roots, so no field
@@ -400,43 +400,28 @@ def _line_candidates(rep: Representation, S: tuple[int, ...]):
             conds.append((g2[i, 4], g2[i, 5]))
     conds = [c for c in conds if not (c[0].is_zero() and c[1].is_zero())]
 
-    lines: list[tuple[FieldElement, FieldElement]] = []
+    a, b, c, d = _plane_block(g2)
     if conds:
         a0, b0 = conds[0]
         # all conditions must be proportional, else only (0,0) survives
-        for a, b in conds[1:]:
-            if a0 * b != a * b0:
+        for a1, b1 in conds[1:]:
+            if a0 * b1 != a1 * b0:
                 return []
-        lines = [(-b0, a0)]
-    else:
-        # unconstrained: solve the eigenvector quadratic directly
-        a, b, c, d = _plane_block(g2)
-        if c.is_zero():
-            lines.append((ctx.one(), ctx.zero()))
-            if not (a - d).is_zero():
-                lines.append((-b / (a - d), ctx.one()))
-            elif b.is_zero():
-                lines.append((ctx.zero(), ctx.one()))
-        else:
-            disc = (a - d) ** 2 + 4 * (c * b)
-            for s in element_kth_roots(disc, 2):
-                lines.append(((a - d + s) / (2 * c), ctx.one()))
-                if s.is_zero():
-                    break
-    out = []
-    seen = []
-    for alpha, beta in lines:
-        if alpha.is_zero() and beta.is_zero():
-            continue
-        # eigenvector condition on the plane block
-        a, b, c, d = _plane_block(g2)
+        # the one line left must be an eigenvector of the plane block
+        alpha, beta = -b0, a0
         if not (-c * alpha**2 + (a - d) * alpha * beta + b * beta**2).is_zero():
-            continue
-        if any(alpha * b2 == a2 * beta for a2, b2 in seen):
-            continue
-        seen.append((alpha, beta))
-        out.append((alpha, beta))
-    return out
+            return []
+        return [(alpha, beta)]
+    # unconstrained: the eigenvectors, from the quadratic directly
+    if c.is_zero():
+        lines = [(ctx.one(), ctx.zero())]
+        if not (a - d).is_zero():
+            lines.append((-b / (a - d), ctx.one()))
+        elif b.is_zero():
+            lines.append((ctx.zero(), ctx.one()))
+        return lines
+    disc = (a - d) ** 2 + 4 * (c * b)
+    return [((a - d + s) / (2 * c), ctx.one()) for s in element_kth_roots(disc, 2)]
 
 
 def _witness(S: tuple[int, ...], part=None) -> Witness:
@@ -516,15 +501,17 @@ def _complement_found(rep: Representation, w: Witness) -> bool:
     n = rep.multiplicities.count(1)
     ctx = rep.context
     plane = [i for i in w.index_set if i > n]
-    if w.extra_line is not None:
+    if _has_plane(rep) and w.extra_line is not None:
         if plane:
             raise InvalidWitness("extra_line together with plane coordinates")
         line = w.extra_line
-    elif len(plane) == 1:
+    elif _has_plane(rep) and len(plane) == 1:
         line = (ctx.one(), ctx.zero()) if plane == [n + 1] else (ctx.zero(), ctx.one())
-    else:
+    elif w.extra_line is None and len(plane) in (0, rep.dim - n):
         rest = tuple(i for i in range(1, rep.dim + 1) if i not in w.index_set)
         return _invariant(rep, Witness(rest))
+    else:
+        raise ValueError(f"{w} splits a repeated eigenspace: no complement search")
     alpha, beta = line
     Sbar = tuple(i for i in range(n) if i + 1 not in w.index_set)
     return any(
@@ -539,7 +526,9 @@ def decomposability_check(rep: Representation, w: Witness) -> bool:
     The witness is verified first (:class:`InvalidWitness` otherwise).  The
     complement combines the simple coordinates the witness lacks with the
     rest of the doubled-eigenvalue plane, if any: all of it, none of it, or
-    a second invariant line.
+    a second invariant line.  A witness that splits a repeated eigenspace
+    outside that plane has infinitely many g1-invariant complements, none
+    of which is searched: :class:`ValueError`.
     """
     if not verify_witness(rep, w):
         raise InvalidWitness(f"not an invariant subspace: {w}")

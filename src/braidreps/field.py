@@ -283,11 +283,15 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
+        """Multiplicative inverse via the extended Euclidean algorithm.
+
+        In degree > 1 zero raises :class:`NotInvertible`: it shares the whole
+        modulus (over a reducible one, nonzero factors can multiply to 0).
+        """
         d = self.context.degree
         if d == 1:
+            if self.is_zero():
+                raise ZeroDivisionError("inverse of zero")
             return FieldElement(self.context, (1 / self.coeffs[0],))
         # extended gcd of self (as a polynomial) with the modulus
         r0 = list(self.context.modulus)

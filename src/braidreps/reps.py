@@ -4,10 +4,12 @@ For an ordered set X of n distinct nonzero eigenvalues (n <= 5) the quotient
 of C[B3] by prod_{x in X} (g - x) on the generators is finite dimensional,
 and its irreducible representations in dimensions 1..6 admit closed-form
 matrices once g1 is diagonalised.  This module transcribes those closed
-forms.  Every constructor checks the braid relation, g1 diagonal with the
-eigenvalues at their multiplicities, and det g2 = det g1 before returning;
-by similarity these imply P_X(g2) = 0 and the characteristic polynomial of
-g2 (see :func:`_self_check`), so a transcription or root error cannot escape.
+forms: :func:`build_rep` lays out the diagonal g1, the eigenvalues of X with
+one of them doubled in dimension 6, and a builder per dimension gives g2.
+Every construction checks the braid relation and det g2 = det g1 before
+returning; by similarity these imply P_X(g2) = 0 and the characteristic
+polynomial of g2 (see :func:`_self_check`), so a transcription or root error
+cannot escape.
 
 Representations of dimension 4 need a square root h of e4(X); dimension 5
 needs a fifth root f of e5(X).  When the coefficient context lacks such a
@@ -17,7 +19,6 @@ with a modulus that would provide the root, rather than dropping it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
@@ -229,34 +230,27 @@ class EnumerationResult:
     deferred: tuple[DeferredRoot, ...]
 
 
-# -- builders per dimension ----------------------------------------------
-
-
-def _build_dim1(values):
-    ctx = values[0].context
-    m = Matrix.diagonal(ctx, [values[0]])
-    return m, m, (1,)
+# -- builders of g2 per dimension ------------------------------------------
 
 
 def _build_dim2(values):
     ctx = values[0].context
     x1, x2 = values
     s = (x1 - x2).inverse()
-    g2 = Matrix.from_rows(
+    return Matrix.from_rows(
         ctx,
         [
             [-x2 * x2 * s, -x1 * x2 * s],
             [(x1 * x1 - x1 * x2 + x2 * x2) * s, x1 * x1 * s],
         ],
     )
-    return Matrix.diagonal(ctx, list(values)), g2, (1, 1)
 
 
 def _build_dim3(values):
     ctx = values[0].context
     x1, x2, x3 = values
     d1, d2, d3 = (delta(values, i).inverse() for i in range(3))
-    g2 = Matrix.from_rows(
+    return Matrix.from_rows(
         ctx,
         [
             [
@@ -276,7 +270,6 @@ def _build_dim3(values):
             ],
         ],
     )
-    return Matrix.diagonal(ctx, list(values)), g2, (1, 1, 1)
 
 
 def _build_dim4(values, h):
@@ -323,11 +316,7 @@ def _build_dim4(values, h):
             alphas[3] * dinv[3],
         ],
     ]
-    return (
-        Matrix.diagonal(ctx, list(values)),
-        Matrix.from_rows(ctx, rows),
-        (1, 1, 1, 1),
-    )
+    return Matrix.from_rows(ctx, rows)
 
 
 def _build_dim5(values, f):
@@ -356,11 +345,7 @@ def _build_dim5(values, f):
                         prod = prod * (f2 + xi * values[k])
                 num = (xi * xi + f * xi + f2) * prod
                 entries.append(num * dinv / (f * xi * values[j]))
-    return (
-        Matrix.diagonal(ctx, list(values)),
-        Matrix(ctx, 5, 5, entries),
-        (1, 1, 1, 1, 1),
-    )
+    return Matrix(ctx, 5, 5, entries)
 
 
 # -- the 6-dimensional family ------------------------------------------------
@@ -427,7 +412,7 @@ def _d6_z(x) -> FieldElement:
     return first + second
 
 
-def _build_dim6_base(values):
+def _build_dim6(values):
     """The variant with the last eigenvalue doubled, straight off the table."""
     ctx = values[0].context
     x = (None,) + tuple(values)
@@ -480,71 +465,68 @@ def _build_dim6_base(values):
     )
     g[2][5] = _d6_w(_sig(x, (2, 3))) / (x[2] ** 2 * x[5]) * s13
     g[2][6] = _d6_z(_sig(x, (1, 2))) / x[2] * s13
-
-    g1 = Matrix.diagonal(ctx, [x[1], x[2], x[3], x[4], x[5], x[5]])
-    g2 = Matrix.from_rows(ctx, [row[1:] for row in g[1:]])
-    return g1, g2
+    return Matrix.from_rows(ctx, [row[1:] for row in g[1:]])
 
 
-def _build_dim6(values, variant: int):
-    swapped = list(values)
-    if variant != 5:
-        swapped[variant - 1], swapped[4] = swapped[4], swapped[variant - 1]
-    g1, g2 = _build_dim6_base(tuple(swapped))
-    mults = [1, 1, 1, 1, 1]
-    mults[variant - 1] = 2
-    return g1, g2, tuple(mults)
-
-
-def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix, mults: tuple[int, ...]) -> None:
+def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     """Raise :class:`ConstructionFailed` naming the first identity that fails.
 
-    Checks the braid relation A g1 = g2 A with A = g1 g2, that g1 is diagonal
-    with the eigenvalues at their multiplicities, and det g2 = det g1.  Then
-    det A is a unit and g2 = A g1 A^-1, so charpoly(g2) = prod (t - x_i)^{m_i}
-    and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked directly only
-    when a zero divisor (a reducible modulus) blocks the argument.
+    g1 is diagonal.  Checks the braid relation A g1 = g2 A with A = g1 g2 and
+    det g2 = det g1.  Then det A is a unit and g2 = A g1 A^-1, so charpoly(g2)
+    is that of g1 and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked
+    directly only when a zero divisor (a reducible modulus) blocks the
+    argument.  A det g1 of exactly 0 makes g1 singular on every factor of
+    the modulus, and its :class:`NotInvertible` propagates.
     """
-    values = spec.params.values
     ctx = spec.context
     a = g1 @ g2
     if a @ g1 != g2 @ a:
         raise ConstructionFailed(f"braid relation failed for {spec}")
-    roots = [x for x, m in zip(values, mults) for _ in range(m)]
     diag = [g1[i, i] for i in range(g1.rows)]
-    if g1 != Matrix.diagonal(ctx, diag) or Counter(diag) != Counter(roots):
-        raise ConstructionFailed(f"g1 is not diagonal with entries X at {mults} for {spec}")
-    det_g1 = prod(roots, start=ctx.one())
+    det_g1 = prod(diag, start=ctx.one())
     try:
         det_g1.inverse()
         if determinant(g2) != det_g1:
             raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
         return
     except NotInvertible:  # no similarity argument: check what it implies
-        pass
-    p_x = Polynomial.from_roots(ctx, values)
+        if det_g1.is_zero():
+            raise
+    p_x = Polynomial.from_roots(ctx, spec.params.values)
     if any(not e.is_zero() for e in poly_eval_matrix(p_x, g2).entries):
         raise ConstructionFailed(f"generator relation P_X(g2) != 0 for {spec}")
-    if charpoly(g2) != Polynomial.from_roots(ctx, roots):
+    if charpoly(g2) != Polynomial.from_roots(ctx, diag):
         raise ConstructionFailed(f"characteristic polynomial mismatch for {spec}")
 
 
 def build_rep(spec: RepSpec) -> Representation:
-    """Construct and validate the representation described by ``spec``."""
+    """Construct and validate the representation described by ``spec``.
+
+    g1 is diagonal: X in its given order, except that in dimension 6 the
+    variant's eigenvalue is swapped into position 5 and doubled.  The
+    builder of the dimension gives g2, for the eigenvalues in that order.
+    """
     values = spec.params.values
+    order = list(values)
+    if spec.dim == 6:
+        v = spec.variant - 1
+        order[v], order[4] = order[4], order[v]
+        order.append(order[4])
+    g1 = Matrix.diagonal(spec.context, order)
     if spec.dim == 1:
-        g1, g2, mults = _build_dim1(values)
+        g2 = g1
     elif spec.dim == 2:
-        g1, g2, mults = _build_dim2(values)
+        g2 = _build_dim2(values)
     elif spec.dim == 3:
-        g1, g2, mults = _build_dim3(values)
+        g2 = _build_dim3(values)
     elif spec.dim == 4:
-        g1, g2, mults = _build_dim4(values, spec.h)
+        g2 = _build_dim4(values, spec.h)
     elif spec.dim == 5:
-        g1, g2, mults = _build_dim5(values, spec.f)
+        g2 = _build_dim5(values, spec.f)
     else:
-        g1, g2, mults = _build_dim6(values, spec.variant)
-    _self_check(spec, g1, g2, mults)
+        g2 = _build_dim6(order[:5])
+    mults = tuple(order.count(x) for x in values)
+    _self_check(spec, g1, g2)
     return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
 
 

@@ -515,6 +515,62 @@ class TestDecomposableExample:
         assert intertwiner_dim([(rep.g1, rep.g1), (rep.g2, rep.g2)]) >= 2
 
 
+    def test_witness_splitting_a_doubled_eigenspace_outside_the_plane(self):
+        # d = 4, g1 = diag(1, 2, 3, 3): span(e4) is invariant, but its
+        # g1-invariant complements are span(e1, e2) plus any other line of the
+        # 3-eigenspace, so the coordinate complement settles nothing
+        spec = RepSpec(dim=4, params=ps(1, 2, 3, 6), h=qv(6))
+        g1 = Matrix.diagonal(Q, [qv(v) for v in (1, 2, 3, 3)])
+        g2 = Matrix.from_rows(Q, [[1, 0, 0, 0], [1, 2, 0, 0], [1, 1, 3, 0], [1, 1, 1, 3]])
+        rep = Representation(spec=spec, g1=g1, g2=g2, multiplicities=(1, 1, 2))
+        with pytest.raises(ValueError, match="splits"):
+            decomposability_check(rep, Witness((4,)))
+        # whole eigenspaces: the coordinate complement is the only one
+        assert not decomposability_check(rep, Witness((3, 4)))
+
+
+def _plane_rep(ctx, block):
+    """g1 = diag(1, 2, 3, 4, 5, 5), g2 = a dense 4x4 block plus a plane block."""
+    dense = [[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 3, 1], [1, 1, 1, 4]]
+    rows = [row + [0, 0] for row in dense] + [[0] * 4 + list(row) for row in block]
+    X = ParameterSet.from_rationals(ctx, [1, 2, 3, 4, 5])
+    return Representation(spec=RepSpec(dim=6, params=X, variant=5),
+                          g1=Matrix.diagonal(ctx, list(X) + [X[4]]),
+                          g2=Matrix.from_rows(ctx, rows), multiplicities=(1, 1, 1, 1, 2))
+
+
+class TestUnconstrainedPlaneLines:
+    # the plane is g2-invariant, so no linear condition constrains a line
+    # in it: the lines are the eigenvectors of the plane block
+    @pytest.mark.parametrize("modulus, block, expected", [
+        ([0, 1], [[1, 2], [0, 4]], ((5,), None)),
+        ([0, 1], [[3, 0], [0, 3]], ((5,), None)),
+        ([0, 1], [[1, 2], [2, 1]], ((), ([1], [1]))),
+        ([0, 1], [[1, 2], [3, 4]], ((5, 6), None)),
+        ([-33, 0, 1], [[1, 2], [3, 4]], ((), ([Fraction(-1, 2), Fraction(1, 6)], [1]))),
+        ([-1, 0, 1], [[[1, 1], 1], [0, 2]], None),
+    ], ids=["triangular", "scalar", "split-over-Q", "no-line-over-Q",
+            "split-over-Q(sqrt33)", "zero-divisor"])
+    def test_witness_against_the_closure(self, modulus, block, expected):
+        ctx = FieldContext(modulus)
+        rep = _plane_rep(ctx, [[ctx.element(e) if isinstance(e, list) else e
+                                for e in row] for row in block])
+        full = algebra_closure_dim([rep.g1, rep.g2])[0] == 36
+        if expected is None:
+            # a - d = t - 1 is a zero divisor: the search raises and the
+            # exact closure decides
+            with pytest.raises(NotInvertible):
+                invariant_subspace_witness(rep)
+            assert irreducibility(rep) == (full, None)
+            return
+        index_set, line = expected
+        if line is not None:
+            line = tuple(ctx.element(c) for c in line)
+        witness = Witness(index_set, line, complement_found=True)
+        assert irreducibility(rep) == (full, witness)
+        assert verify_witness(rep, witness) and decomposability_check(rep, witness)
+
+
 def _plan_rep(plan):
     roots = {k: qv(plan[k]) for k in ("h", "f") if k in plan}
     return build_rep(RepSpec(dim=plan["dim"], params=ps(*plan["values"]),

@@ -1,5 +1,7 @@
 """Command line interface: exit codes, JSON schemas, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import braidreps
 from braidreps import (
@@ -23,6 +26,9 @@ from braidreps import (
 )
 from braidreps import cli
 from braidreps.cli import main
+
+
+_small = st.integers(min_value=-6, max_value=6)
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +254,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "zero divisor" in err and "['-1', '1']" in err
 
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["build", "verify", "irred", "semisimple",
+                                    "constructive"]),
+           values=st.lists(st.tuples(_small, _small), min_size=1, max_size=5,
+                           unique=True),
+           variant=st.none() | st.integers(min_value=1, max_value=5))
+    # products of nonzero factors that are exactly 0: in a builder's delta,
+    # in det g1, and in the semisimplicity predicates
+    @example(command="build", values=[(-3, 0), (1, 0), (-2, -1), (-6, 1), (0, 1)],
+             variant=None)
+    @example(command="constructive", values=[(5, 2), (1, 0), (2, 0), (-1, -1), (-2, 0)],
+             variant=None)
+    @example(command="irred", values=[(5, 5), (5, -5)], variant=None)
+    def test_zero_divisors_never_raise(self, command, values, variant):
+        # Q[t]/(t^2 - 1) = Q x Q: every call answers or exits 2 with one line
+        argv = [command, "--context", "t^2-1",
+                "--params", json.dumps([f"[{a},{b}]" for a, b in values])]
+        if command == "constructive":
+            argv[:1] = ["semisimple", "--mode", "constructive"]
+        elif len(values) == 5 and command != "semisimple":
+            argv += ["--dim", "6"] + ([] if variant is None else ["--variant", str(variant)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
     def test_long_word_rejected_before_evaluation(self, capsys):
         # 2 000 000 letters in 2000 factors: refused at parse time
         start = time.perf_counter()
@@ -302,8 +336,7 @@ class TestExitCodes:
         real = reps._build_dim2
 
         def corrupted(values):
-            g1, g2, mults = real(values)
-            return g1, g2.scale(2), mults
+            return real(values).scale(2)
 
         monkeypatch.setattr(reps, "_build_dim2", corrupted)
         code, out, err = run_cli(capsys, "verify", "--params", "[1, 2]")

@@ -96,6 +96,14 @@ class TestArithmetic:
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
             Q.zero().inverse()
+        # in degree > 1 zero shares the whole modulus: (1 + t)(1 - t) = 0
+        # is a product of zero divisors, and the message names t^2 - 1
+        theta = FieldContext([-1, 0, 1]).generator()
+        for zero in ((1 + theta) * (1 - theta), SQRT24.zero()):
+            with pytest.raises(NotInvertible, match="shares the monic factor"):
+                zero.inverse()
+        with pytest.raises(NotInvertible, match=r"\['-1', '0', '1'\]"):
+            1 / ((1 + theta) * (1 - theta))
 
     def test_pow_negative(self):
         t = SQRT24.generator()

@@ -5,9 +5,14 @@ and the exact stdout and stderr it produced when the corpus was recorded.
 Every call is replayed through ``cli.main`` and compared byte for byte, so a
 refactor that changes any canonical JSON output or error message fails here.
 
-Re-record only for an intended change of output:
+To record calls appended to ``CALLS``:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorder rebuilds the corpus in ``CALLS`` order, reusing every stored
+entry verbatim and running only the calls that have none, so recording a
+new call never accepts a changed output of an old one.  To re-record an
+entry after an intended change of output, delete it from the JSON first.
 """
 
 import contextlib
@@ -66,6 +71,16 @@ CALLS = [
     ["verify", "--context", "t^2-1", "--params", '["-4","3/2","[0,3]","-1","1/2"]',
      "--dim", "6", "--variant", "2"],
     ["irred", "--params", '["-3/4","3/2","-2/3","27"]', "--h=-9/2"],
+    ["build", "--params", "[3]"],
+    ["build", "--params", "[1, 2, 3]"],
+    ["build", "--context", "t^2-1", "--params", '["-4","3/2","[0,3]","-1","1/2"]',
+     "--dim", "6"],
+    ["build", "--context", "t^2-1", "--params", '["[1,1]", 3]'],
+    ["build", "--context", "t^2-1", "--params", '["-3","1","[-2,-1]","[-6,1]","[0,1]"]',
+     "--dim", "6"],
+    ["semisimple", "--context", "t^2-1", "--params", '["[5,2]","1","2","[-1,-1]","-2"]',
+     "--mode", "constructive"],
+    ["irred", "--context", "t^2-1", "--params", '["[5,5]","[5,-5]"]'],
 ]
 
 
@@ -76,8 +91,21 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _corpus():
-    return json.loads(CORPUS.read_text(encoding="utf-8"))
+def _corpus(path=CORPUS):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def record(path=CORPUS):
+    """Write the corpus in CALLS order, running only calls with no entry."""
+    stored = {json.dumps(e["argv"]): e for e in _corpus(path)}
+    entries = []
+    for argv in CALLS:
+        entry = stored.get(json.dumps(argv))
+        if entry is None:
+            code, stdout, stderr = _run(argv)
+            entry = {"argv": argv, "exit_code": code, "stdout": stdout, "stderr": stderr}
+        entries.append(entry)
+    path.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize("index", range(len(CALLS)), ids=lambda i: f"{i:02d}-{CALLS[i][0]}")
@@ -93,11 +121,16 @@ def test_corpus_lists_every_call():
     assert [e["argv"] for e in _corpus()] == CALLS
 
 
+def test_recorder_keeps_stored_entries(tmp_path):
+    # the recorder runs only the missing call, puts it back in its place and
+    # keeps the stored entries as they are: the file comes back byte for byte
+    entries = _corpus()
+    del entries[5]
+    copy = tmp_path / "corpus.json"
+    copy.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    record(copy)
+    assert copy.read_bytes() == CORPUS.read_bytes()
+
+
 if __name__ == "__main__":
-    entries = []
-    for argv in CALLS:
-        code, stdout, stderr = _run(argv)
-        entries.append(
-            {"argv": argv, "exit_code": code, "stdout": stdout, "stderr": stderr}
-        )
-    CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    record()

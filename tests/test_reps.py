@@ -12,6 +12,7 @@ from braidreps import (
     FieldContext,
     Matrix,
     MissingRoot,
+    NotInvertible,
     ParameterSet,
     Polynomial,
     RepSpec,
@@ -128,27 +129,18 @@ class TestSelfCheck:
         rows[0][0] = rows[0][0] + 1
         bad = Matrix.from_rows(Q, rows)
         with pytest.raises(ConstructionFailed):
-            _self_check(rep.spec, rep.g1, bad, rep.multiplicities)
+            _self_check(rep.spec, rep.g1, bad)
 
     def test_braid_violation_detected(self):
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
         with pytest.raises(ConstructionFailed, match="braid relation"):
-            _self_check(rep.spec, rep.g2, rep.g1 @ rep.g2, rep.multiplicities)
-
-    def test_corrupted_g1_diagonal_detected(self):
-        # g1 = g2 commute, so the braid relation holds; only the g1 check sees
-        # the wrong eigenvalue, and an off-diagonal entry is caught as well
-        rep = build_rep(RepSpec(dim=2, params=pset(1, 2)))
-        for bad in (Matrix.diagonal(Q, [qval(1), qval(3)]),
-                    Matrix.from_rows(Q, [[1, 1], [0, 2]])):
-            with pytest.raises(ConstructionFailed, match="g1 is not diagonal"):
-                _self_check(rep.spec, bad, bad, rep.multiplicities)
+            _self_check(rep.spec, rep.g2, rep.g1 @ rep.g2)
 
     def test_determinant_identity_detected(self):
         # g2 = 0 satisfies the braid relation with any g1
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
         with pytest.raises(ConstructionFailed, match="determinant"):
-            _self_check(rep.spec, rep.g1, Matrix.zeros(Q, 3, 3), rep.multiplicities)
+            _self_check(rep.spec, rep.g1, Matrix.zeros(Q, 3, 3))
 
     def test_zero_divisor_eigenvalue_takes_the_direct_checks(self, monkeypatch):
         # over Q[t]/(t^2 - 1) = Q x Q the eigenvalue 1 + t maps to (2, 0):
@@ -167,7 +159,16 @@ class TestSelfCheck:
         y = ctx.element([Fraction(7, 2), Fraction(-3, 2)])
         assert x * y * x == y * x * y
         with pytest.raises(ConstructionFailed, match="generator relation"):
-            _self_check(rep.spec, rep.g1, Matrix.diagonal(ctx, [y]), (1,))
+            _self_check(rep.spec, rep.g1, Matrix.diagonal(ctx, [y]))
+
+    def test_singular_g1_has_no_construction(self):
+        # over Q[t]/(t^2 - 1) the eigenvalues 5 + 5t and 5 - 5t map to (10, 0)
+        # and (0, 10): both are nonzero, but det g1 = 25(1 - t^2) is exactly 0,
+        # so g1 is singular on every factor and nothing is built
+        ctx = FieldContext([-1, 0, 1])
+        X = ParameterSet((ctx.element([5, 5]), ctx.element([5, -5])))
+        with pytest.raises(NotInvertible, match=r"\['-1', '0', '1'\]"):
+            build_rep(RepSpec(dim=2, params=X))
 
     def test_spectral_identities_hold_on_sweep(self):
         # the identities the build no longer checks directly, kept here as
