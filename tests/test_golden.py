@@ -26,6 +26,23 @@ from braidreps.cli import main
 
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
 
+# Fractional and negative sets with mixed denominators: one point per family
+# I3, I4, J5, I6, J6, K6 (each solved for one value), a point with four
+# failures scaled by 2/3 and by -2/3, a 3- and a 4-set, and a generic point.
+SCAN_FRACTIONS = json.dumps({"grid": [
+    ["1/2", "-1/3", "3/4", "5/7", "-2"],
+    ["2/3", "-1/5", "4/9", "-10/3", "7/2"],
+    ["3/4", "-3", "1/2", "-5/3", "81/20"],
+    ["-1/2", "3", "-2/5", "7/4", "5/168"],
+    ["2/3", "-3/2", "5", "-1/4", "8/15"],
+    ["1/2", "-4/3", "2/5", "5/3", "-7/6"],
+    ["-8/3", "2/3", "4/3", "8/3", "-2/3"],
+    ["8/3", "-2/3", "-4/3", "-8/3", "2/3"],
+    ["1/2", "-1/3", "3/4"],
+    ["2/3", "-1/5", "4/9", "-10/3"],
+    ["1/2", "-2/3", "5/4", "-7", "3/5"],
+]})
+
 CALLS = [
     ["build", "--params", "[1, 2]"],
     ["build", "--params", "[1, 2, 3, 6]"],
@@ -81,6 +98,12 @@ CALLS = [
     ["semisimple", "--context", "t^2-1", "--params", '["[5,2]","1","2","[-1,-1]","-2"]',
      "--mode", "constructive"],
     ["irred", "--context", "t^2-1", "--params", '["[5,5]","[5,-5]"]'],
+    ["scan", "--params", SCAN_FRACTIONS],
+    ["scan", "--params", SCAN_FRACTIONS, "--context", "t+2"],
+    ["semisimple", "--params", '["1/2","-3/4",3,"9/2","-1/3"]'],
+    # J4's norm u^2 + uv + v^2 (u, v the two pair products) has no rational
+    # zero; it vanishes only where u/v is a cube root of unity
+    ["semisimple", "--context", "t^2+t+1", "--params", '["1/2","-2/3","3/4","[0,-4/9]"]'],
 ]
 
 
