@@ -23,14 +23,17 @@ of both generators, one with a line by exact rank computations.
 
 Semisimplicity of the whole quotient algebra reduces to the same predicate
 families evaluated over all subsets, and the dimension census cross-checks
-the verdict against the algebra dimension (6, 24, 96 or 600).
+the verdict against the algebra dimension (6, 24, 96 or 600).  Over Q the
+verdict is decided on integers: every family is homogeneous, so scaling X
+by the lcm of its denominators keeps the set of vanishing predicates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .braidword import BraidWord, evaluate, parse
 from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
@@ -44,7 +47,6 @@ from .reps import (
     DeferredRoot,
     ParameterSet,
     Representation,
-    elementary_symmetric,
     enumerate_irreps,
 )
 
@@ -105,14 +107,14 @@ class PredicateValue:
 
     family: str
     indices: tuple[int, ...]
-    value: FieldElement
+    value: FieldElement | int
     quantified: bool = False
     subset: tuple[int, ...] | None = None
     affects_variant: int | None = None
 
     @property
     def is_zero(self) -> bool:
-        return self.value.is_zero()
+        return not self.value
 
     @property
     def name(self) -> str:
@@ -133,21 +135,24 @@ def _pairings(indices: tuple[int, ...]):
 
 
 def evaluate_predicates(
-    X: ParameterSet,
+    X: Sequence[FieldElement | int],
     level: int,
     root: FieldElement | None = None,
     positions: tuple[int, ...] | None = None,
 ) -> list[PredicateValue]:
     """All predicates of one dimension class at X, in a fixed order.
 
-    ``level`` is the dimension class (2..6); |X| must match (4-element
-    subsets of a larger set are the caller's job, and ``positions`` lets
-    the caller keep global index labels).  With ``root`` given, the
-    dimension-4/5 families are evaluated at that h or f directly; without
-    it each value is its norm prod_r P(r) over the roots r of t^k - e (k = 2
-    for e4, k = 5 for e5), which has a closed form per family (von zur
-    Gathen & Gerhard, Modern Computer Algebra, ch. 6).  The norms are
-    polynomial identities in the eigenvalues, so they hold over any modulus.
+    X holds ring values, a :class:`ParameterSet` or a tuple of ints or
+    field elements; every value is a polynomial in them (+, -, * and **
+    only).  ``level`` is the dimension class (2..6); |X| must match
+    (4-element subsets of a larger set are the caller's job, and
+    ``positions`` lets the caller keep global index labels).  With
+    ``root`` given, the dimension-4/5 families are evaluated at that h or f
+    directly; without it each value is its norm prod_r P(r) over the roots
+    r of t^k - e (k = 2 for e4, k = 5 for e5), which has a closed form per
+    family (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).  The
+    norms are polynomial identities in the eigenvalues, so they hold over
+    any modulus.
     """
     needed = {2: 2, 3: 3, 4: 4, 5: 5, 6: 5}
     if level not in needed:
@@ -156,7 +161,7 @@ def evaluate_predicates(
     if n != needed[level]:
         raise BadLevel(f"level {level} needs {needed[level]} eigenvalues, got {n}")
     pos = tuple(positions) if positions is not None else tuple(range(1, n + 1))
-    vals = X.values
+    vals = tuple(X)
     quant = root is None
     out: list[PredicateValue] = []
 
@@ -174,7 +179,7 @@ def evaluate_predicates(
                 )
             )
     elif level == 4:
-        e4 = elementary_symmetric(vals, 4)
+        e4 = prod(vals)
         combos = [("I4", (i,), vals[i] ** 2) for i in range(4)]
         combos += [
             ("J4", (i, j, k, l), vals[i] * vals[j] + vals[k] * vals[l])
@@ -189,7 +194,7 @@ def evaluate_predicates(
                 )
             )
     elif level == 5:
-        e5 = elementary_symmetric(vals, 5)
+        e5 = prod(vals)
         for i in range(5):
             x = vals[i]
             if quant:
@@ -207,7 +212,7 @@ def evaluate_predicates(
                 PredicateValue("J5", (pos[i], pos[j]), value, quant, subset=pos)
             )
     else:
-        e5 = elementary_symmetric(vals, 5)
+        e5 = prod(vals)
         for i in range(5):
             out.append(
                 PredicateValue(
@@ -580,17 +585,17 @@ class CensusReport:
     mode: str | None = None
 
 
-def _all_predicates(X: ParameterSet) -> list[PredicateValue]:
-    n = len(X)
+def _all_predicates(vals: tuple) -> list[PredicateValue]:
+    n = len(vals)
     preds: list[PredicateValue] = []
     for level in range(2, min(n, 4) + 1):
         for c in combinations(range(n), level):
             preds += evaluate_predicates(
-                X.subset(c), level, positions=tuple(i + 1 for i in c)
+                tuple(vals[i] for i in c), level, positions=tuple(i + 1 for i in c)
             )
     if n == 5:
-        preds += evaluate_predicates(X, 5)
-        preds += evaluate_predicates(X, 6)
+        preds += evaluate_predicates(vals, 5)
+        preds += evaluate_predicates(vals, 6)
     return preds
 
 
@@ -616,14 +621,25 @@ def semisimplicity(X: ParameterSet) -> CensusReport:
     fields of the report are filled; :func:`dimension_census` returns this
     same report when the verdict is negative and fills the rest otherwise.
 
+    Over Q (a degree-1 context) the predicates are evaluated on integers:
+    every family is homogeneous, P(lambda X) = lambda^deg P(X), so X scaled
+    by the lcm of its denominators has the same vanishing predicates; each
+    failing one is reported with the value ``ctx.zero()``.
+
     Over a reducible modulus every nonzero value must also be a unit, else
     :class:`NotInvertible` names the predicate and there is no verdict; the
     product is inverted once, as it is a unit iff each factor is.
     """
-    preds = _all_predicates(X)
-    failing = tuple(p for p in preds if p.is_zero)
-    if X.context.degree > 1:
-        _require_units([p for p in preds if not p.is_zero], X.context)
+    ctx = X.context
+    if ctx.degree == 1:
+        qs = [v.coeffs[0] for v in X]
+        scale = lcm(*(q.denominator for q in qs))
+        preds = _all_predicates(tuple(q.numerator * (scale // q.denominator) for q in qs))
+        failing = tuple(replace(p, value=ctx.zero()) for p in preds if p.is_zero)
+    else:
+        preds = _all_predicates(tuple(X))
+        failing = tuple(p for p in preds if p.is_zero)
+        _require_units([p for p in preds if not p.is_zero], ctx)
     return CensusReport(
         entries=(),
         deferred=(),

@@ -290,9 +290,15 @@ def _cmd_eval(args):
     }
 
 
+@functools.cache
+def _scan_context(modulus: tuple):
+    # one context per process: ParameterSet compares moduli by value
+    return context_from_spec(list(modulus))
+
+
 def _scan_point(task):
     index, modulus, values = task
-    ctx = context_from_spec(list(modulus))
+    ctx = _scan_context(modulus)
     X = ParameterSet(tuple(parse_element(ctx, v) for v in values))
     report = semisimplicity(X)
     return {

@@ -7,7 +7,8 @@ predicates nonvanishing (degenerate behaviour is covered by fixed fixtures,
 not by the sweep).
 
 ``reducible_plan`` is the reducible-side counterpart: it solves for one
-eigenvalue so that a chosen predicate vanishes.
+eigenvalue so that a chosen predicate vanishes.  J4 has no rational zero,
+so its plans live over ``OMEGA``, Q adjoined a primitive cube root of unity.
 
 ``sylvester_resultant`` is the reference resultant for the closed-form
 norms the predicates use: the determinant of the Sylvester matrix.
@@ -24,6 +25,7 @@ import random
 from braidreps import (
     BadSpec,
     BraidWord,
+    FieldContext,
     Matrix,
     ParameterSet,
     RepSpec,
@@ -254,7 +256,9 @@ def sweep_plans(per_class: int, seed: int = SWEEP_SEED):
     return plans
 
 
-REDUCIBLE_FAMILIES = ("I3", "I4", "J5", "I6", "J6", "K6")
+REDUCIBLE_FAMILIES = ("I3", "I4", "J4", "J5", "I6", "J6", "K6")
+
+OMEGA = FieldContext([1, 1, 1])  # t^2 + t + 1: Q(omega), omega^3 = 1
 
 
 def reducible_plan(rng: random.Random, family: str) -> dict:
@@ -262,10 +266,13 @@ def reducible_plan(rng: random.Random, family: str) -> dict:
 
     One eigenvalue at a random position is solved so that a predicate of the
     family vanishes: I3 in dimension 3, I4 at the root h = x_i^2 in dimension
-    4, J5 at a random root f in dimension 5, and I6, J6, K6 in the dimension-6
-    variant they affect.  Only sets with distinct nonzero values are kept.
+    4, J4 at h = x_i x_j + x_k x_l in dimension 4, J5 at a random root f in
+    dimension 5, and I6, J6, K6 in the dimension-6 variant they affect.  Only
+    sets with distinct nonzero values are kept.  A J4 plan carries its
+    context, ``OMEGA``: with u = x_i x_j and v = x_k x_l, h^2 = e4 = uv asks
+    for u^2 + uv + v^2 = 0, so v = omega u; every other plan is rational.
     """
-    n = {"I3": 3, "I4": 4}.get(family, 5)
+    n = {"I3": 3, "I4": 4, "J4": 4}.get(family, 5)
     while True:
         x = distinct_nonzero(rng, n)
         i, j, k, l, m = rng.sample(range(n), n) + [None] * (5 - n)
@@ -281,6 +288,10 @@ def reducible_plan(rng: random.Random, family: str) -> dict:
             h = x[i] ** 2
             solve(j, h ** 2)
             plan = {"dim": 4, "h": h}
+        elif family == "J4":  # x_i x_j + x_k x_l - h with e4 = h^2
+            x = [OMEGA.from_rational(v) for v in x]
+            x[l] = OMEGA.generator() * x[i] * x[j] / x[k]
+            plan = {"dim": 4, "h": x[i] * x[j] + x[k] * x[l], "context": OMEGA}
         elif family == "J5":  # x_i x_j + f^2 with e5 = f^5
             f = rand_fraction(rng)
             x[j] = -f ** 2 / x[i]

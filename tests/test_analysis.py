@@ -11,6 +11,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidreps import (
     ALGEBRA_DIMS,
@@ -18,6 +19,7 @@ from braidreps import (
     CensusMismatch,
     DEFAULT_PROBE_WORDS,
     FieldContext,
+    FieldElement,
     InvalidWitness,
     Matrix,
     NotInvertible,
@@ -52,6 +54,8 @@ import braidreps.cli as cli
 from conftest import (
     REDUCIBLE_FAMILIES,
     SWEEP_SEED,
+    distinct_nonzero,
+    rand_fraction,
     reducible_plan,
     sweep_plans,
     sylvester_resultant,
@@ -353,10 +357,10 @@ def _swap(rep):
 
 def _conjugate_by_p(rep):
     """The same rep after the change of basis diag(1, ..., 1, 2^61 - 1)."""
-    d = rep.dim
-    diag = [qv(1)] * (d - 1)
-    s = Matrix.diagonal(Q, diag + [qv(2**61 - 1)])
-    s_inv = Matrix.diagonal(Q, diag + [qv(Fraction(1, 2**61 - 1))])
+    d, ctx = rep.dim, rep.context
+    diag = [ctx.one()] * (d - 1)
+    s = Matrix.diagonal(ctx, diag + [ctx.from_rational(2**61 - 1)])
+    s_inv = Matrix.diagonal(ctx, diag + [ctx.from_rational(Fraction(1, 2**61 - 1))])
     return Representation(spec=rep.spec, g1=s @ rep.g1 @ s_inv,
                           g2=s @ rep.g2 @ s_inv,
                           multiplicities=rep.multiplicities)
@@ -572,8 +576,10 @@ class TestUnconstrainedPlaneLines:
 
 
 def _plan_rep(plan):
-    roots = {k: qv(plan[k]) for k in ("h", "f") if k in plan}
-    return build_rep(RepSpec(dim=plan["dim"], params=ps(*plan["values"]),
+    ctx = plan.get("context", Q)
+    roots = {k: ctx.one() * plan[k] for k in ("h", "f") if k in plan}
+    return build_rep(RepSpec(dim=plan["dim"],
+                             params=ParameterSet.from_rationals(ctx, plan["values"]),
                              variant=plan.get("variant"), **roots))
 
 
@@ -640,6 +646,45 @@ class TestSemisimplicity:
     def test_i6_fixture_full_failing_set(self):
         names = [p.name for p in semisimplicity(FIX_I6).failing_predicates]
         assert names == ["I4(5)", "J5(3,5)", "I6(5)", "J6(3,5)"]
+
+
+@st.composite
+def rational_sets(draw):
+    """Generic sets, rational reducible plans, and scan-style 5-sets that
+    hide a plan's values among fresh ones in random order."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    source = draw(st.sampled_from(("distinct", "reducible", "scan")))
+    if source == "distinct":
+        return distinct_nonzero(rng, draw(st.integers(2, 5)))
+    family = draw(st.sampled_from([f for f in REDUCIBLE_FAMILIES if f != "J4"]))
+    vals = reducible_plan(rng, family)["values"]
+    if source == "scan":
+        while len(vals) < 5:
+            v = rand_fraction(rng)
+            if v not in vals:
+                vals.append(v)
+        rng.shuffle(vals)
+    return vals
+
+
+class TestIntegerRoute:
+    # over a degree-1 context semisimplicity decides on X scaled to integers
+    @settings(max_examples=200, deadline=None)
+    @given(vals=rational_sets(), ctx=st.sampled_from([Q, FieldContext([5, 1])]),
+           lam=st.fractions(-40, 40, max_denominator=1000003).filter(bool))
+    @example(vals=[Fraction(1, 2), Fraction(-3, 4), 3, Fraction(9, 2), Fraction(-1, 3)],
+             ctx=Q, lam=Fraction(-7, 1000003))
+    def test_scaled_integers_match_field_elements(self, vals, ctx, lam):
+        X = ParameterSet.from_rationals(ctx, vals)
+        failing = semisimplicity(X).failing_predicates
+        reference = [p for p in analysis._all_predicates(tuple(X)) if p.is_zero]
+        assert [p.name for p in failing] == [p.name for p in reference]
+        assert list(failing) == reference
+        assert all(isinstance(p.value, FieldElement) and p.value == ctx.zero()
+                   for p in failing)
+        scaled = ParameterSet.from_rationals(ctx, [lam * v for v in vals])
+        assert [p.name for p in semisimplicity(scaled).failing_predicates] == \
+            [p.name for p in failing]
 
 
 class TestCensus:
