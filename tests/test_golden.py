@@ -104,6 +104,16 @@ CALLS = [
     # J4's norm u^2 + uv + v^2 (u, v the two pair products) has no rational
     # zero; it vanishes only where u/v is a cube root of unity
     ["semisimple", "--context", "t^2+t+1", "--params", '["1/2","-2/3","3/4","[0,-4/9]"]'],
+    ["verify", "--context", "t^4+t^3+t^2+t+1", "--params", '[1, 2, "-3/2", 5, "7/3"]',
+     "--dim", "6", "--variant", "3"],
+    ["verify", "--context", "t^2-24", "--params", '["[1,1]", 2, "-1/3"]'],
+    ["verify", "--context", "t^2-24", "--params", '["[0,1]", 2, 3, "-1/2", 5]',
+     "--dim", "6", "--variant", "1"],
+    ["verify", "--context", "t^2-24", "--params", '["2/3"]'],
+    ["verify", "--context", "t^2-1", "--params", '["[2,1]", 5, -3]'],
+    ["verify", "--context", "t^2-1", "--params", '["[3,1]", 5, -7, "1/2", 11]',
+     "--dim", "6", "--variant", "1"],
+    ["verify", "--context", "t^2-1", "--params", '["[2,1]", 3, "-1/2"]'],
 ]
 
 
