@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from math import prod
 from multiprocessing import Pool
 
 from .analysis import (
@@ -37,7 +38,6 @@ from .reps import (
     ParameterSet,
     RepSpec,
     build_rep,
-    elementary_symmetric,
 )
 from .serialize import (
     canonical_dumps,
@@ -147,7 +147,7 @@ def _roots(job, ctx, X, key: str) -> list:
         except ValueError as exc:
             raise InputError(f"bad {key}: {exc}")
     order, name, word = _ROOTS[key]
-    target = elementary_symmetric(X.values, len(X))
+    target = prod(X.values)
     roots = element_kth_roots(target, order)
     if not roots:
         raise InputError(

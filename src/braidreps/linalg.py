@@ -9,11 +9,13 @@ row against pivot-normalised rows and keeps it if it stays nonzero.
 Pivoting always takes the first nonzero entry; there are no magnitude
 heuristics because the arithmetic is exact.  Every pivot is inverted, so
 over a reducible modulus a zero-divisor pivot raises NotInvertible.
+Characteristic polynomials come from power sums by Newton's identities.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from typing import Sequence
 
 from .field import ContextMismatch, FieldContext, FieldElement, _power
@@ -185,20 +187,6 @@ class Matrix:
             return Matrix.identity(self.context, self.rows)
         return _power(base, n, operator.matmul)
 
-    def is_scalar(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        d = self.entries[0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i * self.cols + j]
-                if i == j:
-                    if e != d:
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -278,24 +266,28 @@ def rank(m: Matrix) -> int:
 
 
 def charpoly(m: Matrix) -> Polynomial:
-    """Characteristic polynomial det(L*I - M) by Faddeev-LeVerrier.
-
-    The recurrence only divides by the small integers 1..n, so it stays
-    exact and cheap in any characteristic-zero coefficient field.
-    """
+    """det(L*I - M) from the traces of M, ..., M^n (n - 1 products)."""
     if m.rows != m.cols:
         raise NotSquare("charpoly of a non-square matrix")
-    n = m.rows
-    ctx = m.context
-    coeffs_desc = [ctx.one()]
-    acc = Matrix.identity(ctx, n)
-    for k in range(1, n + 1):
-        mn = m @ acc
-        ck = -(mn.trace() / ctx.from_rational(k))
-        coeffs_desc.append(ck)
-        if k < n:
-            acc = mn + Matrix.identity(ctx, n).scale(ck)
-    return Polynomial(ctx, tuple(reversed(coeffs_desc)))
+    powers = [m]
+    while len(powers) < m.rows:
+        powers.append(powers[-1] @ m)
+    return _charpoly_from_power_sums(m.context, [p.trace() for p in powers[: m.rows]])
+
+
+def _charpoly_from_power_sums(
+    ctx: FieldContext, sums: Sequence[FieldElement]
+) -> Polynomial:
+    """The monic polynomial whose roots have the power sums p_1, ..., p_n.
+
+    Newton's identities for the coefficient c_k of L^(n-k) read
+    c_k = -(c_(k-1) p_1 + ... + c_0 p_k) / k: no signs, divisions by 1..n.
+    """
+    coeffs = [ctx.one()]
+    for k in range(1, len(sums) + 1):
+        acc = sum((c * p for c, p in zip(reversed(coeffs), sums)), start=ctx.zero())
+        coeffs.append(acc * Fraction(-1, k))
+    return Polynomial(ctx, tuple(reversed(coeffs)))
 
 
 def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:

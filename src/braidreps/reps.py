@@ -167,7 +167,7 @@ class RepSpec:
                 raise BadSpec("dimension 4 needs exactly 4 eigenvalues")
             if self.h is None:
                 raise MissingRoot("dimension 4 needs h with h^2 = e4(X)")
-            e4 = elementary_symmetric(self.params.values, n)
+            e4 = prod(self.params.values)
             if self.h * self.h != e4:
                 raise BadSpec("h^2 does not equal e4(X)")
         elif self.dim == 5:
@@ -175,7 +175,7 @@ class RepSpec:
                 raise BadSpec("dimension 5 needs exactly 5 eigenvalues")
             if self.f is None:
                 raise MissingRoot("dimension 5 needs f with f^5 = e5(X)")
-            if self.f**5 != elementary_symmetric(self.params.values, n):
+            if self.f**5 != prod(self.params.values):
                 raise BadSpec("f^5 does not equal e5(X)")
         elif self.dim == 6:
             if n != 5:
@@ -274,7 +274,7 @@ def _build_dim3(values):
 
 def _build_dim4(values, h):
     ctx = values[0].context
-    e4 = elementary_symmetric(values, 4)
+    e4 = prod(values)
     alphas = []
     betas = []
     for i in range(4):
@@ -403,7 +403,7 @@ def _d6_z(x) -> FieldElement:
     trio = (x[2], x[3], x[4])
     e1 = elementary_symmetric(trio, 1)
     e2 = elementary_symmetric(trio, 2)
-    e3 = elementary_symmetric(trio, 3)
+    e3 = prod(trio)
     first = (e1 * e3 - x[1] ** 2 * e2) * (x[1] * e1 * e3 - e2 * x[5] ** 3) * x[1] * x[5]
     second = e3 * (x[1] - x[5]) * (
         x[1] ** 2 * (e1 - x[1]) * (e3 * (x[1] - x[5]) - e1 * x[5] ** 3)
@@ -579,7 +579,7 @@ def enumerate_irreps(
         if size <= 3:
             reps.append(build_rep(RepSpec(dim=size, params=sub, subset=label)))
         elif size == 4:
-            e4 = elementary_symmetric(sub.values, size)
+            e4 = prod(sub.values)
             roots = element_kth_roots(e4, 2)
             for h in roots:
                 reps.append(build_rep(RepSpec(dim=4, params=sub, h=h, subset=label)))
@@ -587,7 +587,7 @@ def enumerate_irreps(
                 mod = Polynomial.from_coeffs(ctx, [-e4, ctx.zero(), ctx.one()])
                 deferred.append(DeferredRoot(label, 4, 2, e4, 2, mod))
         else:
-            e5 = elementary_symmetric(sub.values, size)
+            e5 = prod(sub.values)
             roots = element_kth_roots(e5, 5)
             for f in roots:
                 reps.append(build_rep(RepSpec(dim=5, params=sub, f=f, subset=label)))

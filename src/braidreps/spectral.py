@@ -7,8 +7,10 @@ the determinant identity (prod x_i^{m_i})^6 = C^d all have closed forms in
 the eigenvalues and the auxiliary root.  Everything here is compared
 exactly; a mismatch means a broken construction, not numerical noise.
 
-:func:`spectral_report` checks all of them from one computation of A, A^2
-and B against one table of closed forms per dimension.
+:func:`spectral_report` checks all of them from five products against one
+table of closed forms per dimension: once A^3 = B^2 = CI holds, d, C and the
+three traces give every power sum, so both characteristic polynomials come
+from the relations by Newton's identities.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -17,11 +19,12 @@ as a polynomial in the eigenvalues, h or f, so no branch choices arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .field import FieldElement
-from .linalg import Matrix, charpoly
+from .linalg import Matrix, _charpoly_from_power_sums
 from .poly import Polynomial
-from .reps import RepSpec, Representation, BadSpec, elementary_symmetric
+from .reps import RepSpec, Representation, BadSpec
 
 __all__ = [
     "NotScalar",
@@ -77,11 +80,11 @@ def _closed_forms(spec: RepSpec):
         x = values[0]
         return x**6, (x**2, x**4, x**3), (poly(-(x**2), one), poly(-(x**3), one))
     if d == 2:
-        e2 = elementary_symmetric(values, 2)
+        e2 = prod(values)
         chi_a, chi_b = poly(e2**2, -e2, one), poly(e2**3, zero, one)
         return -(e2**3), (e2, -(e2**2), zero), (chi_a, chi_b)
     if d == 3:
-        e3 = elementary_symmetric(values, 3)
+        e3 = prod(values)
         chi_a = poly(-(e3**2), zero, zero, one)
         chi_b = poly(-e3, one) * poly(e3, one) ** 2
         return e3**2, (zero, zero, -e3), (chi_a, chi_b)
@@ -90,14 +93,14 @@ def _closed_forms(spec: RepSpec):
         chi_a = poly(-h, one) ** 2 * poly(h**2, h, one)
         chi_b = poly(-(h**3), zero, one) ** 2
         # tr A = C/e4 = h^3/h^2
-        return h**3, (h, elementary_symmetric(values, 4), zero), (chi_a, chi_b)
+        return h**3, (h, prod(values), zero), (chi_a, chi_b)
     if d == 5:
         f = spec.f
         chi_a = poly(-(f**2), one) * poly(f**4, f**2, one) ** 2
         chi_b = poly(-(f**3), one) ** 3 * poly(f**3, one) ** 2
         return f**6, (-(f**2), -(f**4), f**3), (chi_a, chi_b)
     if d == 6:
-        xie5 = values[spec.variant - 1] * elementary_symmetric(values, 5)
+        xie5 = values[spec.variant - 1] * prod(values)
         chi_a = poly(xie5, zero, zero, one) ** 2
         chi_b = poly(xie5, zero, one) ** 3
         return -xie5, (zero, zero, zero), (chi_a, chi_b)
@@ -110,22 +113,26 @@ def spectral_report(rep: Representation) -> SpectralReport:
     Raises :class:`NotScalar` when (g1 g2)^3 is not scalar or (g1 g2 g1)^2
     differs from it, both of which indicate a broken construction.
     """
+    ctx, d = rep.context, rep.dim
     A = rep.g1 @ rep.g2
     A2 = A @ A
     B = A @ rep.g1
     A3 = A2 @ A
-    if not A3.is_scalar():
-        raise NotScalar("(g1 g2)^3 is not scalar")
     c = A3[0, 0]
-    if B @ B != Matrix.identity(rep.context, rep.dim).scale(c):
+    cI = Matrix.identity(ctx, d).scale(c)
+    if A3 != cI:
+        raise NotScalar("(g1 g2)^3 is not scalar")
+    if B @ B != cI:
         raise NotScalar("(g1 g2 g1)^2 differs from (g1 g2)^3")
     c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec)
     tr_a, tr_a2, tr_b = A.trace(), A2.trace(), B.trace()
-    chi_a, chi_b = charpoly(A), charpoly(B)
-    det = rep.context.one()
-    for x, m in zip(rep.values, rep.multiplicities):
-        det = det * x**m
-    det_ok = det**6 == c**rep.dim
+    # A^3 = B^2 = cI: tr A^k = c^(k//3) tr A^(k%3) and tr B^k = c^(k//2) tr B^(k%2)
+    ks, tr_i = range(1, d + 1), ctx.from_rational(d)
+    sums_a = [c ** (k // 3) * (tr_i, tr_a, tr_a2)[k % 3] for k in ks]
+    sums_b = [c ** (k // 2) * (tr_i, tr_b)[k % 2] for k in ks]
+    chi_a, chi_b = (_charpoly_from_power_sums(ctx, s) for s in (sums_a, sums_b))
+    det = prod((x**m for x, m in zip(rep.values, rep.multiplicities)), start=ctx.one())
+    det_ok = det**6 == c**d
     checks = (
         ("central_matches_closed_form", c == c_exp),
         ("trace_A", tr_a == e_tr_a),

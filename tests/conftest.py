@@ -31,6 +31,7 @@ from braidreps import (
     RepSpec,
     build_rep,
     determinant,
+    rationals,
 )
 
 SWEEP_SEED = 20260814
@@ -239,6 +240,15 @@ def gen_set_dim6(rng, variant):
         vals = distinct_nonzero(rng, 5)
         if _level6_ok(vals):
             return {"dim": 6, "values": vals, "variant": variant}
+
+
+def plan_rep(plan: dict):
+    """Build the representation a sweep or reducible plan describes."""
+    ctx = plan.get("context", rationals())
+    roots = {k: ctx.one() * plan[k] for k in ("h", "f") if k in plan}
+    return build_rep(RepSpec(dim=plan["dim"],
+                             params=ParameterSet.from_rationals(ctx, plan["values"]),
+                             variant=plan.get("variant"), **roots))
 
 
 def sweep_plans(per_class: int, seed: int = SWEEP_SEED):

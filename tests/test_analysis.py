@@ -55,6 +55,7 @@ from conftest import (
     REDUCIBLE_FAMILIES,
     SWEEP_SEED,
     distinct_nonzero,
+    plan_rep,
     rand_fraction,
     reducible_plan,
     sweep_plans,
@@ -458,7 +459,7 @@ class TestModularCertificate:
         rng = random.Random(SWEEP_SEED)
         plans = sweep_plans(10)
         plans += [reducible_plan(rng, f) for f in REDUCIBLE_FAMILIES for _ in range(10)]
-        for rep in [_plan_rep(plan) for plan in plans] + _fixture_reps():
+        for rep in [plan_rep(plan) for plan in plans] + _fixture_reps():
             dim, _ = algebra_closure_dim([rep.g1, rep.g2])
             for same in (rep, _conjugate_by_p(rep)):
                 assert irreducible_oracle(same) == (dim == rep.dim ** 2), rep.spec
@@ -575,21 +576,13 @@ class TestUnconstrainedPlaneLines:
         assert verify_witness(rep, witness) and decomposability_check(rep, witness)
 
 
-def _plan_rep(plan):
-    ctx = plan.get("context", Q)
-    roots = {k: ctx.one() * plan[k] for k in ("h", "f") if k in plan}
-    return build_rep(RepSpec(dim=plan["dim"],
-                             params=ParameterSet.from_rationals(ctx, plan["values"]),
-                             variant=plan.get("variant"), **roots))
-
-
 class TestReducibleSweep:
     @pytest.mark.parametrize("family", REDUCIBLE_FAMILIES)
     def test_vanishing_predicate_gives_verified_witness(self, family):
         rng = random.Random(SWEEP_SEED)
         for _ in range(10):
             plan = reducible_plan(rng, family)
-            rep = _plan_rep(plan)
+            rep = plan_rep(plan)
             _, deciding = rep_predicates(rep)
             assert any(p.is_zero and p.family == family for p in deciding), plan
             irreducible, w = irreducibility(rep)

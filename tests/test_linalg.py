@@ -41,6 +41,7 @@ def matmuls(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     return calls
 SQRT24 = FieldContext([-24, 0, 1])
+SPLIT = FieldContext([-1, 0, 1])  # t^2 - 1: Q x Q
 
 _small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -125,10 +126,6 @@ class TestMatrixBasics:
         b = _sparse_matrix(data, ctx, m, p)
         assert a @ b == _dense_product(a, b)
 
-    def test_is_scalar(self):
-        assert Matrix.identity(Q, 3).scale(Q.from_rational(7)).is_scalar()
-        assert not Matrix.from_rows(Q, [[1, 1], [0, 1]]).is_scalar()
-
 
 class TestDeterminant:
     def test_hand_value(self):
@@ -185,6 +182,37 @@ class TestCharMinPoly:
         m = Matrix.from_rows(Q, [[2, 1], [1, 2]])
         p = charpoly(m)
         assert [c.rational_value() for c in p.coeffs] == [3, -4, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_charpoly_agrees_with_determinant(self, data):
+        # det(L I - M) by elimination is the reference: two polynomials of
+        # degree n that agree at n + 1 points are equal
+        ctx = data.draw(st.sampled_from([Q, SQRT24, ZETA5]))
+        n = data.draw(st.integers(1, 6))
+        m = _sparse_matrix(data, ctx, n, n)
+        p = charpoly(m)
+        assert p.degree == n
+        for lam in data.draw(st.lists(_small, min_size=n + 1, max_size=n + 1,
+                                      unique=True)):
+            value = ctx.zero()
+            for c in reversed(p.coeffs):
+                value = value * lam + c
+            assert value == determinant(Matrix.identity(ctx, n).scale(lam) + m.scale(-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_charpoly_commutes_with_the_factors_of_a_reducible_modulus(self, data):
+        # Q[t]/(t^2 - 1) = Q x Q through t -> 1 and t -> -1; charpoly is a
+        # polynomial in the entries, so it maps to the charpoly of each image
+        n = data.draw(st.integers(1, 6))
+        m = _sparse_matrix(data, SPLIT, n, n)
+        p = charpoly(m)
+        for sign in (1, -1):
+            image = Matrix(Q, n, n, [Q.from_rational(e.coeffs[0] + sign * e.coeffs[1])
+                                     for e in m.entries])
+            assert [c.coeffs[0] + sign * c.coeffs[1] for c in p.coeffs] == \
+                [c.rational_value() for c in charpoly(image).coeffs]
 
     def test_trace_and_det_coefficients(self):
         m = Matrix.from_rows(Q, [[1, 2, 0], [0, 3, 1], [1, 0, 1]])

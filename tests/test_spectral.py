@@ -6,20 +6,28 @@ the closed-form factorizations with plain integer convolution before the
 library code existed; they are frozen here as regression anchors.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import braidreps.linalg as linalg
+import braidreps.spectral as spectral
 from braidreps import (
+    FieldContext,
     Matrix,
     NotScalar,
     ParameterSet,
     RepSpec,
     Representation,
     build_rep,
+    charpoly,
+    cyclotomic5_context,
+    parse_element,
     rationals,
     spectral_report,
 )
+from conftest import REDUCIBLE_FAMILIES, SWEEP_SEED, plan_rep, reducible_plan, sweep_plans
 
 Q = rationals()
 
@@ -76,7 +84,19 @@ class TestCentralValue:
             g2=Matrix.from_rows(Q, [[1, 1], [0, 2]]),
             multiplicities=good.multiplicities,
         )
-        with pytest.raises(NotScalar):
+        with pytest.raises(NotScalar, match=r"\(g1 g2\)\^3 is not scalar"):
+            spectral_report(broken)
+
+    def test_not_scalar_raised_when_only_b_squared_differs(self):
+        # g1 = I and g2 a 3-cycle: A^3 = g2^3 = I is scalar, B^2 = g2^2 is not
+        good = rep3()
+        broken = Representation(
+            spec=good.spec,
+            g1=Matrix.identity(Q, 3),
+            g2=Matrix.from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+            multiplicities=good.multiplicities,
+        )
+        with pytest.raises(NotScalar, match=r"\(g1 g2 g1\)\^2 differs from \(g1 g2\)\^3"):
             spectral_report(broken)
 
 
@@ -138,6 +158,68 @@ class TestCharpolys:
                     rep6(1), rep6(2), rep6(3), rep6(4), rep6(5)):
             report = spectral_report(rep)
             assert report.all_ok, report.checks
+
+
+SQRT24 = FieldContext([-24, 0, 1])
+SPLIT = FieldContext([-1, 0, 1])  # t^2 - 1: Q x Q
+
+
+def _built(ctx, params, dim=None, variant=None, **roots):
+    X = ParameterSet(tuple(parse_element(ctx, v) for v in params))
+    roots = {k: parse_element(ctx, v) for k, v in roots.items()}
+    return build_rep(RepSpec(dim=dim or len(X), params=X, variant=variant, **roots))
+
+
+def _agreement_reps():
+    """The sweep, the fixtures, the reducible plans and reps over extensions."""
+    rng = random.Random(SWEEP_SEED + 3)
+    reps = [plan_rep(plan) for plan in sweep_plans(3, seed=SWEEP_SEED + 3)]
+    reps += [plan_rep(reducible_plan(rng, f)) for f in REDUCIBLE_FAMILIES for _ in range(3)]
+    reps += [rep2(), rep3(), rep4(), rep4(-1), rep5(), *(rep6(v) for v in range(1, 6))]
+    zeta5 = cyclotomic5_context()
+    reps += [
+        _built(SQRT24, ["2/3"]),
+        _built(SQRT24, ["[1,1]", 2, "-1/3"]),
+        _built(SQRT24, [1, 2, 3, 4], h="[0,1]"),
+        _built(SQRT24, ["[0,1]", 2, 3, "-1/2", 5], dim=6, variant=1),
+        _built(zeta5, [1, 2, 3, 6], h=6),
+        _built(zeta5, [-4, 1, 2, 4, -1], f="[0,2]"),
+        _built(zeta5, [1, 2, "-3/2", 5, "7/3"], dim=6, variant=3),
+        _built(SPLIT, ["[2,1]", 5, -3]),
+        _built(SPLIT, ["[3,1]", 5, -7, "1/2", 11], dim=6, variant=1),
+        *(_built(SPLIT, ["-4", "3/2", "[0,3]", "-1", "1/2"], dim=6, variant=v)
+          for v in range(1, 6)),
+    ]
+    return reps
+
+
+class TestCharpolysFromRelations:
+    def test_match_charpoly_of_the_products(self):
+        for rep in _agreement_reps():
+            report = spectral_report(rep)
+            A = rep.g1 @ rep.g2
+            assert report.charpoly_A == charpoly(A), rep.spec
+            assert report.charpoly_B == charpoly(A @ rep.g1), rep.spec
+            assert report.all_ok, rep.spec
+
+    def test_five_products_and_no_charpoly(self, monkeypatch):
+        reps = [rep2(), rep3(), rep4(), rep5(), rep6(),
+                build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))]
+        calls, products = [], []
+        real = Matrix.__matmul__
+
+        def counting(a, b):
+            products.append((a.rows, b.cols))
+            return real(a, b)
+
+        monkeypatch.setattr(linalg, "charpoly", lambda m: calls.append(m))
+        monkeypatch.setattr(spectral, "charpoly", lambda m: calls.append(m), raising=False)
+        monkeypatch.setattr(Matrix, "__matmul__", counting)
+        for rep in reps:
+            products.clear()
+            assert spectral_report(rep).all_ok
+            assert len(products) == 5, rep.dim
+        assert calls == []
 
 
 class TestDeterminantConstraint:
