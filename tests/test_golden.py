@@ -114,6 +114,23 @@ CALLS = [
     ["verify", "--context", "t^2-1", "--params", '["[3,1]", 5, -7, "1/2", 11]',
      "--dim", "6", "--variant", "1"],
     ["verify", "--context", "t^2-1", "--params", '["[2,1]", 3, "-1/2"]'],
+    # irreducible reps with irrational entries, and sets over t^2-1 whose two
+    # factors differ: the search decides, the closure decides, or no verdict
+    ["irred", "--context", "t^2-24", "--params",
+     '["[0, -9/2]", "[0, -7]", "[0, -4/3]", "[0, -9]", "[0, -2]"]', "--dim", "6",
+     "--variant", "1"],
+    ["irred", "--context", "t^2-24", "--params",
+     '["[0, -7]", "[0, 1/3]", "[0, 1]", "[0, -5]", "[0, 32/2835]"]', "--f=[0, 2/3]"],
+    ["irred", "--context", "t^4+t^3+t^2+t+1", "--params",
+     '["[0, -6, 0, 0]", "[0, 5/2, 0, 0]", "[0, 8, 0, 0]", "[0, 4, 0, 0]", '
+     '"[0, -16807/480, 0, 0]"]', "--f=[0, 7, 0, 0]"],
+    ["irred", "--context", "t^3-2", "--params",
+     '["[0, -6, 0]", "[0, 1, 0]", "[0, 5, 0]", "[0, -27/40, 0]"]', "--h=[0, 0, 9/2]"],
+    ["irred", "--context", "t^2-1", "--params", '["[9/2, 3/2]", "[31/12, -1/12]", "[5/2, 1/2]"]'],
+    ["irred", "--context", "t^2-1", "--params", '["[-1/2, -7/2]", "[-7/3, -8/3]", "[1, 3]"]'],
+    ["irred", "--context", "t^2-1", "--params",
+     '["[-13/2, 1/2]", "[-17/6, 19/6]", "[8, -1]", "[-4559/216, 5045/216]", "[-3, -2]"]',
+     "--dim", "6", "--variant", "1"],
 ]
 
 
