@@ -7,10 +7,10 @@ the full d*d matrix algebra.  The oracle decides in two steps:
 
 1. the witness search: an exactly verified proper invariant subspace means
    reducible;
-2. no witness: for a rep with rational entries and g1 laid out as
-   ``build_rep`` makes it, the search is complete, so irreducible;
-   otherwise (an irrational entry, another layout of g1, a zero divisor
-   met by the search) the exact closure over the context decides.
+2. no witness: for g1 laid out as ``build_rep`` makes it, and every value
+   the search relied on being nonzero a unit (always so over a field), the
+   search is complete, so irreducible; otherwise (another layout of g1, a
+   zero divisor of a reducible modulus) the exact closure decides.
 
 Quantified predicates ("for every root h of t^2 = e4 ...") are decided
 root-free through their closed-form norms over all roots, so no field
@@ -272,7 +272,8 @@ def irreducibility(rep: Representation) -> tuple[bool, Witness | None]:
 
     Returns (False, w) when the witness search finds the verified invariant
     subspace w, (True, None) when it finds none and is complete, and
-    otherwise the verdict of the exact closure with no witness.
+    otherwise (a layout the search does not cover, or a zero divisor) the
+    verdict of the exact closure with no witness.
     """
     try:
         witness = invariant_subspace_witness(rep)
@@ -290,8 +291,8 @@ def irreducible_oracle(rep: Representation) -> bool:
     """True iff g1 and g2 generate the full matrix algebra (Burnside).
 
     A verified witness means not full, the verdict the exact closure would
-    give.  No witness means full when :func:`_search_is_complete` holds;
-    otherwise the exact closure decides.
+    give.  No witness means full when :func:`_search_is_complete` holds, in
+    any context; otherwise the exact closure decides.
     """
     return irreducibility(rep)[0]
 
@@ -299,27 +300,39 @@ def irreducible_oracle(rep: Representation) -> bool:
 def _search_is_complete(rep: Representation) -> bool:
     """Does a fruitless witness search prove that rep is irreducible?
 
-    Yes when every entry is rational (a reducible modulus cannot split the
-    zero pattern) and g1 is diagonal with its n simple eigenvalues first
-    and the doubled one, if any, last.  A g1-invariant subspace W is then
-    the sum of its parts in the g1 eigenspaces: a coordinate subspace for
-    d <= 5, and for d = 6 simple coordinates S plus nothing, a line L or
-    the plane.  All but S + L are candidates; so is S + L when a linear
-    condition of :func:`_line_candidates` is nonzero (L is then unique and
-    rational); when all vanish and S + L is invariant, so is S or, for
+    Yes when g1 is diagonal with its n simple eigenvalues first and the
+    doubled one, if any, last.  A g1-invariant subspace W is then the sum
+    of its parts in the g1 eigenspaces: a coordinate subspace for d <= 5,
+    and for d = 6 simple coordinates S plus nothing, a line L or the plane.
+    All but S + L are candidates; so is S + L when a linear condition of
+    :func:`_line_conditions` is nonzero (L is then unique and defined over
+    the context); when all vanish and S + L is invariant, so is S or, for
     empty S, the plane.  So no invariant candidate means no invariant
     subspace over the algebraic closure: the algebra is full (Burnside).
+
+    Over a reducible modulus the search must decide alike on every factor
+    (D5: Della Dora, Dicrescenzo, Duval, 1985): the product of the nonzero
+    entries of g2, eigenvalue differences and, for d = 6, minors and
+    residuals of the line conditions must be a unit, else NotInvertible.
     """
     d, n = rep.dim, rep.multiplicities.count(1)
-    g1 = rep.g1
+    g1, g2 = rep.g1, rep.g2
     diag = [g1[i, i] for i in range(d)]
-    return (
+    if not (
         (n == d or _has_plane(rep))
-        and all(e.is_rational() for g in (g1, rep.g2) for e in g.entries)
         and g1 == Matrix.diagonal(rep.context, diag)
         and len(set(diag)) == n + (n < d)
         and len(set(diag[n:])) <= 1
-    )
+    ):
+        return False
+    if rep.context.degree > 1:
+        values = list(g2.entries) + [x - y for x, y in combinations(set(diag), 2)]
+        if _has_plane(rep):
+            conds = [c for half in _line_conditions(g2) for c in half]
+            values += [p0 * q1 - p1 * q0 for (p0, q0), (p1, q1) in combinations(conds, 2)]
+            values += [_residual(g2, p, q) for p, q in conds]
+        prod((v for v in values if v), start=rep.context.one()).inverse()
+    return True
 
 
 @dataclass(frozen=True)
@@ -385,24 +398,35 @@ def _plane_block(g2: Matrix):
     return g2[4, 4], g2[4, 5], g2[5, 4], g2[5, 5]
 
 
+def _residual(g2: Matrix, p, q):
+    """Zero iff the line (-q, p) is an eigenvector of the plane block."""
+    a, b, c, d = _plane_block(g2)
+    alpha, beta = -q, p
+    return -c * alpha**2 + (a - d) * alpha * beta + b * beta**2
+
+
+def _line_conditions(g2: Matrix):
+    """(cols, rows) of conditions (p, q), p alpha + q beta = 0, on a plane line.
+
+    cols[j], for j in S: column j's plane part is proportional to the line.
+    rows[i], for simple i outside S: the line's image has no part on i.
+    """
+    return [(-g2[5, j], g2[4, j]) for j in range(4)], [(g2[i, 4], g2[i, 5]) for i in range(4)]
+
+
 def _line_candidates(rep: Representation, S: tuple[int, ...]):
     """Lines (alpha, beta) in the plane that can extend coordinate set S.
 
-    Linear conditions: columns of S must fall back into span(S) + line, and
-    the line's image must have no component on coordinates outside S.  The
-    surviving (alpha, beta) must then be an eigenvector of the plane block,
-    a quadratic condition solved over the field; when its discriminant has
-    no square root here the line simply does not exist over this field.
+    The conditions of :func:`_line_conditions` that S imposes leave at most
+    one line unless all vanish.  The surviving (alpha, beta) must then be
+    an eigenvector of the plane block, a quadratic condition solved over the
+    field; when its discriminant has no square root here the line simply
+    does not exist over this field.
     """
     ctx = rep.context
     g2 = rep.g2
-    conds = []
-    for j in S:
-        # plane component of column j must be proportional to the line
-        conds.append((-g2[5, j], g2[4, j]))
-    for i in range(4):
-        if i not in S:
-            conds.append((g2[i, 4], g2[i, 5]))
+    cols, rows = _line_conditions(g2)
+    conds = [cols[j] for j in S] + [rows[i] for i in range(4) if i not in S]
     conds = [c for c in conds if not (c[0].is_zero() and c[1].is_zero())]
 
     a, b, c, d = _plane_block(g2)
@@ -413,10 +437,7 @@ def _line_candidates(rep: Representation, S: tuple[int, ...]):
             if a0 * b1 != a1 * b0:
                 return []
         # the one line left must be an eigenvector of the plane block
-        alpha, beta = -b0, a0
-        if not (-c * alpha**2 + (a - d) * alpha * beta + b * beta**2).is_zero():
-            return []
-        return [(alpha, beta)]
+        return [(-b0, a0)] if _residual(g2, a0, b0).is_zero() else []
     # unconstrained: the eigenvectors, from the quadratic directly
     if c.is_zero():
         lines = [(ctx.one(), ctx.zero())]
@@ -574,14 +595,14 @@ class CensusEntry:
     class_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CensusReport:
-    entries: tuple[CensusEntry, ...]
-    deferred: tuple[DeferredRoot, ...]
-    sum_of_squares: int | None
+    entries: tuple[CensusEntry, ...] = ()
+    deferred: tuple[DeferredRoot, ...] = ()
+    sum_of_squares: int | None = None
     algebra_dim: int
     semisimple_verdict: bool
-    failing_predicates: tuple[PredicateValue, ...]
+    failing_predicates: tuple[PredicateValue, ...] = ()
     mode: str | None = None
 
 
@@ -640,15 +661,8 @@ def semisimplicity(X: ParameterSet) -> CensusReport:
         preds = _all_predicates(tuple(X))
         failing = tuple(p for p in preds if p.is_zero)
         _require_units([p for p in preds if not p.is_zero], ctx)
-    return CensusReport(
-        entries=(),
-        deferred=(),
-        sum_of_squares=None,
-        algebra_dim=ALGEBRA_DIMS[len(X)],
-        semisimple_verdict=not failing,
-        failing_predicates=failing,
-        mode=None,
-    )
+    return CensusReport(algebra_dim=ALGEBRA_DIMS[len(X)], semisimple_verdict=not failing,
+                        failing_predicates=failing)
 
 
 def _combinatorial_count(n: int) -> int:
@@ -693,15 +707,8 @@ def dimension_census(
     if mode == "combinatorial":
         total = _combinatorial_count(n)
         _check_sum_of_squares(total, algebra_dim)
-        return CensusReport(
-            entries=(),
-            deferred=(),
-            sum_of_squares=total,
-            algebra_dim=algebra_dim,
-            semisimple_verdict=True,
-            failing_predicates=(),
-            mode="combinatorial",
-        )
+        return CensusReport(sum_of_squares=total, algebra_dim=algebra_dim,
+                            semisimple_verdict=True, mode="combinatorial")
     enum = enumerate_irreps(X, context)
     probes = [tuple(character(r, DEFAULT_PROBE_WORDS)) for r in enum.reps]
     class_reps: list[int] = []
@@ -729,6 +736,5 @@ def dimension_census(
         sum_of_squares=total,
         algebra_dim=algebra_dim,
         semisimple_verdict=True,
-        failing_predicates=(),
         mode="constructive",
     )

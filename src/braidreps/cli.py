@@ -334,7 +334,6 @@ def _cmd_scan(args):
             points = [_scan_point(t) for t in tasks]
     except (ValueError, BadSpec) as exc:
         raise InputError(f"bad grid point: {exc}")
-    points.sort(key=lambda p: p["index"])
     return 0, {
         "command": "scan",
         "context": encode_context(ctx),

@@ -55,6 +55,10 @@ from conftest import (
     REDUCIBLE_FAMILIES,
     SWEEP_SEED,
     distinct_nonzero,
+    gen_set_dim3,
+    gen_set_dim4,
+    gen_set_dim5,
+    gen_set_dim6,
     plan_rep,
     rand_fraction,
     reducible_plan,
@@ -367,6 +371,29 @@ def _conjugate_by_p(rep):
                           multiplicities=rep.multiplicities)
 
 
+Z5 = cyclotomic5_context()
+T2M1 = FieldContext([-1, 0, 1])  # t^2 - 1: Q x Q through t -> 1 and t -> -1
+
+
+def _fractions(text):
+    return [Fraction(v) for v in text.split()]
+
+
+def _scaled(plan, ctx, lam):
+    """The plan's set times lam over ctx: the same verdict, irrational entries."""
+    roots = {k: lam ** {"h": 2, "f": 1}[k] * plan[k] for k in ("h", "f") if k in plan}
+    return {**plan, **roots, "context": ctx, "values": [lam * v for v in plan["values"]]}
+
+
+def _split(one, minus_one):
+    """The plan over t^2 - 1 whose images at t = 1 and t = -1 are the two plans."""
+    def crt(x, y):
+        return T2M1.element([(x + y) / 2, (x - y) / 2])
+    roots = {k: crt(one[k], minus_one[k]) for k in ("h", "f") if k in one}
+    return {**one, **roots, "context": T2M1,
+            "values": [crt(x, y) for x, y in zip(one["values"], minus_one["values"])]}
+
+
 @pytest.fixture
 def exact_calls(monkeypatch):
     """Records each call the oracle makes to the exact closure."""
@@ -396,12 +423,12 @@ class TestModularCertificate:
         assert irreducibility(red)[1] is not None
         assert exact_calls == []
 
-    def test_irrational_root_takes_exact_path(self, exact_calls):
+    def test_irrational_root_skips_the_exact_closure(self, exact_calls):
         ctx = FieldContext([-24, 0, 1])
         X = ParameterSet.from_rationals(ctx, [1, 2, 3, 4])
         rep = build_rep(RepSpec(dim=4, params=X, h=ctx.generator()))
         assert irreducible_oracle(rep)
-        assert len(exact_calls) == 1
+        assert exact_calls == []
 
     def test_fixture_verdicts_carry_the_witness(self, exact_calls):
         for rep in _fixture_reps():
@@ -465,6 +492,73 @@ class TestModularCertificate:
                 assert irreducible_oracle(same) == (dim == rep.dim ** 2), rep.spec
         # built reps and their diagonal conjugates satisfy the guard
         assert exact_calls == []
+
+    def test_oracle_agrees_with_exact_closure_beyond_q(self, exact_calls):
+        # over a field every nonzero value is a unit: the search decides alone
+        rng = random.Random(SWEEP_SEED)
+        rational = [p for p in sweep_plans(1) if p["dim"] > 1]
+        rational += [reducible_plan(rng, f) for f in REDUCIBLE_FAMILIES if f != "J4"]
+        root24, cubic = FieldContext([-24, 0, 1]), FieldContext([-2, 0, 0, 1])
+        plans = [_scaled(p, root24, root24.generator()) for p in rational]
+        plans += [_scaled(p, cubic, cubic.generator()) for p in rational]
+        # f = zeta^k f0 for k = 1..4 are Galois conjugates: two of them suffice
+        plans += [{**p, "context": Z5, "f": Z5.generator() ** k * p["f"]}
+                  for p in rational if p["dim"] == 5 for k in (1, 2)]
+        for plan in plans:
+            rep = plan_rep(plan)
+            dim, _ = algebra_closure_dim([rep.g1, rep.g2])
+            assert irreducible_oracle(rep) == (dim == rep.dim ** 2), rep.spec
+        assert exact_calls == []
+
+    def test_split_factors_agree_with_both_images(self, exact_calls):
+        # a set over t^2 - 1 is two rational sets, its images at t = 1 and
+        # t = -1: an answer must be the verdict of both
+        rng = random.Random(SWEEP_SEED)
+        generic = {3: gen_set_dim3, 4: gen_set_dim4, 5: gen_set_dim5, 6: gen_set_dim6}
+        pairs = []
+        for family in ("I3", "I4", "J5", "I6", "J6", "K6") * 2:
+            red = reducible_plan(rng, family)
+            # both factors of a dimension-6 set share its variant
+            variant = (red["variant"],) if red["dim"] == 6 else ()
+            gen, gen2 = (generic[red["dim"]](rng, *variant) for _ in range(2))
+            pairs += [(red, gen), (gen, red), (gen, gen2), (red, _scaled(red, Q, 2))]
+        # golden calls: the certificate fails and the closure answers; the
+        # closure meets a zero divisor and the search answers; the line
+        # values fail the certificate and the closure meets a zero divisor
+        d3, d6 = {"dim": 3}, {"dim": 6, "variant": 1}
+        pairs += [({**d3, "values": _fractions("-4 -5 4")},
+                   {**d3, "values": _fractions("3 1/3 -2")}),
+                  ({**d6, "values": _fractions("-2 7/4 -5 1 2")},
+                   {**d6, "values": _fractions("-3 9/4 243/32 3/2 -1/3")}),
+                  ({**d6, "values": _fractions("-6 1/3 7 9/4 -5")},
+                   {**d6, "values": _fractions("-7 -6 9 -2401/54 -1")})]
+        verdicts = []
+        for one, minus_one in pairs:
+            rep = plan_rep(_split(one, minus_one))
+            images = [irreducible_oracle(plan_rep(p)) for p in (one, minus_one)]
+            exact_calls.clear()
+            try:
+                verdict = irreducible_oracle(rep)
+            except NotInvertible:
+                verdicts.append(None)
+                continue
+            assert images == [verdict, verdict], rep.spec
+            verdicts.append((verdict, len(exact_calls)))
+        assert verdicts[-3:] == [(True, 1), (True, 0), None]
+        assert {True, False} <= {v[0] for v in verdicts if v}
+
+    def test_eigenvalues_equal_on_one_factor_take_the_closure(self, exact_calls):
+        # g1 = diag(1, t) over t^2 - 1 is the identity at t = 1, where the
+        # line (1, 1) is invariant; at t = -1 the rep is irreducible
+        one, t = T2M1.one(), T2M1.generator()
+        rep = Representation(spec=RepSpec(dim=2, params=ParameterSet((one, t))),
+                             g1=Matrix.diagonal(T2M1, [one, t]),
+                             g2=Matrix.from_rows(T2M1, [[1, 1], [1, 1]]),
+                             multiplicities=(1, 1))
+        assert invariant_subspace_witness(rep) is None
+        with pytest.raises(NotInvertible):
+            irreducibility(rep)
+        assert len(exact_calls) == 1
 
     def test_exact_closure_decides_when_the_guard_fails(self, exact_calls):
         # after s1 <-> s2, g1 is not diagonal

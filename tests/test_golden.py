@@ -131,6 +131,11 @@ CALLS = [
     ["irred", "--context", "t^2-1", "--params",
      '["[-13/2, 1/2]", "[-17/6, 19/6]", "[8, -1]", "[-4559/216, 5045/216]", "[-3, -2]"]',
      "--dim", "6", "--variant", "1"],
+    # exited 2 before the unit certificate (the closure met a zero divisor);
+    # the search answers, as do both images at t = 1 and t = -1
+    ["irred", "--context", "t^2-1", "--params",
+     '["[-5/2, 1/2]", "[2, -1/4]", "[83/64, -403/64]", "[5/4, -1/4]", "[5/6, 7/6]"]',
+     "--dim", "6", "--variant", "1"],
 ]
 
 
