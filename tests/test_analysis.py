@@ -380,8 +380,8 @@ def _fractions(text):
 
 
 def _scaled(plan, ctx, lam):
-    """The plan's set times lam over ctx: the same verdict, irrational entries."""
-    roots = {k: lam ** {"h": 2, "f": 1}[k] * plan[k] for k in ("h", "f") if k in plan}
+    """The plan's set times lam over ctx (h times lam^2, f times lam): same verdict."""
+    roots = {k: lam ** e * plan[k] for k, e in (("h", 2), ("f", 1)) if k in plan}
     return {**plan, **roots, "context": ctx, "values": [lam * v for v in plan["values"]]}
 
 
