@@ -136,6 +136,18 @@ CALLS = [
     ["irred", "--context", "t^2-1", "--params",
      '["[-5/2, 1/2]", "[2, -1/4]", "[83/64, -403/64]", "[5/4, -1/4]", "[5/6, 7/6]"]',
      "--dim", "6", "--variant", "1"],
+    # verify over fields and over t^2-1, recorded while every call still ran
+    # the Krylov minpoly; the last set's det g1 = 3 (1 + t) is a zero divisor
+    ["verify", "--context", "t^2-24", "--params", '[2, 3, "1/2", 8]', "--h=[0,-1]"],
+    ["verify", "--context", "t^2-24", "--params", '["[1,1]", 2, -3, "1/2", "[0,2]"]',
+     "--dim", "6", "--variant", "5"],
+    ["verify", "--context", "t^4+t^3+t^2+t+1", "--params",
+     '["[0,0,2,0]", "[0,0,0,4]", 4, "-1/2", 2]', "--f=[0,-2,0,0]"],
+    ["verify", "--context", "t^4+t^3+t^2+t+1", "--params",
+     '["[0,1,0,0]", 2, "[1,1,0,0]", -3, "1/2"]', "--dim", "6", "--variant", "2"],
+    ["verify", "--context", "t^3-2", "--params", '["[0,1,0]", 2, "[1,0,1]"]'],
+    ["verify", "--context", "t^2-1", "--params", '["[3,1]", 5, "-7/2"]'],
+    ["verify", "--context", "t^2-1", "--params", '["[1,1]", 3]'],
 ]
 
 
