@@ -8,9 +8,9 @@ the full d*d matrix algebra.  The oracle decides in two steps:
 1. the witness search: an exactly verified proper invariant subspace means
    reducible;
 2. no witness: for g1 laid out as ``build_rep`` makes it, and every value
-   the search relied on being nonzero a unit (always so over a field), the
-   search is complete, so irreducible; otherwise (another layout of g1, a
-   zero divisor of a reducible modulus) the exact closure decides.
+   the search relied on being nonzero a unit (the D5 test that ``verify``
+   shares; always so over a field), the search is complete, so irreducible;
+   otherwise (another layout of g1, a zero divisor) the exact closure decides.
 
 Quantified predicates ("for every root h of t^2 = e4 ...") are decided
 root-free through their closed-form norms over all roots, so no field
@@ -310,10 +310,9 @@ def _search_is_complete(rep: Representation) -> bool:
     empty S, the plane.  So no invariant candidate means no invariant
     subspace over the algebraic closure: the algebra is full (Burnside).
 
-    Over a reducible modulus the search must decide alike on every factor
-    (D5: Della Dora, Dicrescenzo, Duval, 1985): the product of the nonzero
-    entries of g2, eigenvalue differences and, for d = 6, minors and
-    residuals of the line conditions must be a unit, else NotInvertible.
+    Over a larger modulus the nonzero entries of g2, the eigenvalue
+    differences and, for d = 6, the minors and residuals of the line
+    conditions must pass :func:`_unit_product`, else NotInvertible.
     """
     d, n = rep.dim, rep.multiplicities.count(1)
     g1, g2 = rep.g1, rep.g2
@@ -326,12 +325,23 @@ def _search_is_complete(rep: Representation) -> bool:
     ):
         return False
     if rep.context.degree > 1:
-        values = list(g2.entries) + [x - y for x, y in combinations(set(diag), 2)]
+        values = list(g2.entries)
         if _has_plane(rep):
             conds = [c for half in _line_conditions(g2) for c in half]
             values += [p0 * q1 - p1 * q0 for (p0, q0), (p1, q1) in combinations(conds, 2)]
             values += [_residual(g2, p, q) for p, q in conds]
-        prod((v for v in values if v), start=rep.context.one()).inverse()
+        _unit_product(rep.context, values, diag)
+    return True
+
+
+def _unit_product(ctx: FieldContext, values, differences_of=()) -> bool:
+    """True; NotInvertible unless the nonzero values and the pairwise
+    differences of the distinct ``differences_of`` multiply to a unit (the D5
+    test: Della Dora, Dicrescenzo, Duval, 1985).  Then each factor is a unit,
+    so a computation that needed them nonzero decides alike on every factor
+    of a reducible modulus.  ``verify``, the search and semisimplicity share it."""
+    diffs = [x - y for x, y in combinations(set(differences_of), 2)]
+    prod((v for v in [*values, *diffs] if v), start=ctx.one()).inverse()
     return True
 
 
@@ -622,7 +632,7 @@ def _all_predicates(vals: tuple) -> list[PredicateValue]:
 
 def _require_units(preds: list[PredicateValue], ctx: FieldContext) -> None:
     try:
-        prod((p.value for p in preds), start=ctx.one()).inverse()
+        _unit_product(ctx, [p.value for p in preds])
     except NotInvertible:
         for p in preds:
             try:

@@ -22,6 +22,7 @@ from multiprocessing import Pool
 
 from .analysis import (
     CensusMismatch,
+    _unit_product,
     dimension_census,
     irreducibility,
     rep_predicates,
@@ -196,10 +197,13 @@ def _cmd_build(args):
 
 def _cmd_verify(args):
     ctx, rep = _single_rep(_load_job(args))
-    # build_rep has checked the braid relation; P_X(g2) = 0 follows from its
-    # g1 and determinant checks (or is checked directly over a reducible
-    # modulus), so generator_relation_ok keeps its meaning
-    minpoly_ok = minpoly(rep.g2) == Polynomial.from_roots(ctx, rep.values)
+    # build_rep has checked A g1 = g2 A (A = g1 g2) and det g2 = det g1.  When
+    # X and its differences are units (always over Q), A is invertible and
+    # g2 = A g1 A^-1 has g1's minimal polynomial P_X; otherwise minpoly decides
+    try:
+        minpoly_ok = ctx.degree == 1 or _unit_product(ctx, rep.values, rep.values)
+    except NotInvertible:
+        minpoly_ok = minpoly(rep.g2) == Polynomial.from_roots(ctx, rep.values)
     report = spectral_report(rep)
     out = {
         "command": "verify",

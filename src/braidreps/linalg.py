@@ -169,10 +169,7 @@ class Matrix:
     def trace(self) -> FieldElement:
         if self.rows != self.cols:
             raise NotSquare("trace of a non-square matrix")
-        acc = self.context.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i * self.cols + i]
-        return acc
+        return sum((self[i, i] for i in range(self.rows)), start=self.context.zero())
 
     def power(self, n: int) -> "Matrix":
         if self.rows != self.cols:

@@ -76,12 +76,7 @@ def elementary_symmetric(values: Sequence[FieldElement], k: int) -> FieldElement
 
 def delta(values: Sequence[FieldElement], i: int) -> FieldElement:
     """prod_{j != i} (x_j - x_i) over 0-based position i."""
-    acc = values[0].context.one()
-    xi = values[i]
-    for j, xj in enumerate(values):
-        if j != i:
-            acc = acc * (xj - xi)
-    return acc
+    return prod((xj - values[i] for xj in _excl(values, i)), start=values[0].context.one())
 
 
 def _excl(values: Sequence[FieldElement], i: int) -> tuple[FieldElement, ...]:
@@ -329,21 +324,15 @@ def _build_dim5(values, f):
         xi = values[i]
         for j in range(5):
             if i == j:
-                prod = ctx.one()
-                for xk in rest:
-                    prod = prod * (f + xk)
                 num = (
                     elementary_symmetric(rest, 4) * elementary_symmetric(rest, 1)
                     + f * xi * elementary_symmetric(rest, 3)
-                    + f * prod
+                    + f * prod((f + xk for xk in rest), start=ctx.one())
                 )
                 entries.append(num * dinv)
             else:
-                prod = ctx.one()
-                for k in range(5):
-                    if k != i and k != j:
-                        prod = prod * (f2 + xi * values[k])
-                num = (xi * xi + f * xi + f2) * prod
+                others = (f2 + xi * values[k] for k in range(5) if k not in (i, j))
+                num = (xi * xi + f * xi + f2) * prod(others, start=ctx.one())
                 entries.append(num * dinv / (f * xi * values[j]))
     return Matrix(ctx, 5, 5, entries)
 

@@ -35,12 +35,14 @@ from braidreps import (
     decomposability_check,
     dimension_census,
     elementary_symmetric,
+    encode_element,
     evaluate_predicates,
     intertwiner_dim,
     intertwiner_exists,
     invariant_subspace_witness,
     irreducibility,
     irreducible_oracle,
+    minpoly,
     rationals,
     rep_predicates,
     semisimplicity,
@@ -690,6 +692,116 @@ class TestReducibleSweep:
             assert w.complement_found == decomposability_check(rep, w), plan
             if w.complement_found:
                 assert intertwiner_dim([(rep.g1, rep.g1), (rep.g2, rep.g2)]) >= 2
+
+
+def _verify_job(rep) -> str:
+    """The ``verify --params`` job that rebuilds rep from its spec."""
+    spec = rep.spec
+    job = {"X": [encode_element(v) for v in rep.values], "dim": spec.dim,
+           "context": [str(c) for c in rep.context.modulus]}
+    job.update({k: encode_element(getattr(spec, k)) for k in ("h", "f")
+                if getattr(spec, k) is not None})
+    if spec.variant is not None:
+        job["variant"] = spec.variant
+    return json.dumps(job)
+
+
+def _images(rep):
+    """(g2, eigenvalues) of rep, or of its images at t = 1 and t = -1 over t^2 - 1."""
+    if rep.context.modulus != T2M1.modulus:
+        return [(rep.g2, list(rep.values))]
+    return [(Matrix(Q, rep.dim, rep.dim, [qv(e.coeffs[0] + s * e.coeffs[1])
+                                          for e in rep.g2.entries]),
+             [qv(v.coeffs[0] + s * v.coeffs[1]) for v in rep.values]) for s in (1, -1)]
+
+
+@pytest.fixture
+def minpoly_calls(monkeypatch):
+    """Records each call ``verify`` makes to the Krylov minpoly."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return minpoly(m)
+
+    monkeypatch.setattr(cli, "minpoly", counting)
+    return calls
+
+
+class TestVerifyMinpolyShortcut:
+    # build_rep proves g2 = A g1 A^-1 when det g1 is a unit; with distinct
+    # eigenvalues on every factor, verify reads minpoly(g2) = P_X off that
+
+    def test_shortcut_agrees_with_minpoly(self, capsys, minpoly_calls):
+        rng = random.Random(SWEEP_SEED)
+        rational = sweep_plans(2) + [reducible_plan(rng, f) for f in REDUCIBLE_FAMILIES]
+        root24 = FieldContext([-24, 0, 1])
+        plans = rational + [_scaled(p, root24, root24.generator())
+                            for p in rational if "context" not in p]
+        plans += [_scaled(p, Z5, Z5.generator()) for p in sweep_plans(1)]
+        plans += [{**p, "context": Z5, "f": Z5.generator() ** k * p["f"]}
+                  for p in rational if p["dim"] == 5 and "context" not in p for k in (1, 2)]
+        # over t^2 - 1: generic on both factors, degenerate on one, or with
+        # an eigenvalue that vanishes on one factor
+        gen = sweep_plans(2, seed=SWEEP_SEED + 1)
+        plans += [_split(a, b) for a, b in zip(sweep_plans(2), gen)]
+        plans += [_split(reducible_plan(rng, "I3"), gen[2]),
+                  {"dim": 3, "context": T2M1, "values": [T2M1.element([1, 1]), 3, 5]},
+                  {"dim": 2, "context": T2M1, "values": [T2M1.element([1, 1]), 3]}]
+        reps = [plan_rep(p) for p in plans] + _fixture_reps()
+        answered = {True: 0, False: 0}
+        for rep in reps:
+            minpoly_calls.clear()
+            code = cli.main(["verify", "--params", _verify_job(rep)])
+            out = capsys.readouterr()
+            images = _images(rep)
+            # an independent unit test: X nonzero and distinct on every factor
+            units = all(0 not in xs and len(set(xs)) == len(xs) for _, xs in images)
+            assert len(minpoly_calls) == (0 if units else 1), rep.spec
+            answered[units] += code == 0
+            if code == 2:  # the fallback met a zero-divisor pivot, as before
+                assert not units and "zero divisor" in out.err, rep.spec
+                continue
+            expected = all(minpoly(g2) == Polynomial.from_roots(g2.context, xs)
+                           for g2, xs in images)
+            assert json.loads(out.out)["minpoly_ok"] is expected, rep.spec
+        assert answered == {True: len(reps) - 2, False: 1}
+
+    def test_minpoly_runs_only_behind_a_zero_divisor(self, capsys, minpoly_calls):
+        for argv in (["--params", "[1, 2, 3]"],
+                     ["--context", "t^2-24", "--params", "[1, 2, 3, 4]"],
+                     ["--context", "t^4+t^3+t^2+t+1", "--params", '[1, 2, "-3/2", 5, "7/3"]',
+                      "--dim", "6", "--variant", "3"]):
+            assert cli.main(["verify", *argv]) == 0
+        assert minpoly_calls == []
+        capsys.readouterr()
+        # det g1 = 3 (1 + t) is a zero divisor: the similarity is not proved
+        assert cli.main(["verify", "--context", "t^2-1", "--params", '["[1,1]", 3]']) == 0
+        assert json.loads(capsys.readouterr().out)["minpoly_ok"] is True
+        assert len(minpoly_calls) == 1
+
+
+class TestFloatSpectrum:
+    # a floating-point check of the similarity verify relies on, sharing no
+    # code with it: g2 has the eigenvalues of g1, with multiplicities, and
+    # P_X(g2) = 0
+    def test_g2_has_the_spectrum_of_g1(self):
+        import numpy as np
+
+        for plan in sweep_plans(10):
+            rep = plan_rep(plan)
+            d = rep.dim
+            g2 = np.array([[float(rep.g2[i, j].rational_value()) for j in range(d)]
+                           for i in range(d)])
+            diag = sorted(float(rep.g1[i, i].rational_value()) for i in range(d))
+            eig = sorted(np.linalg.eigvals(g2), key=lambda z: (z.real, z.imag))
+            scale = max(abs(x) for x in diag)
+            assert max(abs(z - x) for z, x in zip(eig, diag)) <= 1e-8 * scale, rep.spec
+            p_x = np.eye(d)
+            for x in set(diag):
+                m = g2 - x * np.eye(d)
+                p_x = p_x @ (m / (np.linalg.norm(m, 2) or 1.0))
+            assert np.linalg.matrix_rank(p_x, tol=1e-8) == 0, rep.spec
 
 
 class TestSemisimplicity:

@@ -148,6 +148,39 @@ CALLS = [
     ["verify", "--context", "t^3-2", "--params", '["[0,1,0]", 2, "[1,0,1]"]'],
     ["verify", "--context", "t^2-1", "--params", '["[3,1]", 5, "-7/2"]'],
     ["verify", "--context", "t^2-1", "--params", '["[1,1]", 3]'],
+    # exited 2 before verify read minpoly off the similarity (the Krylov chain
+    # met a zero divisor); X and its differences are units, and each answer
+    # agrees with the images over Q at every root of the modulus
+    ["verify", "--context", "t^3-t", "--params",
+     '["[5,-5/8,-27/8]", "[2,14/9,-5/9]", "[-4,-5/12,49/12]"]'],
+    ["verify", "--context", "t^2-1", "--params",
+     '["[-1/4,3/4]", "[-1/6,7/6]", "[1/4,7/4]", "[31/4,33/4]"]', "--h=[5/2,3/2]"],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[-6,1/2,5]", "[-144,-21/4,569/4]", "[1/4,5/12,25/3]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[3,-37/24,-67/24]", "[-2/3,-5/36,37/36]", "[27/2,-55/14,-123/7]"]'],
+    ["verify", "--context", "t^2-1", "--params",
+     '["[-1/2,9/2]", "[-145/72,47/72]", "[1/6,13/6]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[-1/3,-61/16,-185/48]", "[-9,-7/4,35/4]", "[-7/4,11/8,19/8]"]'],
+    ["verify", "--context", "t^2-1", "--params",
+     '["[47/24,53/24]", "[-10/3,-8/3]", "[163/64,157/64]"]'],
+    ["verify", "--context", "t^2-1", "--params",
+     '["[-37/3,38/3]", "[-3,2]", "[9/4,5/4]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[2/9,-1/4,-161/36]", "[-1/2,-7/8,13/8]", "[1/3,-73/2,-269/6]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[-5/3,-455/144,-313/144]", "[2,-25/8,23/8]", "[-7/3,7/24,7/24]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[1/3,175/64,947/192]", "[-1/4,-21/4,-1/2]", "[-5/2,7/4,-15/4]"]'],
+    ["verify", "--context", "t^2-1", "--params",
+     '["[69/40,-29/40]", "[-9/4,-23/4]", "[-29/8,11/8]"]'],
+    ["verify", "--context", "t^2-1", "--params",
+     '["[4,1/2]", "[5,2]", "[3/14,39/14]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[1/2,11/4,-15/4]", "[8/3,-5/24,-65/24]", "[3/2,-3/2,-4]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[7,-3/2,-15/2]", "[-1/7,9/8,113/56]", "[-1,-17/6,-19/6]"]'],
 ]
 
 
