@@ -181,6 +181,23 @@ CALLS = [
      '["[1/2,11/4,-15/4]", "[8/3,-5/24,-65/24]", "[3/2,-3/2,-4]"]'],
     ["verify", "--context", "t^3-t", "--params",
      '["[7,-3/2,-15/2]", "[-1/7,9/8,113/56]", "[-1,-17/6,-19/6]"]'],
+    # extension products on irrational entries, recorded before products
+    # convolved integer numerators: the full census over Q(zeta5), a set with
+    # zeta-components (2 zeta, 2 zeta^4, 1, 4, 2), a d = 5 build with f = 2 zeta,
+    # and a modulus with a non-integral coefficient
+    ["semisimple", "--mode", "constructive", "--context", "t^4+t^3+t^2+t+1",
+     "--params", '[1, 2, 3, 4, "4/3"]'],
+    ["semisimple", "--mode", "constructive", "--context", "t^4+t^3+t^2+t+1",
+     "--params", '["[0,2,0,0]", "[-2,-2,-2,-2]", 1, 4, 2]'],
+    ["build", "--context", "t^4+t^3+t^2+t+1", "--params",
+     '["[0,2,0,0]", "[-2,-2,-2,-2]", 1, 4, 2]', "--dim", "5", "--f", "[0,2,0,0]"],
+    ["verify", "--context", "t^4+t^3+t^2+t+1", "--params",
+     '["[0,2,0,0]", "[-2,-2,-2,-2]", 1, 4, 2]', "--f", "[0,0,0,2]"],
+    ["build", "--context", "t^2-1/2", "--params", '["[0,1]", 2, 3]'],
+    ["verify", "--context", "t^2-1/2", "--params", '["[0,1]", "[0,2]", 3, 6]',
+     "--h", "[0,-6]"],
+    ["verify", "--context", "t^2-1/2", "--params", '["[1,1]", 2, "-1/3", "[0,3]", 5]',
+     "--dim", "6", "--variant", "2"],
 ]
 
 
