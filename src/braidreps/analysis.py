@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, lcm, prod
 
-from .braidword import BraidWord, evaluate, parse
 from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
 from .linalg import (
     Matrix,
@@ -59,7 +58,6 @@ __all__ = [
     "CensusEntry",
     "CensusReport",
     "ALGEBRA_DIMS",
-    "DEFAULT_PROBE_WORDS",
     "evaluate_predicates",
     "rep_predicates",
     "irreducibility",
@@ -68,7 +66,6 @@ __all__ = [
     "witness_vectors",
     "verify_witness",
     "decomposability_check",
-    "character",
     "intertwiner_exists",
     "semisimplicity",
     "dimension_census",
@@ -574,14 +571,19 @@ def decomposability_check(rep: Representation, w: Witness) -> bool:
 # -- characters and equivalence -------------------------------------------
 
 
-DEFAULT_PROBE_WORDS: tuple[BraidWord, ...] = tuple(
-    parse(t) for t in ("s1", "s2", "s1 s2", "s1 s2 s1", "s1^2 s2", "s1^3 s2")
-)
-
-
-def character(rep: Representation, words) -> list[FieldElement]:
-    """Traces of the given words in the representation."""
-    return [evaluate(w, rep).trace() for w in words]
+def _probe_traces(rep: Representation) -> tuple[FieldElement, ...]:
+    """Traces of s1, s2, s1 s2, s1 s2 s1, s1^2 s2 and s1^3 s2, read off the
+    diagonals: g1 is diagonal, so tr(s1^k s2) = sum x_i^k (g2)_ii, and
+    s1 s2 s1 has the trace of its rotation s1^2 s2."""
+    zero = rep.context.zero()
+    x = [rep.g1[i, i] for i in range(rep.dim)]
+    y = [rep.g2[i, i] for i in range(rep.dim)]
+    sums = [sum(x, start=zero), sum(y, start=zero)]
+    for _ in range(3):
+        y = [a * b for a, b in zip(x, y)]
+        sums.append(sum(y, start=zero))
+    s1, s2, s1s2, s1sq_s2, s1cube_s2 = sums
+    return (s1, s2, s1s2, s1sq_s2, s1sq_s2, s1cube_s2)
 
 
 def intertwiner_exists(rep1: Representation, rep2: Representation) -> bool:
@@ -720,7 +722,7 @@ def dimension_census(
         return CensusReport(sum_of_squares=total, algebra_dim=algebra_dim,
                             semisimple_verdict=True, mode="combinatorial")
     enum = enumerate_irreps(X, context)
-    probes = [tuple(character(r, DEFAULT_PROBE_WORDS)) for r in enum.reps]
+    probes = [_probe_traces(r) for r in enum.reps]
     class_reps: list[int] = []
     ids: list[int] = []
     for i, rep in enumerate(enum.reps):

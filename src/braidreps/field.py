@@ -9,7 +9,10 @@ yields a product of fields, and inverting a zero divisor raises
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` throughout
 (always reduced, positive denominator), so there is no floating point
-anywhere in this module.
+anywhere in this module.  Elements are stored as tuples of ``Fraction``;
+a product in degree > 1 lifts each operand to integer numerators over one
+denominator, convolves and reduces on integers, and builds the stored
+``Fraction`` coefficients once at the end.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -118,7 +122,7 @@ def _power(base, n: int, mul=operator.mul):
 class FieldContext:
     """Coefficient field Q[t]/(m(t)) for a monic squarefree modulus m."""
 
-    __slots__ = ("modulus", "degree", "_reduction", "_zero", "_one")
+    __slots__ = ("modulus", "degree", "_reduction", "_int_reduction", "_zero", "_one")
 
     def __init__(self, modulus: Sequence[Coercible]):
         coeffs = [Fraction(c) for c in modulus]
@@ -145,6 +149,10 @@ class FieldContext:
                     nxt[i] += top * base[i]
             table.append(tuple(nxt))
         self._reduction: tuple[tuple[Fraction, ...], ...] = tuple(table)
+        # The same table on integers: scale * t^k mod m, scale the lcm of its
+        # denominators, so that non-integral moduli reduce on integers too.
+        scale = lcm(*(c.denominator for row in table for c in row))
+        self._int_reduction = (scale, tuple(tuple(int(c * scale) for c in row) for row in table))
         zero = Fraction(0)
         self._zero = FieldElement(self, (zero,) * d)
         self._one = FieldElement(self, (Fraction(1),) + (zero,) * (d - 1))
@@ -200,6 +208,12 @@ def rationals() -> FieldContext:
 def cyclotomic5_context() -> FieldContext:
     """Q(zeta_5), the context needed to list all five fifth roots of a rational."""
     return FieldContext((1, 1, 1, 1, 1))
+
+
+def _lift(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _check_context(a: "FieldElement", b: "FieldElement") -> None:
@@ -264,21 +278,26 @@ class FieldElement:
         d = len(a)
         if d == 1:
             return FieldElement(self.context, (a[0] * b[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        if not any(b[1:]):
+            a, b = b, a
+        if not any(a[1:]):  # a rational factor scales the other's coefficients
+            c = a[0]
+            return FieldElement(self.context, tuple(c * bi if bi else bi for bi in b))
+        na, da = _lift(a)
+        nb, db = _lift(b)
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(na):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = prod[:d]
-        reduction = self.context._reduction
-        for k in range(d, 2 * d - 1):
-            ck = prod[k]
+                for j, bj in enumerate(nb, i):
+                    prod[j] += ai * bj
+        scale, reduction = self.context._int_reduction
+        out = [c * scale for c in prod[:d]]
+        for ck, red in zip(prod[d:], reduction):
             if ck:
-                red = reduction[k - d]
-                for i in range(d):
-                    out[i] += ck * red[i]
-        return FieldElement(self.context, tuple(out))
+                for i, r in enumerate(red):
+                    out[i] += ck * r
+        den = da * db * scale
+        return FieldElement(self.context, tuple(Fraction(c, den) for c in out))
 
     __rmul__ = __mul__
 
@@ -286,13 +305,17 @@ class FieldElement:
         """Multiplicative inverse via the extended Euclidean algorithm.
 
         In degree > 1 zero raises :class:`NotInvertible`: it shares the whole
-        modulus (over a reducible one, nonzero factors can multiply to 0).
+        modulus (over a reducible one, nonzero factors can multiply to 0).  A
+        nonzero rational c inverts to 1/c.
         """
         d = self.context.degree
         if d == 1:
             if self.is_zero():
                 raise ZeroDivisionError("inverse of zero")
             return FieldElement(self.context, (1 / self.coeffs[0],))
+        c0, rest = self.coeffs[0], self.coeffs[1:]
+        if c0 and not any(rest):
+            return FieldElement(self.context, (1 / c0,) + rest)
         # extended gcd of self (as a polynomial) with the modulus
         r0 = list(self.context.modulus)
         r1 = _trim(list(self.coeffs))

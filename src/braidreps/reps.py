@@ -321,7 +321,11 @@ def _build_dim5(values, f):
     for i in range(5):
         rest = _excl(values, i)
         dinv = delta(values, i).inverse()
+        if i == 0:  # f is a unit iff every f x_i x_j is, as x_i divides f^5
+            finv = f.inverse()
+            xinv = [x.inverse() for x in values]
         xi = values[i]
+        off = dinv * finv * xinv[i]
         for j in range(5):
             if i == j:
                 num = (
@@ -333,7 +337,7 @@ def _build_dim5(values, f):
             else:
                 others = (f2 + xi * values[k] for k in range(5) if k not in (i, j))
                 num = (xi * xi + f * xi + f2) * prod(others, start=ctx.one())
-                entries.append(num * dinv / (f * xi * values[j]))
+                entries.append(num * off * xinv[j])
     return Matrix(ctx, 5, 5, entries)
 
 

@@ -13,6 +13,8 @@ so its plans live over ``OMEGA``, Q adjoined a primitive cube root of unity.
 ``sylvester_resultant`` is the reference resultant for the closed-form
 norms the predicates use: the determinant of the Sylvester matrix.
 ``leibniz_determinant`` is the reference for :func:`determinant`.
+``character`` over ``DEFAULT_PROBE_WORDS`` is the reference for the census
+probes, which are read off the diagonals: it evaluates each braid word.
 ``transpose_parameters`` and ``free_reduce`` are operations only the tests
 use.
 """
@@ -31,6 +33,8 @@ from braidreps import (
     RepSpec,
     build_rep,
     determinant,
+    evaluate,
+    parse,
     rationals,
 )
 
@@ -94,6 +98,16 @@ def leibniz_determinant(m):
             term = term * m[i, j]
         total = total - term if inversions % 2 else total + term
     return total
+
+
+DEFAULT_PROBE_WORDS = tuple(
+    parse(t) for t in ("s1", "s2", "s1 s2", "s1 s2 s1", "s1^2 s2", "s1^3 s2")
+)
+
+
+def character(rep, words):
+    """Traces of the given words in the representation."""
+    return [evaluate(w, rep).trace() for w in words]
 
 
 class IndexOutOfRange(ValueError):

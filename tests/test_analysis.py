@@ -6,6 +6,7 @@ fixture makes several predicates vanish at once, tests assert membership of
 the distinguished one rather than equality of the whole set.
 """
 
+from collections import Counter
 from fractions import Fraction
 import json
 import random
@@ -17,7 +18,6 @@ from braidreps import (
     ALGEBRA_DIMS,
     BadLevel,
     CensusMismatch,
-    DEFAULT_PROBE_WORDS,
     FieldContext,
     FieldElement,
     InvalidWitness,
@@ -30,12 +30,12 @@ from braidreps import (
     Witness,
     algebra_closure_dim,
     build_rep,
-    character,
     cyclotomic5_context,
     decomposability_check,
     dimension_census,
     elementary_symmetric,
     encode_element,
+    enumerate_irreps,
     evaluate_predicates,
     intertwiner_dim,
     intertwiner_exists,
@@ -54,8 +54,10 @@ from braidreps.linalg import inverse
 import braidreps.analysis as analysis
 import braidreps.cli as cli
 from conftest import (
+    DEFAULT_PROBE_WORDS,
     REDUCIBLE_FAMILIES,
     SWEEP_SEED,
+    character,
     distinct_nonzero,
     gen_set_dim3,
     gen_set_dim4,
@@ -693,6 +695,19 @@ class TestReducibleSweep:
             if w.complement_found:
                 assert intertwiner_dim([(rep.g1, rep.g1), (rep.g2, rep.g2)]) >= 2
 
+    @pytest.mark.parametrize("family", ["I3", "I4", "J4", "J5"])
+    def test_witness_without_complement_below_dimension_6(self, family):
+        # a verified invariant subspace with no invariant complement makes the
+        # rep reducible but indecomposable, so the algebra is not semisimple
+        rng = random.Random(SWEEP_SEED)
+        for _ in range(10):
+            plan = reducible_plan(rng, family)
+            rep = plan_rep(plan)
+            w = invariant_subspace_witness(rep)
+            assert w is not None and verify_witness(rep, w), plan
+            assert not w.complement_found and not decomposability_check(rep, w), plan
+            assert not semisimplicity(rep.spec.params).semisimple_verdict, plan
+
 
 def _verify_job(rep) -> str:
     """The ``verify --params`` job that rebuilds rep from its spec."""
@@ -913,16 +928,27 @@ class TestCensus:
         assert report.deferred[0].radicand == 24
 
     def test_intertwiner_alone_separates_classes(self, monkeypatch):
-        # with no probe words every pair reaches the exact intertwiner
+        # with empty probes every pair reaches the exact intertwiner
         # solve, which decides equivalence of irreducibles (Schur)
         sets = (ps(1, 2, 3, 6), ps(1, 2, 3, 4, Fraction(4, 3)))
         before = [dimension_census(X) for X in sets]
-        monkeypatch.setattr(analysis, "DEFAULT_PROBE_WORDS", ())
+        pairs = []
+
+        def counting(rep1, rep2):
+            pairs.append((rep1, rep2))
+            return intertwiner_exists(rep1, rep2)
+
+        monkeypatch.setattr(analysis, "_probe_traces", lambda rep: ())
+        monkeypatch.setattr(analysis, "intertwiner_exists", counting)
         for X, report in zip(sets, before):
+            pairs.clear()
             after = dimension_census(X)
             assert [e.class_id for e in after.entries] == \
                 [e.class_id for e in report.entries]
             assert after.sum_of_squares == report.sum_of_squares
+            # all classes are distinct, so each member meets every one before it
+            n = len(after.entries)
+            assert len(pairs) == n * (n - 1) // 2
 
     def test_degenerate_raises(self):
         report = dimension_census(FIX_J6)
@@ -948,10 +974,39 @@ class TestCensus:
         assert len(set(ids)) == len(ids)
 
 
+def _pset(ctx, *vals):
+    """A parameter set over ctx; a list is a coefficient vector."""
+    return ParameterSet(tuple(ctx.element(v if isinstance(v, list) else [v]) for v in vals))
+
+
+class TestDiagonalProbes:
+    # the census reads its probes off the diagonals; the reference evaluates
+    # every braid word of DEFAULT_PROBE_WORDS and takes its trace
+    @pytest.mark.parametrize("X", [
+        ps(1, 2, 3, 6),
+        _pset(Z5, 1, 2, 3, 4, Fraction(4, 3)),
+        # 2 zeta, 2 zeta^4, 1, 4, 2: three 4-subsets with both h-roots
+        _pset(Z5, [0, 2], [-2, -2, -2, -2], 1, 4, 2),
+        _pset(FieldContext([-24, 0, 1]), 1, 2, 3, 4, 5),
+        # images (1, 2, 3, 6, -5) at t = 1 and (2, 1, 6, 3, -7) at t = -1
+        _pset(T2M1, [Fraction(3, 2), Fraction(-1, 2)], [Fraction(3, 2), Fraction(1, 2)],
+              [Fraction(9, 2), Fraction(-3, 2)], [Fraction(9, 2), Fraction(3, 2)], [-6, 1]),
+    ], ids=["Q", "zeta5", "zeta5-irrational", "sqrt24", "t2-1"])
+    def test_diagonal_probes_equal_braid_word_traces(self, X):
+        reps = enumerate_irreps(X).reps
+        for rep in reps:
+            assert analysis._probe_traces(rep) == tuple(character(rep, DEFAULT_PROBE_WORDS)), \
+                rep.spec
+        h_roots = Counter(r.spec.subset for r in reps if r.dim == 4)
+        assert h_roots and all(count >= 2 for count in h_roots.values())
+        if len(X) == 5:
+            assert sorted(r.spec.variant for r in reps if r.dim == 6) == [1, 2, 3, 4, 5]
+
+
 class TestEquivalenceTools:
     def test_character_probe_frozen(self):
         rep = build_rep(RepSpec(dim=2, params=ps(1, 2)))
-        values = [v.rational_value() for v in character(rep, DEFAULT_PROBE_WORDS)]
+        values = [v.rational_value() for v in analysis._probe_traces(rep)]
         assert values == [3, 3, 2, 0, 0, -4]
 
     def test_intertwiner_reflexive_and_dim_gate(self):

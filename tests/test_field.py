@@ -152,6 +152,68 @@ def test_field_axioms_random_triples(ctx, coeffs):
             pytest.fail("nonzero element without inverse in a field context")
 
 
+# The product kernel's contexts: fields of degree 2, 3 and 4, two moduli
+# with non-integral coefficients (t^2 - 1/2 and a cubic field), and the
+# reducible t^2 - 1.
+KERNEL_CONTEXTS = {
+    "zeta5": ZETA5,
+    "sqrt24": SQRT24,
+    "cbrt2": FieldContext([-2, 0, 0, 1]),
+    "t2-1/2": FieldContext([Fraction(-1, 2), 0, 1]),
+    "cubic-1/3": FieldContext([Fraction(1, 3), Fraction(-1, 2), Fraction(5, 4), 1]),
+    "t2-1": FieldContext([-1, 0, 1]),
+}
+
+_wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+def _schoolbook(a, b):
+    """a * b as a Fraction convolution reduced by long division by the
+    modulus, top power first: t^d = -(m_0 + m_1 t + ... + m_{d-1} t^{d-1})."""
+    m = a.context.modulus
+    d = len(m) - 1
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        top, prod[k] = prod[k], Fraction(0)
+        for i in range(d):
+            prod[k - d + i] -= top * m[i]
+    return tuple(prod[:d])
+
+
+@st.composite
+def _kernel_elements(draw, ctx):
+    coeffs = draw(st.lists(st.one_of(_fracs, _wide), min_size=ctx.degree,
+                           max_size=ctx.degree))
+    if draw(st.booleans()):  # a rational operand
+        coeffs = coeffs[:1]
+    return ctx.element(coeffs)
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS.values(), ids=KERNEL_CONTEXTS.keys())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_product_matches_schoolbook_reference(ctx, data):
+    a = data.draw(_kernel_elements(ctx))
+    b = data.draw(_kernel_elements(ctx))
+    for p in (a * b, b * a):
+        assert p.coeffs == _schoolbook(a, b)
+        # stored as before: a tuple of reduced Fractions
+        assert type(p.coeffs) is tuple and all(type(c) is Fraction for c in p.coeffs)
+
+
+@pytest.mark.parametrize("ctx", [Q, *KERNEL_CONTEXTS.values()],
+                         ids=["Q", *KERNEL_CONTEXTS.keys()])
+@settings(max_examples=50, deadline=None)
+@given(c=st.one_of(_fracs, _wide).filter(bool))
+def test_inverse_of_a_rational_is_its_reciprocal(ctx, c):
+    inv = ctx.from_rational(c).inverse()
+    assert inv.coeffs == (1 / c,) + (Fraction(0),) * (ctx.degree - 1)
+    assert inv * c == ctx.one()
+
+
 class TestRationalRoots:
     def test_square_roots(self):
         assert rational_kth_root(Fraction(9, 4), 2) == Fraction(3, 2)
