@@ -122,7 +122,7 @@ def _power(base, n: int, mul=operator.mul):
 class FieldContext:
     """Coefficient field Q[t]/(m(t)) for a monic squarefree modulus m."""
 
-    __slots__ = ("modulus", "degree", "_reduction", "_int_reduction", "_zero", "_one")
+    __slots__ = ("modulus", "degree", "_reduction", "_zero", "_one")
 
     def __init__(self, modulus: Sequence[Coercible]):
         coeffs = [Fraction(c) for c in modulus]
@@ -134,7 +134,7 @@ class FieldContext:
             raise NotSquarefree(f"modulus {coeffs} is not squarefree")
         self.modulus: tuple[Fraction, ...] = tuple(coeffs)
         self.degree: int = len(coeffs) - 1
-        # Reduction table: coefficient vector of t^k mod m for k = d .. 2d-2.
+        # Coefficient vectors of t^k mod m for k = d .. 2d-2.
         d = self.degree
         table = [tuple(-c for c in coeffs[:-1])]  # t^d
         for _ in range(d - 2):
@@ -148,11 +148,10 @@ class FieldContext:
                 for i in range(d):
                     nxt[i] += top * base[i]
             table.append(tuple(nxt))
-        self._reduction: tuple[tuple[Fraction, ...], ...] = tuple(table)
-        # The same table on integers: scale * t^k mod m, scale the lcm of its
-        # denominators, so that non-integral moduli reduce on integers too.
+        # Reduction table on integers: (scale, scale * the rows above), scale
+        # the lcm of their denominators, so non-integral moduli reduce too.
         scale = lcm(*(c.denominator for row in table for c in row))
-        self._int_reduction = (scale, tuple(tuple(int(c * scale) for c in row) for row in table))
+        self._reduction = (scale, tuple(tuple(int(c * scale) for c in row) for row in table))
         zero = Fraction(0)
         self._zero = FieldElement(self, (zero,) * d)
         self._one = FieldElement(self, (Fraction(1),) + (zero,) * (d - 1))
@@ -290,7 +289,7 @@ class FieldElement:
             if ai:
                 for j, bj in enumerate(nb, i):
                     prod[j] += ai * bj
-        scale, reduction = self.context._int_reduction
+        scale, reduction = self.context._reduction
         out = [c * scale for c in prod[:d]]
         for ck, red in zip(prod[d:], reduction):
             if ck:
