@@ -321,7 +321,8 @@ def _build_dim5(values, f):
     for i in range(5):
         rest = _excl(values, i)
         dinv = delta(values, i).inverse()
-        if i == 0:  # f is a unit iff every f x_i x_j is, as x_i divides f^5
+        if i == 0:  # entry (0, 1) is the first to divide by f x_0 x_1, a unit
+            # iff f is (each x_i divides f^5): zero divisors are met in that order
             finv = f.inverse()
             xinv = [x.inverse() for x in values]
         xi = values[i]
