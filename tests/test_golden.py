@@ -198,6 +198,13 @@ CALLS = [
      "--h", "[0,-6]"],
     ["verify", "--context", "t^2-1/2", "--params", '["[1,1]", 2, "-1/3", "[0,3]", 5]',
      "--dim", "6", "--variant", "2"],
+    # verify over t^3-t and t^2-1, recorded while each of them still ran the
+    # Krylov minpoly (a difference of X is a zero divisor)
+    ["verify", "--context", "t^3-t", "--params", '["[0,4/3,-4/3]"]'],
+    ["verify", "--context", "t^2-1", "--params", '["[-6,-5]", "[-5,5]"]'],
+    ["verify", "--context", "t^2-1", "--params", '["[9,-2]", "[3,-3]", "[1,8]"]'],
+    ["verify", "--context", "t^3-t", "--params",
+     '["[5/3,-1,3]", "[0,5/4,-5/4]", "[-2,-2/3,3/2]"]'],
 ]
 
 
