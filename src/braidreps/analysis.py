@@ -8,7 +8,7 @@ the full d*d matrix algebra.  The oracle decides in two steps:
 1. the witness search: an exactly verified proper invariant subspace means
    reducible;
 2. no witness: for g1 laid out as ``build_rep`` makes it, and every value
-   the search relied on being nonzero a unit (the D5 test that ``verify``
+   the search relied on being nonzero a unit (the D5 test semisimplicity
    shares; always so over a field), the search is complete, so irreducible;
    otherwise (another layout of g1, a zero divisor) the exact closure decides.
 
@@ -331,15 +331,14 @@ def _search_is_complete(rep: Representation) -> bool:
     return True
 
 
-def _unit_product(ctx: FieldContext, values, differences_of=()) -> bool:
-    """True; NotInvertible unless the nonzero values and the pairwise
-    differences of the distinct ``differences_of`` multiply to a unit (the D5
-    test: Della Dora, Dicrescenzo, Duval, 1985).  Then each factor is a unit,
-    so a computation that needed them nonzero decides alike on every factor
-    of a reducible modulus.  ``verify``, the search and semisimplicity share it."""
+def _unit_product(ctx: FieldContext, values, differences_of=()) -> None:
+    """NotInvertible unless the nonzero values and the pairwise differences
+    of the distinct ``differences_of`` multiply to a unit (the D5 test: Della
+    Dora, Dicrescenzo, Duval, 1985).  Then each factor is a unit, so a
+    computation that needed them nonzero decides alike on every factor of a
+    reducible modulus.  The witness search and semisimplicity share it."""
     diffs = [x - y for x, y in combinations(set(differences_of), 2)]
     prod((v for v in [*values, *diffs] if v), start=ctx.one()).inverse()
-    return True
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,11 @@ def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     directly only when a zero divisor (a reducible modulus) blocks the
     argument.  A det g1 of exactly 0 makes g1 singular on every factor of
     the modulus, and its :class:`NotInvertible` propagates.
+
+    So minpoly(g2) = P_X, which ``verify`` reports unrecomputed: every
+    builder inverts each Delta_i, so on each factor of the modulus the x_i
+    are distinct, the minimal polynomial divides P_X and, as charpoly(g2) =
+    prod (L - x_i)^{m_i}, has every x_i as a root.
     """
     ctx = spec.context
     a = g1 @ g2

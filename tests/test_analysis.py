@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,6 +44,7 @@ from braidreps import (
     irreducibility,
     irreducible_oracle,
     minpoly,
+    parse_element,
     rationals,
     rep_predicates,
     semisimplicity,
@@ -721,31 +723,55 @@ def _verify_job(rep) -> str:
     return json.dumps(job)
 
 
+T3MT = FieldContext([0, -1, 0, 1])  # t^3 - t: Q x Q x Q through t -> 0, 1, -1
+_SPLIT_ROOTS = {T2M1.modulus: (1, -1), T3MT.modulus: (0, 1, -1)}
+
+
 def _images(rep):
-    """(g2, eigenvalues) of rep, or of its images at t = 1 and t = -1 over t^2 - 1."""
-    if rep.context.modulus != T2M1.modulus:
+    """(g2, eigenvalues) of rep, or of its image at each root of t^2 - 1 or t^3 - t."""
+    roots = _SPLIT_ROOTS.get(rep.context.modulus)
+    if roots is None:
         return [(rep.g2, list(rep.values))]
-    return [(Matrix(Q, rep.dim, rep.dim, [qv(e.coeffs[0] + s * e.coeffs[1])
-                                          for e in rep.g2.entries]),
-             [qv(v.coeffs[0] + s * v.coeffs[1]) for v in rep.values]) for s in (1, -1)]
+
+    def at(e, r):
+        return qv(sum(c * r ** k for k, c in enumerate(e.coeffs)))
+
+    return [(Matrix(Q, rep.dim, rep.dim, [at(e, r) for e in rep.g2.entries]),
+             [at(v, r) for v in rep.values]) for r in roots]
+
+
+# sets whose X has a difference that is a zero divisor: the four answered
+# through the Krylov minpoly before verify read it off build_rep, and the
+# last two exited 2 on a zero-divisor pivot of that run
+ZERO_DIVISOR_SETS = [
+    (T3MT, ["[0,4/3,-4/3]"]),
+    (T2M1, ["[-6,-5]", "[-5,5]"]),
+    (T2M1, ["[9,-2]", "[3,-3]", "[1,8]"]),
+    (T3MT, ["[5/3,-1,3]", "[0,5/4,-5/4]", "[-2,-2/3,3/2]"]),
+    (T3MT, ["[9,6,6]", "[1,3/4,-3]", "[0,3/2,-3/2]"]),
+    (T2M1, ["[7,-5/4]", "[-2,5]", "[4,-4]"]),
+]
 
 
 @pytest.fixture
 def minpoly_calls(monkeypatch):
-    """Records each call ``verify`` makes to the Krylov minpoly."""
+    """Records each Krylov minpoly run made through any name the package binds."""
     calls = []
 
     def counting(m):
         calls.append(m)
         return minpoly(m)
 
-    monkeypatch.setattr(cli, "minpoly", counting)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "braidreps" and hasattr(module, "minpoly"):
+            monkeypatch.setattr(module, "minpoly", counting)
     return calls
 
 
 class TestVerifyMinpolyShortcut:
-    # build_rep proves g2 = A g1 A^-1 when det g1 is a unit; with distinct
-    # eigenvalues on every factor, verify reads minpoly(g2) = P_X off that
+    # build_rep proves minpoly(g2) = P_X for every rep it returns (see
+    # reps._self_check), so verify runs no Krylov minpoly; that minpoly on
+    # each factor image stays the reference for minpoly_ok
 
     def test_shortcut_agrees_with_minpoly(self, capsys, minpoly_calls):
         rng = random.Random(SWEEP_SEED)
@@ -763,37 +789,30 @@ class TestVerifyMinpolyShortcut:
         plans += [_split(reducible_plan(rng, "I3"), gen[2]),
                   {"dim": 3, "context": T2M1, "values": [T2M1.element([1, 1]), 3, 5]},
                   {"dim": 2, "context": T2M1, "values": [T2M1.element([1, 1]), 3]}]
+        plans += [{"dim": len(xs), "context": ctx,
+                   "values": [parse_element(ctx, x) for x in xs]}
+                  for ctx, xs in ZERO_DIVISOR_SETS]
         reps = [plan_rep(p) for p in plans] + _fixture_reps()
-        answered = {True: 0, False: 0}
         for rep in reps:
-            minpoly_calls.clear()
             code = cli.main(["verify", "--params", _verify_job(rep)])
             out = capsys.readouterr()
-            images = _images(rep)
-            # an independent unit test: X nonzero and distinct on every factor
-            units = all(0 not in xs and len(set(xs)) == len(xs) for _, xs in images)
-            assert len(minpoly_calls) == (0 if units else 1), rep.spec
-            answered[units] += code == 0
-            if code == 2:  # the fallback met a zero-divisor pivot, as before
-                assert not units and "zero divisor" in out.err, rep.spec
-                continue
-            expected = all(minpoly(g2) == Polynomial.from_roots(g2.context, xs)
-                           for g2, xs in images)
-            assert json.loads(out.out)["minpoly_ok"] is expected, rep.spec
-        assert answered == {True: len(reps) - 2, False: 1}
+            assert code == 0, (rep.spec, out.err)
+            assert json.loads(out.out)["minpoly_ok"] is True, rep.spec
+            assert all(minpoly(g2) == Polynomial.from_roots(g2.context, xs)
+                       for g2, xs in _images(rep)), rep.spec
+        assert minpoly_calls == []
 
-    def test_minpoly_runs_only_behind_a_zero_divisor(self, capsys, minpoly_calls):
+    def test_no_minpoly_behind_a_zero_divisor(self, capsys, minpoly_calls):
         for argv in (["--params", "[1, 2, 3]"],
                      ["--context", "t^2-24", "--params", "[1, 2, 3, 4]"],
                      ["--context", "t^4+t^3+t^2+t+1", "--params", '[1, 2, "-3/2", 5, "7/3"]',
-                      "--dim", "6", "--variant", "3"]):
+                      "--dim", "6", "--variant", "3"],
+                     # det g1 = 3 (1 + t) is a zero divisor: the similarity is
+                     # not proved, and the direct checks of build_rep decide
+                     ["--context", "t^2-1", "--params", '["[1,1]", 3]']):
             assert cli.main(["verify", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["minpoly_ok"] is True
         assert minpoly_calls == []
-        capsys.readouterr()
-        # det g1 = 3 (1 + t) is a zero divisor: the similarity is not proved
-        assert cli.main(["verify", "--context", "t^2-1", "--params", '["[1,1]", 3]']) == 0
-        assert json.loads(capsys.readouterr().out)["minpoly_ok"] is True
-        assert len(minpoly_calls) == 1
 
 
 class TestFloatSpectrum:

@@ -233,12 +233,18 @@ class TestExitCodes:
         ("build", "--context", "t^2-1/0", "--params", "[1,2]"),
         ("build", "--params", "[1,2]", "--dim", "4", "--h", "1/0"),
         ("scan", "--params", '{"grid": [["1/0", "2"]]}'),
+        ("eval", "--params", '{"X": [1, 2], "words": "ab"}'),
+        ("eval", "--params", '{"X": [1, 2], "words": {"a": 1}}'),
+        ("eval", "--params", '{"X": [1, 2], "words": [1]}'),
+        ("eval", "--params", '{"X": [1, 2], "words": [null]}'),
+        ("eval", "--params", '{"X": [1, 2], "words": ["a", 2]}'),
     ], ids=["X-int", "X-string", "build-dim", "variant", "scan-jobs",
             "grid-row", "unbalanced-bracket", "mode-not-semisimple",
             "mode-semisimple", "word-exponent", "word-merged-exponent",
             "word-length", "result-too-large", "zero-denominator-X",
             "zero-denominator-semisimple", "zero-denominator-context",
-            "zero-denominator-h", "zero-denominator-grid"])
+            "zero-denominator-h", "zero-denominator-grid", "words-string",
+            "words-object", "words-int", "words-null", "words-mixed"])
     def test_malformed_job_fields(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

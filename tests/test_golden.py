@@ -205,6 +205,17 @@ CALLS = [
     ["verify", "--context", "t^2-1", "--params", '["[9,-2]", "[3,-3]", "[1,8]"]'],
     ["verify", "--context", "t^3-t", "--params",
      '["[5/3,-1,3]", "[0,5/4,-5/4]", "[-2,-2/3,3/2]"]'],
+    # exited 2 while verify ran the Krylov minpoly (its chain met a
+    # zero-divisor pivot); build_rep's proof answers, recorded after
+    ["verify", "--context", "t^3-t", "--params",
+     '["[9,6,6]", "[1,3/4,-3]", "[0,3/2,-3/2]"]'],
+    ["verify", "--context", "t^2-1", "--params", '["[7,-5/4]", "[-2,5]", "[4,-4]"]'],
+    # "words" that is no list of strings: a string was read per character,
+    # an object by its keys, and [1] or [null] raised a TypeError
+    ["eval", "--params", '{"X": [1, 2], "words": "ab"}'],
+    ["eval", "--params", '{"X": [1, 2], "words": {"a": 1}}'],
+    ["eval", "--params", '{"X": [1, 2], "words": [1]}'],
+    ["eval", "--params", '{"X": [1, 2], "words": [null]}'],
 ]
 
 

@@ -161,6 +161,16 @@ class TestSelfCheck:
         with pytest.raises(ConstructionFailed, match="generator relation"):
             _self_check(rep.spec, rep.g1, Matrix.diagonal(ctx, [y]))
 
+    def test_charpoly_mismatch_detected(self):
+        # over Q[t]/(t^2 - 1) X = (1 + t, 7/2 - 3/2 t) maps to (2, 2) at t = 1
+        # and (0, 5) at t = -1, so det g1 is a zero divisor.  g2 = x2 I passes
+        # the braid relation and P_X(g2) = 0, but its charpoly is (L - x2)^2
+        ctx = FieldContext([-1, 0, 1])
+        x1, x2 = ctx.element([1, 1]), ctx.element([Fraction(7, 2), Fraction(-3, 2)])
+        spec = RepSpec(dim=2, params=ParameterSet((x1, x2)))
+        with pytest.raises(ConstructionFailed, match="characteristic polynomial"):
+            _self_check(spec, Matrix.diagonal(ctx, [x1, x2]), Matrix.diagonal(ctx, [x2, x2]))
+
     def test_singular_g1_has_no_construction(self):
         # over Q[t]/(t^2 - 1) the eigenvalues 5 + 5t and 5 - 5t map to (10, 0)
         # and (0, 10): both are nonzero, but det g1 = 25(1 - t^2) is exactly 0,
