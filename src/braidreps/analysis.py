@@ -3,14 +3,14 @@
 Two independent routes decide irreducibility and they are always compared:
 closed-form scalar predicates in the eigenvalues (one family per dimension
 class), and a Burnside oracle: g1 and g2 act irreducibly iff they generate
-the full d*d matrix algebra.  The oracle decides in two steps:
+the full d*d matrix algebra.  The oracle is the witness search alone:
 
-1. the witness search: an exactly verified proper invariant subspace means
-   reducible;
-2. no witness: for g1 laid out as ``build_rep`` makes it, and every value
-   the search relied on being nonzero a unit (the D5 test semisimplicity
-   shares; always so over a field), the search is complete, so irreducible;
-   otherwise (another layout of g1, a zero divisor) the exact closure decides.
+1. an exactly verified proper invariant subspace means reducible;
+2. no witness, for g1 laid out as ``build_rep`` makes it (another layout
+   raises ValueError), and every value the search relied on being nonzero
+   a unit (the D5 test; always so over a field): irreducible;
+3. a zero divisor splits the modulus, and the factors decide alike or not
+   at all (the other half of D5).
 
 Quantified predicates ("for every root h of t^2 = e4 ...") are decided
 root-free through their closed-form norms over all roots, so no field
@@ -32,16 +32,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, lcm, prod
 
 from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
-from .linalg import (
-    Matrix,
-    algebra_closure_dim,
-    intertwiner_dim,
-    rank,
-)
+from .linalg import Matrix, intertwiner_dim, rank
 from .reps import (
     DeferredRoot,
     ParameterSet,
@@ -268,28 +263,39 @@ def irreducibility(rep: Representation) -> tuple[bool, Witness | None]:
     """The Burnside verdict of :func:`irreducible_oracle` with its witness.
 
     Returns (False, w) when the witness search finds the verified invariant
-    subspace w, (True, None) when it finds none and is complete, and
-    otherwise (a layout the search does not cover, or a zero divisor) the
-    verdict of the exact closure with no witness.
+    subspace w, and (True, None) when it finds none and is complete (a g1
+    laid out otherwise raises ValueError).  A zero divisor exposes a factor
+    g of the modulus m; the images of g1 and g2 over Q[t]/(g) and Q[t]/(m/g)
+    keep the layout (every builder inverts each Delta_i), and their common
+    verdict is returned with no witness, else the NotInvertible is raised.
     """
     try:
         witness = invariant_subspace_witness(rep)
         if witness is not None:
             return False, witness
-        if _search_is_complete(rep):
-            return True, None
-    except NotInvertible:  # a zero divisor of a reducible modulus: no certificate
-        pass
-    dim, _ = algebra_closure_dim([rep.g1, rep.g2])
-    return dim == rep.dim * rep.dim, None
+        if not _search_is_complete(rep):
+            raise ValueError("g1 is not laid out as build_rep makes it: no verdict")
+        return True, None
+    except NotInvertible as exc:
+        ctx = rep.context
+        if exc.factor is None or len(exc.factor) - 1 == ctx.degree:
+            raise
+        verdicts = set()
+        for c in ctx.split(exc.factor):
+            g1, g2 = (Matrix(c, rep.dim, rep.dim, [c.image(e) for e in g.entries])
+                      for g in (rep.g1, rep.g2))
+            verdicts.add(irreducibility(replace(rep, g1=g1, g2=g2))[0])
+        if len(verdicts) > 1:
+            raise
+        return verdicts.pop(), None
 
 
 def irreducible_oracle(rep: Representation) -> bool:
     """True iff g1 and g2 generate the full matrix algebra (Burnside).
 
-    A verified witness means not full, the verdict the exact closure would
-    give.  No witness means full when :func:`_search_is_complete` holds, in
-    any context; otherwise the exact closure decides.
+    A verified witness means not full; no witness means full when
+    :func:`_search_is_complete` holds, in any context, and over a reducible
+    modulus on every factor (see :func:`irreducibility`).
     """
     return irreducibility(rep)[0]
 
@@ -331,14 +337,29 @@ def _search_is_complete(rep: Representation) -> bool:
     return True
 
 
-def _unit_product(ctx: FieldContext, values, differences_of=()) -> None:
+def _unit_product(ctx: FieldContext, values, differences_of=(), labels=()) -> None:
     """NotInvertible unless the nonzero values and the pairwise differences
     of the distinct ``differences_of`` multiply to a unit (the D5 test: Della
     Dora, Dicrescenzo, Duval, 1985).  Then each factor is a unit, so a
     computation that needed them nonzero decides alike on every factor of a
-    reducible modulus.  The witness search and semisimplicity share it."""
+    reducible modulus.  The witness search and semisimplicity share it.
+    On failure the first non-unit factor raises, naming a proper factor of
+    the modulus (a product of exactly 0 names all of it), and its label in
+    ``labels``, which runs parallel to ``values``, if any."""
     diffs = [x - y for x, y in combinations(set(differences_of), 2)]
-    prod((v for v in [*values, *diffs] if v), start=ctx.one()).inverse()
+    factors = [(v, label) for v, label in zip_longest([*values, *diffs], labels) if v]
+    try:
+        prod((v for v, _ in factors), start=ctx.one()).inverse()
+    except NotInvertible:
+        for v, label in factors:
+            try:
+                v.inverse()
+            except NotInvertible as exc:
+                if label is None:
+                    raise
+                raise NotInvertible(f"no verdict: {label} vanishes on a factor of "
+                                    f"the modulus ({exc})", exc.factor) from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -631,20 +652,6 @@ def _all_predicates(vals: tuple) -> list[PredicateValue]:
     return preds
 
 
-def _require_units(preds: list[PredicateValue], ctx: FieldContext) -> None:
-    try:
-        _unit_product(ctx, [p.value for p in preds])
-    except NotInvertible:
-        for p in preds:
-            try:
-                p.value.inverse()
-            except NotInvertible as exc:
-                raise NotInvertible(
-                    f"no verdict: predicate {p.name} vanishes on a factor of the modulus ({exc})"
-                ) from None
-        raise
-
-
 def semisimplicity(X: ParameterSet) -> CensusReport:
     """Whole-set verdict: no predicate in any family over any subset is 0.
 
@@ -671,7 +678,9 @@ def semisimplicity(X: ParameterSet) -> CensusReport:
     else:
         preds = _all_predicates(tuple(X))
         failing = tuple(p for p in preds if p.is_zero)
-        _require_units([p for p in preds if not p.is_zero], ctx)
+        nonzero = [p for p in preds if not p.is_zero]
+        _unit_product(ctx, [p.value for p in nonzero],
+                      labels=[f"predicate {p.name}" for p in nonzero])
     return CensusReport(algebra_dim=ALGEBRA_DIMS[len(X)], semisimple_verdict=not failing,
                         failing_predicates=failing)
 

@@ -156,19 +156,19 @@ def _roots(job, ctx, X, key: str) -> list:
 
 
 def _resolve_specs(job, ctx, X, variants=(5,)) -> list[RepSpec]:
-    """The specs a job names: one per root when neither h nor f is given,
-    and for dimension 6 one per default variant when none is given."""
+    """The specs a job names: one per root of a dimension 4 or 5 given no h
+    or f, and one per default variant of a dimension 6 given none.  RepSpec
+    rejects any given option its dimension does not take."""
     dim = _int_option(job, "dim", len(X))
+    hs = _roots(job, ctx, X, "h") if dim == 4 or job.get("h") is not None else [None]
+    fs = _roots(job, ctx, X, "f") if dim == 5 or job.get("f") is not None else [None]
+    if job.get("variant") is not None:
+        variants = (_int_option(job, "variant", 5),)
+    elif dim != 6:
+        variants = (None,)
     try:
-        if dim == 4:
-            return [RepSpec(dim=4, params=X, h=h) for h in _roots(job, ctx, X, "h")]
-        if dim == 5:
-            return [RepSpec(dim=5, params=X, f=f) for f in _roots(job, ctx, X, "f")]
-        if dim == 6:
-            if job.get("variant") is not None:
-                variants = (_int_option(job, "variant", 5),)
-            return [RepSpec(dim=6, params=X, variant=v) for v in variants]
-        return [RepSpec(dim=dim, params=X)]
+        return [RepSpec(dim=dim, params=X, h=h, f=f, variant=v)
+                for h in hs for f in fs for v in variants]
     except (BadSpec, MissingRoot) as exc:
         raise InputError(str(exc))
 
@@ -216,7 +216,8 @@ def _cmd_verify(args):
 def _cmd_irred(args):
     ctx, rep = _single_rep(_load_job(args))
     preds, relevant = rep_predicates(rep)
-    predicate_verdict = not any(p.is_zero for p in relevant)
+    # 0 iff on every factor of the modulus some predicate vanishes
+    predicate_verdict = bool(prod(p.value for p in relevant))
     oracle, witness = irreducibility(rep)
     out = {
         "command": "irred",
@@ -233,7 +234,7 @@ def _cmd_irred(args):
     if predicate_verdict != oracle:
         zeros = ", ".join(p.name for p in relevant if p.is_zero) or "none"
         raise CheckFailure(
-            "predicate/oracle disagreement: closure says "
+            "predicate/oracle disagreement: oracle says "
             f"{'irreducible' if oracle else 'reducible'}, vanishing predicates: {zeros}"
         )
     return 0, out
@@ -360,7 +361,7 @@ def _make_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("build", "construct representations and emit their matrices"),
         ("verify", "braid relation, minimal polynomial and spectral report"),
-        ("irred", "irreducibility: predicates, closure oracle, witness"),
+        ("irred", "irreducibility: predicates, oracle, witness"),
         ("semisimple", "semisimplicity verdict and dimension census"),
         ("eval", "evaluate braid words in a representation"),
         ("scan", "semisimplicity verdicts over a grid of parameter sets"),

@@ -5,7 +5,8 @@ coefficients.  Elements are coefficient vectors of length ``deg m`` in the
 residue class ring Q[t]/(m); the degree-1 modulus ``t`` gives plain Q.  The
 modulus is *not* checked for irreducibility: a squarefree reducible modulus
 yields a product of fields, and inverting a zero divisor raises
-:class:`NotInvertible` at the point of use.
+:class:`NotInvertible` at the point of use, with the factor of the modulus
+it exposes, where :meth:`FieldContext.split` can go on.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` throughout
 (always reduced, positive denominator), so there is no floating point
@@ -56,7 +57,12 @@ class ContextMismatch(ValueError):
 
 
 class NotInvertible(ArithmeticError):
-    """A zero divisor was inverted (the modulus is reducible)."""
+    """A zero divisor was inverted (the modulus is reducible); ``factor`` is
+    the monic factor of the modulus it shares, when known."""
+
+    def __init__(self, message: str, factor: list[Fraction] | None = None):
+        super().__init__(message)
+        self.factor = factor
 
 
 class TooLarge(ValueError):
@@ -67,7 +73,7 @@ class TooLarge(ValueError):
         return f"a result has more than {limit} digits; too large to print"
 
 
-# -- polynomial helpers on raw Fraction lists (used only for moduli) --------
+# -- polynomial helpers on raw Fraction lists (moduli and their factors) ----
 
 
 def _trim(cs: list[Fraction]) -> list[Fraction]:
@@ -197,6 +203,15 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext({[str(c) for c in self.modulus]})"
+
+    def split(self, factor: Sequence[Fraction]) -> tuple["FieldContext", "FieldContext"]:
+        """Q[t]/(g) and Q[t]/(m/g), whose product this ring is, for a monic
+        factor g of the modulus m (the D5 splitting: Della Dora et al., 1985)."""
+        return FieldContext(factor), FieldContext(_poly_divmod(list(self.modulus), factor)[0])
+
+    def image(self, e: "FieldElement") -> "FieldElement":
+        """e reduced into this context, whose modulus divides e's: a ring map."""
+        return self.element(_poly_divmod(list(e.coeffs), list(self.modulus))[1])
 
 
 def rationals() -> FieldContext:
@@ -334,10 +349,9 @@ class FieldElement:
             r0, r1 = r1, rem
             s0, s1 = s1, s_new
         if len(r0) != 1:
-            raise NotInvertible(
-                "zero divisor: element shares the monic factor "
-                f"{[str(c / r0[-1]) for c in r0]} with the modulus"
-            )
+            factor = [c / r0[-1] for c in r0]
+            raise NotInvertible("zero divisor: element shares the monic factor "
+                                f"{[str(c) for c in factor]} with the modulus", factor)
         scale = 1 / r0[0]
         inv = [c * scale for c in s0]
         inv += [Fraction(0)] * (d - len(inv))

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over a field context.
 
 Everything here is written for small matrices (dimension at most 6 for the
-representation work, 36 for flattened algebra closures) where exact
+representation work, 36 unknowns for an intertwiner solve) where exact
 arithmetic matters more than asymptotics.  One exact elimination step,
 :func:`_reduce_vector`, serves :func:`determinant`, :func:`inverse`,
-:func:`rank`, :func:`minpoly` and :func:`algebra_closure_dim`: it reduces a
-row against pivot-normalised rows and keeps it if it stays nonzero.
+:func:`rank` and :func:`minpoly`: it reduces a row against pivot-normalised
+rows and keeps it if it stays nonzero.
 Pivoting always takes the first nonzero entry; there are no magnitude
 heuristics because the arithmetic is exact.  Every pivot is inverted, so
 over a reducible modulus a zero-divisor pivot raises NotInvertible.
@@ -31,7 +31,6 @@ __all__ = [
     "charpoly",
     "minpoly",
     "poly_eval_matrix",
-    "algebra_closure_dim",
     "intertwiner_dim",
 ]
 
@@ -371,39 +370,6 @@ def minpoly(m: Matrix) -> Polynomial:
         if result.degree == n:
             break
     return result
-
-
-def algebra_closure_dim(generators: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
-    """Span dimension of the unital matrix algebra the generators produce.
-
-    Breadth-first span closure: seed with the identity and the generators,
-    then right-multiply accepted basis matrices by each generator in order,
-    keeping products that enlarge the span, until a fixpoint (or the hard
-    ceiling d*d, which certifies the full matrix algebra).  The returned
-    basis is reproducible: matrices appear in the order the closure
-    discovered them.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    d = generators[0].rows
-    for g in generators:
-        if g.rows != d or g.cols != d:
-            raise ShapeMismatch("generators must be square of equal size")
-    ctx = generators[0].context
-    full = d * d
-    reduced: list[tuple[int, list[FieldElement]]] = []
-    accepted: list[Matrix] = []
-    queue: list[Matrix] = [Matrix.identity(ctx, d), *generators]
-    qi = 0
-    while qi < len(queue) and len(accepted) < full:
-        mat = queue[qi]
-        qi += 1
-        if _reduce_vector(list(mat.entries), reduced, full) is None:
-            continue
-        accepted.append(mat)
-        for g in generators:
-            queue.append(mat @ g)
-    return len(accepted), accepted
 
 
 def intertwiner_dim(pairs: Sequence[tuple[Matrix, Matrix]]) -> int:

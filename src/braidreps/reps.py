@@ -139,6 +139,8 @@ class ParameterSet:
 class RepSpec:
     """What to build: dimension, eigenvalues, auxiliary roots, variant.
 
+    Only dimension 4 takes h, only 5 takes f and only 6 a variant.
+
     ``subset`` (1-based positions into an enclosing eigenvalue set) is
     bookkeeping for enumeration reports and has no effect on the matrices.
     """
@@ -155,8 +157,6 @@ class RepSpec:
         if self.dim in (1, 2, 3):
             if n != self.dim:
                 raise BadSpec(f"dimension {self.dim} needs exactly {self.dim} eigenvalues")
-            if self.h is not None or self.f is not None or self.variant is not None:
-                raise BadSpec(f"dimension {self.dim} takes no root or variant")
         elif self.dim == 4:
             if n != 4:
                 raise BadSpec("dimension 4 needs exactly 4 eigenvalues")
@@ -179,6 +179,10 @@ class RepSpec:
                 raise BadSpec("dimension 6 needs a variant index in 1..5")
         else:
             raise BadSpec(f"no representations of dimension {self.dim}")
+        takes = {4: "h", 5: "f", 6: "variant"}.get(self.dim)
+        for k in ("h", "f", "variant"):
+            if k != takes and getattr(self, k) is not None:
+                raise BadSpec(f"dimension {self.dim} takes no {k if takes else 'root or variant'}")
 
     @property
     def context(self) -> FieldContext:
@@ -200,7 +204,8 @@ class Representation:
 
     @property
     def context(self) -> FieldContext:
-        return self.spec.context
+        """The spec's, or a factor of its modulus for an image of the rep."""
+        return self.g1.context
 
     @property
     def values(self) -> tuple[FieldElement, ...]:

@@ -54,6 +54,8 @@ _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
 
 
 def parse_rational(text) -> Fraction:
+    if isinstance(text, bool):  # a JSON true or false, though bool is an int
+        raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):

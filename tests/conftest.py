@@ -15,6 +15,8 @@ norms the predicates use: the determinant of the Sylvester matrix.
 ``leibniz_determinant`` is the reference for :func:`determinant`.
 ``character`` over ``DEFAULT_PROBE_WORDS`` is the reference for the census
 probes, which are read off the diagonals: it evaluates each braid word.
+``algebra_closure_dim`` is the reference for the Burnside oracle, which
+decides by the witness search: it spans the algebra g1 and g2 generate.
 ``transpose_parameters`` and ``free_reduce`` are operations only the tests
 use.
 """
@@ -31,12 +33,14 @@ from braidreps import (
     Matrix,
     ParameterSet,
     RepSpec,
+    ShapeMismatch,
     build_rep,
     determinant,
     evaluate,
     parse,
     rationals,
 )
+from braidreps.linalg import _reduce_vector
 
 SWEEP_SEED = 20260814
 
@@ -98,6 +102,40 @@ def leibniz_determinant(m):
             term = term * m[i, j]
         total = total - term if inversions % 2 else total + term
     return total
+
+
+def algebra_closure_dim(generators):
+    """Span dimension of the unital matrix algebra the generators produce.
+
+    Breadth-first span closure: seed with the identity and the generators,
+    then right-multiply accepted basis matrices by each generator in order,
+    keeping products that enlarge the span, until a fixpoint (or the hard
+    ceiling d*d, which certifies the full matrix algebra).  The returned
+    basis is reproducible: matrices appear in the order the closure
+    discovered them.  Every pivot is inverted, so over a reducible modulus
+    a zero-divisor pivot raises NotInvertible.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    d = generators[0].rows
+    for g in generators:
+        if g.rows != d or g.cols != d:
+            raise ShapeMismatch("generators must be square of equal size")
+    ctx = generators[0].context
+    full = d * d
+    reduced = []
+    accepted = []
+    queue = [Matrix.identity(ctx, d), *generators]
+    qi = 0
+    while qi < len(queue) and len(accepted) < full:
+        mat = queue[qi]
+        qi += 1
+        if _reduce_vector(list(mat.entries), reduced, full) is None:
+            continue
+        accepted.append(mat)
+        for g in generators:
+            queue.append(mat @ g)
+    return len(accepted), accepted
 
 
 DEFAULT_PROBE_WORDS = tuple(

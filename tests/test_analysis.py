@@ -29,7 +29,6 @@ from braidreps import (
     RepSpec,
     Representation,
     Witness,
-    algebra_closure_dim,
     build_rep,
     cyclotomic5_context,
     decomposability_check,
@@ -59,6 +58,7 @@ from conftest import (
     DEFAULT_PROBE_WORDS,
     REDUCIBLE_FAMILIES,
     SWEEP_SEED,
+    algebra_closure_dim,
     character,
     distinct_nonzero,
     gen_set_dim3,
@@ -379,6 +379,7 @@ def _conjugate_by_p(rep):
 
 Z5 = cyclotomic5_context()
 T2M1 = FieldContext([-1, 0, 1])  # t^2 - 1: Q x Q through t -> 1 and t -> -1
+T3MT = FieldContext([0, -1, 0, 1])  # t^3 - t: Q x Q x Q through t -> 0, 1, -1
 
 
 def _fractions(text):
@@ -391,58 +392,51 @@ def _scaled(plan, ctx, lam):
     return {**plan, **roots, "context": ctx, "values": [lam * v for v in plan["values"]]}
 
 
-def _split(one, minus_one):
-    """The plan over t^2 - 1 whose images at t = 1 and t = -1 are the two plans."""
-    def crt(x, y):
-        return T2M1.element([(x + y) / 2, (x - y) / 2])
-    roots = {k: crt(one[k], minus_one[k]) for k in ("h", "f") if k in one}
-    return {**one, **roots, "context": T2M1,
-            "values": [crt(x, y) for x, y in zip(one["values"], minus_one["values"])]}
-
-
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Records each call the oracle makes to the exact closure."""
-    calls = []
-
-    def counting(generators):
-        calls.append(generators)
-        return algebra_closure_dim(generators)
-
-    monkeypatch.setattr(analysis, "algebra_closure_dim", counting)
-    return calls
+def _split(one, minus_one, zero=None):
+    """The plan over t^2 - 1 whose images at t = 1 and t = -1 are the two plans,
+    or with ``zero``, over t^3 - t with that plan's image at t = 0 as well."""
+    def crt(x, y, z=None):
+        if z is None:
+            return T2M1.element([(x + y) / 2, (x - y) / 2])
+        return T3MT.element([z, (x - y) / 2, (x + y) / 2 - z])
+    plans = (one, minus_one) if zero is None else (one, minus_one, zero)
+    roots = {k: crt(*(p[k] for p in plans)) for k in ("h", "f") if k in one}
+    return {**one, **roots, "context": T2M1 if zero is None else T3MT,
+            "values": [crt(*xs) for xs in zip(*(p["values"] for p in plans))]}
 
 
 class TestModularCertificate:
-    def test_certified_sets_skip_the_exact_closure(self, exact_calls):
+    # the oracle is the witness search alone; the exact closure of conftest
+    # is the reference every verdict is compared against
+
+    def test_certified_sets_skip_the_exact_closure(self):
         rep = build_rep(RepSpec(dim=6, params=FIX_J6, variant=1))
         assert irreducible_oracle(rep)
-        assert exact_calls == []
+        assert algebra_closure_dim([rep.g1, rep.g2])[0] == 36
 
-    def test_p_in_a_denominator_takes_exact_path(self, exact_calls):
+    def test_p_in_a_denominator_takes_exact_path(self):
         # a large denominator changes nothing: the diagonal change of basis
         # keeps g1 diagonal and the zero pattern, so the search decides both
         irred = _conjugate_by_p(build_rep(RepSpec(dim=2, params=ps(1, 2))))
         red = _conjugate_by_p(build_rep(RepSpec(dim=3, params=FIX_I3)))
         for rep, verdict in ((irred, True), (red, False)):
             assert irreducible_oracle(rep) is verdict
+            assert (algebra_closure_dim([rep.g1, rep.g2])[0] == rep.dim ** 2) is verdict
         assert irreducibility(red)[1] is not None
-        assert exact_calls == []
 
-    def test_irrational_root_skips_the_exact_closure(self, exact_calls):
+    def test_irrational_root_skips_the_exact_closure(self):
         ctx = FieldContext([-24, 0, 1])
         X = ParameterSet.from_rationals(ctx, [1, 2, 3, 4])
         rep = build_rep(RepSpec(dim=4, params=X, h=ctx.generator()))
         assert irreducible_oracle(rep)
-        assert exact_calls == []
 
-    def test_fixture_verdicts_carry_the_witness(self, exact_calls):
+    def test_fixture_verdicts_carry_the_witness(self):
         for rep in _fixture_reps():
             assert irreducibility(rep) == (False, invariant_subspace_witness(rep))
-        assert exact_calls == []
 
-    def test_reducible_without_witness_takes_exact_path(self, exact_calls):
-        # conjugating by I + E12 leaves no invariant coordinate subspace
+    def test_reducible_without_witness_is_off_the_layout(self):
+        # conjugating by I + E12 leaves no invariant coordinate subspace, and
+        # g1 is no longer diagonal: the search is not complete there
         rep = build_rep(RepSpec(dim=3, params=FIX_I3))
         s = Matrix(Q, 3, 3, [qv(1) if k in (0, 1, 4, 8) else qv(0) for k in range(9)])
         s_inv = inverse(s)
@@ -450,10 +444,10 @@ class TestModularCertificate:
                               g2=s @ rep.g2 @ s_inv, multiplicities=rep.multiplicities)
         assert algebra_closure_dim([conj.g1, conj.g2])[0] == 7
         assert invariant_subspace_witness(conj) is None
-        assert irreducibility(conj) == (False, None)
-        assert len(exact_calls) == 1
+        with pytest.raises(ValueError, match="laid out"):
+            irreducibility(conj)
 
-    def test_failed_candidate_is_no_certificate(self, exact_calls):
+    def test_failed_candidate_is_no_certificate(self):
         # s1 <-> s2 is an automorphism of B3; after the swap g1 is not
         # diagonal, so the coordinate line (1,) is invariant under g2 but
         # moved by g1: the search must skip it, not return or raise on it
@@ -463,7 +457,6 @@ class TestModularCertificate:
         assert w == Witness((2, 3))
         assert verify_witness(swapped, w)
         assert irreducibility(swapped) == (False, w)
-        assert exact_calls == []
         for rep in _fixture_reps():
             swapped = _swap(rep)
             w = invariant_subspace_witness(swapped)
@@ -488,18 +481,17 @@ class TestModularCertificate:
             assert len(calls) == 1
             assert (json.loads(capsys.readouterr().out)["witness"] is None) == (not reducible)
 
-    def test_oracle_agrees_with_exact_closure_on_sweep(self, exact_calls):
+    def test_oracle_agrees_with_exact_closure_on_sweep(self):
         rng = random.Random(SWEEP_SEED)
         plans = sweep_plans(10)
         plans += [reducible_plan(rng, f) for f in REDUCIBLE_FAMILIES for _ in range(10)]
         for rep in [plan_rep(plan) for plan in plans] + _fixture_reps():
             dim, _ = algebra_closure_dim([rep.g1, rep.g2])
+            # built reps and their diagonal conjugates keep the layout
             for same in (rep, _conjugate_by_p(rep)):
                 assert irreducible_oracle(same) == (dim == rep.dim ** 2), rep.spec
-        # built reps and their diagonal conjugates satisfy the guard
-        assert exact_calls == []
 
-    def test_oracle_agrees_with_exact_closure_beyond_q(self, exact_calls):
+    def test_oracle_agrees_with_exact_closure_beyond_q(self):
         # over a field every nonzero value is a unit: the search decides alone
         rng = random.Random(SWEEP_SEED)
         rational = [p for p in sweep_plans(1) if p["dim"] > 1]
@@ -514,11 +506,11 @@ class TestModularCertificate:
             rep = plan_rep(plan)
             dim, _ = algebra_closure_dim([rep.g1, rep.g2])
             assert irreducible_oracle(rep) == (dim == rep.dim ** 2), rep.spec
-        assert exact_calls == []
 
-    def test_split_factors_agree_with_both_images(self, exact_calls):
+    def test_split_factors_agree_with_both_images(self):
         # a set over t^2 - 1 is two rational sets, its images at t = 1 and
-        # t = -1: an answer must be the verdict of both
+        # t = -1: the oracle answers exactly when both images give one
+        # verdict, and then gives it; otherwise the zero divisor is raised
         rng = random.Random(SWEEP_SEED)
         generic = {3: gen_set_dim3, 4: gen_set_dim4, 5: gen_set_dim5, 6: gen_set_dim6}
         pairs = []
@@ -528,9 +520,9 @@ class TestModularCertificate:
             variant = (red["variant"],) if red["dim"] == 6 else ()
             gen, gen2 = (generic[red["dim"]](rng, *variant) for _ in range(2))
             pairs += [(red, gen), (gen, red), (gen, gen2), (red, _scaled(red, Q, 2))]
-        # golden calls: the certificate fails and the closure answers; the
-        # closure meets a zero divisor and the search answers; the line
-        # values fail the certificate and the closure meets a zero divisor
+        # golden calls: the closure answered (the certificate failed); the
+        # search answered; the certificate failed and the closure met a
+        # zero divisor, as the images differ
         d3, d6 = {"dim": 3}, {"dim": 6, "variant": 1}
         pairs += [({**d3, "values": _fractions("-4 -5 4")},
                    {**d3, "values": _fractions("3 1/3 -2")}),
@@ -541,32 +533,70 @@ class TestModularCertificate:
         verdicts = []
         for one, minus_one in pairs:
             rep = plan_rep(_split(one, minus_one))
-            images = [irreducible_oracle(plan_rep(p)) for p in (one, minus_one)]
-            exact_calls.clear()
-            try:
-                verdict = irreducible_oracle(rep)
-            except NotInvertible:
+            images = [plan_rep(p) for p in (one, minus_one)]
+            closure = [algebra_closure_dim([r.g1, r.g2])[0] == r.dim ** 2 for r in images]
+            assert [irreducible_oracle(r) for r in images] == closure
+            if closure[0] != closure[1]:
+                with pytest.raises(NotInvertible):
+                    irreducible_oracle(rep)
                 verdicts.append(None)
-                continue
-            assert images == [verdict, verdict], rep.spec
-            verdicts.append((verdict, len(exact_calls)))
-        assert verdicts[-3:] == [(True, 1), (True, 0), None]
-        assert {True, False} <= {v[0] for v in verdicts if v}
+            else:
+                assert irreducible_oracle(rep) is closure[0], rep.spec
+                verdicts.append(closure[0])
+        assert verdicts[-3:] == [True, True, None]
+        assert {True, False, None} <= set(verdicts)
 
-    def test_eigenvalues_equal_on_one_factor_take_the_closure(self, exact_calls):
+    def test_split_recurses_over_t3_minus_t(self, monkeypatch):
+        # reducible at t = 0, 1 and -1 with three different witnesses: none
+        # holds on the whole ring, so t^3 - t splits and one of its factors
+        # splits again; one irreducible image leaves no verdict
+        calls = []
+
+        def counting(rep):
+            calls.append(rep.context.degree)
+            return irreducibility(rep)
+
+        monkeypatch.setattr(analysis, "irreducibility", counting)
+        rng = random.Random(SWEEP_SEED)
+        red = {}
+        while len(red) < 3:
+            plan = reducible_plan(rng, "I3")
+            red.setdefault(invariant_subspace_witness(plan_rep(plan)), plan)
+        red = list(red.values())
+        for plans, verdict in ((red, False), (red[:2] + [gen_set_dim3(rng)], None)):
+            images = [plan_rep(p) for p in plans]
+            closure = [algebra_closure_dim([r.g1, r.g2])[0] == 9 for r in images]
+            assert closure == [irreducible_oracle(r) for r in images]
+            rep = plan_rep(_split(*plans))
+            assert invariant_subspace_witness(rep) is None
+            calls.clear()
+            if verdict is None:
+                assert set(closure) == {True, False}
+                with pytest.raises(NotInvertible):
+                    irreducibility(rep)
+                continue
+            assert closure == [verdict] * 3
+            assert irreducibility(rep) == (verdict, None)
+            # the whole ring, a field and a product of two fields, then its two
+            assert sorted(calls) == [1, 1, 1, 2], calls
+
+    def test_eigenvalues_equal_on_one_factor_leave_the_layout(self):
         # g1 = diag(1, t) over t^2 - 1 is the identity at t = 1, where the
-        # line (1, 1) is invariant; at t = -1 the rep is irreducible
+        # line (1, 1) is invariant; at t = -1 the rep is irreducible.  No
+        # builder makes it: the image at t = 1 has no simple eigenvalues
         one, t = T2M1.one(), T2M1.generator()
         rep = Representation(spec=RepSpec(dim=2, params=ParameterSet((one, t))),
                              g1=Matrix.diagonal(T2M1, [one, t]),
                              g2=Matrix.from_rows(T2M1, [[1, 1], [1, 1]]),
                              multiplicities=(1, 1))
         assert invariant_subspace_witness(rep) is None
-        with pytest.raises(NotInvertible):
+        with pytest.raises(ValueError, match="laid out"):
             irreducibility(rep)
-        assert len(exact_calls) == 1
+        images = [Matrix.diagonal(Q, [qv(1), qv(r)]) for r in (1, -1)]
+        ones = Matrix.from_rows(Q, [[1, 1], [1, 1]])
+        assert [algebra_closure_dim([g1, ones])[0] for g1 in images] == [2, 4]
 
-    def test_exact_closure_decides_when_the_guard_fails(self, exact_calls):
+    def test_uncovered_layout_raises(self):
         # after s1 <-> s2, g1 is not diagonal
         swapped = _swap(build_rep(RepSpec(dim=3, params=ps(1, 2, 3))))
         # coordinates (5, 6, 1, 2, 3, 4): the doubled eigenvalue comes first
@@ -584,13 +614,14 @@ class TestModularCertificate:
         tripled = Representation(spec=rep6.spec, g2=g2, multiplicities=(1, 1, 1, 3),
                                  g1=Matrix.diagonal(Q, [qv(v) for v in (1, 2, 3, 4, 4, 4)]))
         for rep, verdict in ((swapped, True), (permuted, True), (tripled, False)):
-            exact_calls.clear()
-            assert irreducibility(rep) == (verdict, None)
-            assert len(exact_calls) == 1
+            assert (algebra_closure_dim([rep.g1, rep.g2])[0] == rep.dim ** 2) is verdict
+            assert invariant_subspace_witness(rep) is None
+            with pytest.raises(ValueError, match="laid out"):
+                irreducibility(rep)
 
-    def test_doubled_eigenvalue_outside_dimension_6(self, exact_calls):
+    def test_doubled_eigenvalue_outside_dimension_6(self):
         # d = 4 with g1 = diag(1, 2, 3, 3): the search has no plane to offer,
-        # so it tries coordinate sets of e1, e2 only and the closure decides
+        # so it tries coordinate sets of e1, e2 only and is not complete
         spec = RepSpec(dim=4, params=ps(1, 2, 3, 6), h=qv(6))
         g1 = Matrix.diagonal(Q, [qv(v) for v in (1, 2, 3, 3)])
         rng = random.Random(SWEEP_SEED)
@@ -600,10 +631,10 @@ class TestModularCertificate:
                                 for i in range(4) for j in range(4)])
         for g2, verdict in ((full, True), (line, False)):
             rep = Representation(spec=spec, g1=g1, g2=g2, multiplicities=(1, 1, 2))
+            assert (algebra_closure_dim([rep.g1, rep.g2])[0] == 16) is verdict
             assert invariant_subspace_witness(rep) is None
-            exact_calls.clear()
-            assert irreducibility(rep) == (verdict, None)
-            assert len(exact_calls) == 1
+            with pytest.raises(ValueError, match="laid out"):
+                irreducibility(rep)
 
 
 class TestDecomposableExample:
@@ -662,11 +693,11 @@ class TestUnconstrainedPlaneLines:
                                 for e in row] for row in block])
         full = algebra_closure_dim([rep.g1, rep.g2])[0] == 36
         if expected is None:
-            # a - d = t - 1 is a zero divisor: the search raises and the
-            # exact closure decides
+            # a - d = t - 1 is a zero divisor: the search raises, and on
+            # both images, at t = 1 and t = -1, the line e5 is invariant
             with pytest.raises(NotInvertible):
                 invariant_subspace_witness(rep)
-            assert irreducibility(rep) == (full, None)
+            assert irreducibility(rep) == (False, None) and not full
             return
         index_set, line = expected
         if line is not None:
@@ -723,7 +754,6 @@ def _verify_job(rep) -> str:
     return json.dumps(job)
 
 
-T3MT = FieldContext([0, -1, 0, 1])  # t^3 - t: Q x Q x Q through t -> 0, 1, -1
 _SPLIT_ROOTS = {T2M1.modulus: (1, -1), T3MT.modulus: (0, 1, -1)}
 
 

@@ -137,6 +137,17 @@ class TestIrred:
         assert payload["witness"]["Y"] == []
         assert payload["witness"]["line"] == ["-441/5", "-63/5"]
 
+    def test_predicates_multiply_over_a_product_of_fields(self, capsys):
+        # over t^2 - 1 no predicate is 0, but each image is reducible through
+        # a different one, so their product vanishes: both routes say reducible
+        payload = run_json(capsys, "irred", "--context", "t^2-1", "--params",
+                           '["[1/2,7/2]", "[0,1]", "[1/2,-7/2]", "[-3/2,-5/2]", '
+                           '"[-12,-28/3]"]', "--f=[-3,-1]")
+        assert not any(p["zero"] for p in payload["predicates"])
+        assert payload["predicate_verdict_irreducible"] is False
+        assert payload["oracle_irreducible"] is False
+        assert payload["witness"] is None and payload["decomposable"] is None
+
     @pytest.mark.parametrize("params, option, root", [
         ('["-3/4", "3/2", "-2/3", "27"]', "--h", "-9/2"),
         ('[1, -1, 2, 4, "1/256"]', "--f", "-1/2"),
@@ -249,6 +260,38 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("build", "--params", '{"X": [true, 2]}'),
+        ("semisimple", "--params", "[false, 2]"),
+        ("build", "--params", '{"X": [1, 2, 3, 6], "h": true}'),
+        ("verify", "--context", "t^2-24", "--params", '[[1, true], 2]'),
+        ("build", "--params", '{"X": [1, 2], "context": [true, 0, 1]}'),
+    ], ids=["X", "semisimple-X", "h", "coefficient", "modulus"])
+    def test_boolean_is_not_a_rational(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a rational: " in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("build", "--params", "[1,2]", "--h", "5"), "dimension 2 takes no root or variant"),
+        (("verify", "--params", "[1,2,3]", "--variant", "9", "--f", "7"),
+         "dimension 3 takes no root or variant"),
+        (("build", "--params", "[1,2,3,6]", "--h", "6", "--f", "2"), "dimension 4 takes no f"),
+        (("irred", "--params", "[1,2,3,6]", "--variant", "2"), "dimension 4 takes no variant"),
+        (("build", "--params", "[-4, 1, 2, 4, -1]", "--h", "2"), "dimension 5 takes no h"),
+        (("verify", "--params", "[-4, 1, 2, 4, -1]", "--f", "2", "--variant", "1"),
+         "dimension 5 takes no variant"),
+        (("irred", "--params", "[1, 2, 3, 4, 5]", "--dim", "6", "--f", "2"),
+         "dimension 6 takes no f"),
+        (("eval", "--params", "[1, 2, 3, 4, 5]", "--dim", "6", "--h", "2", "--words", "s1"),
+         "dimension 6 takes no h"),
+    ], ids=["d2-h", "d3-f-variant", "d4-f", "d4-variant", "d5-h", "d5-variant",
+            "d6-f", "d6-h"])
+    def test_option_the_dimension_does_not_take(self, capsys, argv, message):
+        # each was dropped silently: the call built the rep without it
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["semisimple", "irred"])
     def test_zero_divisor_exits_two(self, capsys, command):

@@ -216,6 +216,21 @@ CALLS = [
     ["eval", "--params", '{"X": [1, 2], "words": {"a": 1}}'],
     ["eval", "--params", '{"X": [1, 2], "words": [1]}'],
     ["eval", "--params", '{"X": [1, 2], "words": [null]}'],
+    # exited 2 on a zero divisor before irred split the modulus at it; each
+    # answer is the verdict of every image at a root of the modulus.  Over
+    # t^2-1 no predicate is 0 but their product is (each image is reducible
+    # through another one); over t^3-t one factor splits again, and in the
+    # last set the second eigenvalue vanishes at t = -1
+    ["irred", "--context", "t^2-1", "--params",
+     '["[1/2,7/2]", "[0,1]", "[1/2,-7/2]", "[-3/2,-5/2]", "[-12,-28/3]"]', "--f=[-3,-1]"],
+    ["irred", "--context", "t^3-t", "--params",
+     '["[-70/3,6559/2187,44467/2187]", "[9,-1/6,-49/6]", "[7/3,0,-19/3]", '
+     '"[1/2,-1/2,-3]", "[5,-3/2,11/2]"]', "--dim", "6", "--variant", "2"],
+    ["irred", "--context", "t^3-t", "--params",
+     '["[2,4/3,2/3]", "[9/4,-1/2,-11/4]", "[-1,7/8,9/8]"]'],
+    # exited 0: a JSON true was read as 1, and h was dropped in dimension 2
+    ["build", "--params", '{"X": [true, 2]}'],
+    ["build", "--params", "[1,2]", "--h", "5"],
 ]
 
 

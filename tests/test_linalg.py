@@ -10,7 +10,6 @@ from braidreps import (
     FieldContext,
     Matrix,
     Polynomial,
-    algebra_closure_dim,
     charpoly,
     NotInvertible,
     cyclotomic5_context,
@@ -23,7 +22,7 @@ from braidreps import (
     rationals,
 )
 from braidreps.field import _poly_divmod
-from conftest import leibniz_determinant
+from conftest import algebra_closure_dim, leibniz_determinant
 
 Q = rationals()
 

@@ -45,6 +45,17 @@ class TestRationals:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    def test_parse_rejects_booleans(self):
+        # a JSON true or false is a bool, which Python counts as an int
+        ctx = FieldContext([-24, 0, 1])
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="not a rational"):
+                parse_rational(bad)
+            with pytest.raises(ValueError, match="not a rational"):
+                parse_element(Q, bad)
+            with pytest.raises(ValueError, match="not a rational"):
+                parse_element(ctx, [1, bad])
+
 
 class TestElements:
     def test_base_field_uses_plain_strings(self):
