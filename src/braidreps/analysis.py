@@ -18,8 +18,8 @@ extension is needed to reach a verdict.
 
 The candidate subspaces are the sets of simple g1-eigenlines, in dimension
 6 optionally extended by the doubled-eigenvalue plane or a line inside it.
-Each is checked once and exactly: a coordinate subspace by the zero pattern
-of both generators, one with a line by exact rank computations.
+Each is checked once and exactly by :func:`verify_witness`: a coordinate
+subspace by the zero pattern of both generators, one with a line by rank.
 
 Semisimplicity of the whole quotient algebra reduces to the same predicate
 families evaluated over all subsets, and the dimension census cross-checks
@@ -391,28 +391,35 @@ def witness_vectors(rep: Representation, w: Witness) -> list[list[FieldElement]]
     if w.extra_line is not None:
         if d != 6:
             raise InvalidWitness("extra_line only makes sense in dimension 6")
-        alpha, beta = w.extra_line
-        v = [ctx.zero()] * 6
-        v[4] = alpha
-        v[5] = beta
-        vecs.append(v)
+        vecs.append([ctx.zero()] * 4 + list(w.extra_line))
     return vecs
 
 
 def verify_witness(rep: Representation, w: Witness) -> bool:
-    """Exact invariance of the witness span under both generators."""
+    """Exact invariance of the proper nonzero witness span under both generators.
+
+    Distinct coordinates in 1..d are decided by the zero pattern (no entry
+    in their columns outside their rows), a span with a line by exact rank;
+    a bad index or line raises :class:`InvalidWitness`.
+    """
+    d = rep.dim
+    inside = {i - 1 for i in w.index_set}
+    if w.extra_line is None and inside <= set(range(d)):
+        if len(inside) < len(w.index_set) or not 0 < len(inside) < d:
+            return False
+        outside = [i for i in range(d) if i not in inside]
+        return all(g[i, j].is_zero()
+                   for g in (rep.g1, rep.g2) for j in inside for i in outside)
     vecs = witness_vectors(rep, w)
     k = len(vecs)
-    if not 0 < k < rep.dim:
-        return False
     span = Matrix.from_rows(rep.context, vecs)
-    if rank(span) != k:
+    if k >= d or rank(span) != k:
         return False
     # the span is invariant iff adding the rows g v, for both g, keeps rank k
     entries = span.entries
     for g in (rep.g1, rep.g2):
         entries += (span @ g.transpose()).entries
-    return rank(Matrix(rep.context, 3 * k, rep.dim, entries)) == k
+    return rank(Matrix(rep.context, 3 * k, d, entries)) == k
 
 
 def _has_plane(rep: Representation) -> bool:
@@ -516,22 +523,6 @@ def _candidates(rep: Representation):
                 yield _witness(S, "plane")
 
 
-def _invariant(rep: Representation, w: Witness) -> bool:
-    """Exact invariance of a proper candidate under both generators.
-
-    A coordinate subspace is invariant iff neither generator has a nonzero
-    entry in its columns outside its rows, whatever the matrices; a
-    subspace with a line goes through :func:`verify_witness`.
-    """
-    if w.extra_line is not None:
-        return verify_witness(rep, w)
-    inside = {i - 1 for i in w.index_set}
-    outside = [i for i in range(rep.dim) if i not in inside]
-    return all(
-        g[i, j].is_zero() for g in (rep.g1, rep.g2) for j in inside for i in outside
-    )
-
-
 def invariant_subspace_witness(rep: Representation) -> Witness | None:
     """First proper nonzero invariant subspace among the candidates, or None.
 
@@ -539,7 +530,7 @@ def invariant_subspace_witness(rep: Representation) -> Witness | None:
     complement search result is recorded on the witness found.
     """
     for w in _candidates(rep):
-        if _invariant(rep, w):
+        if verify_witness(rep, w):
             return Witness(w.index_set, w.extra_line, _complement_found(rep, w))
     return None
 
@@ -562,13 +553,13 @@ def _complement_found(rep: Representation, w: Witness) -> bool:
         line = (ctx.one(), ctx.zero()) if plane == [n + 1] else (ctx.zero(), ctx.one())
     elif w.extra_line is None and len(plane) in (0, rep.dim - n):
         rest = tuple(i for i in range(1, rep.dim + 1) if i not in w.index_set)
-        return _invariant(rep, Witness(rest))
+        return verify_witness(rep, Witness(rest))
     else:
         raise ValueError(f"{w} splits a repeated eigenspace: no complement search")
     alpha, beta = line
     Sbar = tuple(i for i in range(n) if i + 1 not in w.index_set)
     return any(
-        alpha * cb != ca * beta and _invariant(rep, _witness(Sbar, (ca, cb)))
+        alpha * cb != ca * beta and verify_witness(rep, _witness(Sbar, (ca, cb)))
         for ca, cb in _line_candidates(rep, Sbar)
     )
 

@@ -185,7 +185,7 @@ def _cmd_build(args):
     ctx = _context(job)
     X = _parameter_set(ctx, job)
     reps = [build_rep(s) for s in _resolve_specs(job, ctx, X, variants=range(1, 6))]
-    return 0, {
+    return {
         "command": "build",
         "context": encode_context(ctx),
         "reps": [encode_rep(r) for r in reps],
@@ -210,7 +210,7 @@ def _cmd_verify(args):
     if not report.all_ok:
         failed = [name for name, ok in report.checks if not ok]
         raise CheckFailure("verification failed: " + ", ".join(failed))
-    return 0, out
+    return out
 
 
 def _cmd_irred(args):
@@ -237,7 +237,7 @@ def _cmd_irred(args):
             "predicate/oracle disagreement: oracle says "
             f"{'irreducible' if oracle else 'reducible'}, vanishing predicates: {zeros}"
         )
-    return 0, out
+    return out
 
 
 def _cmd_semisimple(args):
@@ -248,7 +248,7 @@ def _cmd_semisimple(args):
     ctx = _context(job)
     X = _parameter_set(ctx, job)
     report = dimension_census(X, mode=mode)
-    return 0, {
+    return {
         "command": "semisimple",
         "context": encode_context(ctx),
         "X": [encode_element(v) for v in X.values],
@@ -280,7 +280,7 @@ def _cmd_eval(args):
                 "trace": encode_element(m.trace()),
             }
         )
-    return 0, {
+    return {
         "command": "eval",
         "context": encode_context(ctx),
         "spec": encode_spec(rep.spec),
@@ -332,7 +332,7 @@ def _cmd_scan(args):
             points = [_scan_point(t) for t in tasks]
     except (ValueError, BadSpec) as exc:
         raise InputError(f"bad grid point: {exc}")
-    return 0, {
+    return {
         "command": "scan",
         "context": encode_context(ctx),
         "mode": mode,
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _make_parser().parse_args(_attach_root_values(argv))
     try:
-        code, payload = _COMMANDS[args.command](args)
+        payload = _COMMANDS[args.command](args)
     except (InputError, TooLarge, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -423,7 +423,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

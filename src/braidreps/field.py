@@ -25,7 +25,6 @@ from math import lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
-    "Rational",
     "FieldContext",
     "FieldElement",
     "NonMonicModulus",
@@ -38,8 +37,6 @@ __all__ = [
     "rational_kth_root",
     "element_kth_roots",
 ]
-
-Rational = Fraction
 
 Coercible = Union["FieldElement", Fraction, int]
 

@@ -114,9 +114,20 @@ _TERM_RE = re.compile(
 )
 
 
+_MAX_DEGREE = 64  # FieldContext's reduction table grows with the square of it
+
+
+def _bounded_degree(degree: int) -> int:
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"modulus degree {degree} is above the bound {_MAX_DEGREE}")
+    return degree
+
+
 def parse_modulus(spec) -> tuple[Fraction, ...]:
-    """Modulus from "t^2-24"-style text or a JSON coefficient list (ascending)."""
+    """Modulus from "t^2-24"-style text or a JSON coefficient list (ascending),
+    its degree bounded before any coefficient list is built."""
     if isinstance(spec, (list, tuple)):
+        _bounded_degree(len(spec) - 1)
         return tuple(parse_rational(c) for c in spec)
     text = str(spec).strip()
     coeffs: dict[int, Fraction] = {}
@@ -135,7 +146,7 @@ def parse_modulus(spec) -> tuple[Fraction, ...]:
             else Fraction(1)
         )
         if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = _bounded_degree(int(m.group("exp"))) if m.group("exp") else 1
         else:
             exp = 0
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff

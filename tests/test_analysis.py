@@ -254,6 +254,21 @@ class TestWitnessMachinery:
         assert not verify_witness(rep, Witness((1, 2, 3)))  # full space
         assert not verify_witness(rep, Witness(()))         # zero space
 
+    def test_verify_rejects_repeated_indices(self):
+        # (2, 3) is invariant, but a witness lists distinct indices
+        rep = build_rep(RepSpec(dim=3, params=FIX_I3))
+        assert not verify_witness(rep, Witness((2, 2)))
+        assert not verify_witness(rep, Witness((2, 3, 3)))
+        bad = build_rep(RepSpec(dim=4, params=FIX_I4, h=qv(9)))
+        assert verify_witness(bad, Witness((1, 2, 3)))
+        assert not verify_witness(bad, Witness((1, 2, 3, 3)))
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_verify_rejects_indices_out_of_range(self, index):
+        rep = build_rep(RepSpec(dim=3, params=FIX_I3))
+        with pytest.raises(InvalidWitness, match=f"index {index} outside 1..3"):
+            verify_witness(rep, Witness((2, index)))
+
     def test_decomposability_validates_first(self):
         rep = build_rep(RepSpec(dim=3, params=FIX_I3))
         with pytest.raises(InvalidWitness):

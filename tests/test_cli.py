@@ -249,13 +249,17 @@ class TestExitCodes:
         ("eval", "--params", '{"X": [1, 2], "words": [1]}'),
         ("eval", "--params", '{"X": [1, 2], "words": [null]}'),
         ("eval", "--params", '{"X": [1, 2], "words": ["a", 2]}'),
+        ("build", "--params", "[1,2]", "--context", "t^65"),
+        ("build", "--params", "[1,2]", "--context", "t^1000"),
+        ("build", "--params", json.dumps({"X": [1, 2], "context": [-2] + [0] * 64 + [1]})),
     ], ids=["X-int", "X-string", "build-dim", "variant", "scan-jobs",
             "grid-row", "unbalanced-bracket", "mode-not-semisimple",
             "mode-semisimple", "word-exponent", "word-merged-exponent",
             "word-length", "result-too-large", "zero-denominator-X",
             "zero-denominator-semisimple", "zero-denominator-context",
             "zero-denominator-h", "zero-denominator-grid", "words-string",
-            "words-object", "words-int", "words-null", "words-mixed"])
+            "words-object", "words-int", "words-null", "words-mixed",
+            "modulus-degree-65", "modulus-degree-1000", "modulus-list-66"])
     def test_malformed_job_fields(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

@@ -231,6 +231,10 @@ CALLS = [
     # exited 0: a JSON true was read as 1, and h was dropped in dimension 2
     ["build", "--params", '{"X": [true, 2]}'],
     ["build", "--params", "[1,2]", "--h", "5"],
+    # exited 0 or ran out of memory: a modulus of degree above 64 now exits 2
+    # before FieldContext builds its reduction table, quadratic in the degree
+    ["build", "--params", "[1,2]", "--context", "t^65-2"],
+    ["build", "--params", json.dumps({"X": [1, 2], "context": [-2] + [0] * 64 + [1]})],
 ]
 
 

@@ -105,6 +105,13 @@ class TestModulus:
             with pytest.raises(ValueError):
                 parse_modulus(bad)
 
+    def test_degree_bound(self):
+        assert len(parse_modulus("t^64-2")) == 65
+        assert len(parse_modulus([1] * 65)) == 65
+        for bad in ("t^65", "t^1000", "t^64 + t^1000 - 2", [1] * 66):
+            with pytest.raises(ValueError, match="above the bound 64"):
+                parse_modulus(bad)
+
 
 class TestStructures:
     def test_matrix_encoding_is_flat_row_major(self):

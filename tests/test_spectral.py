@@ -14,6 +14,7 @@ import pytest
 import braidreps.linalg as linalg
 import braidreps.spectral as spectral
 from braidreps import (
+    ConstructionFailed,
     FieldContext,
     Matrix,
     NotScalar,
@@ -27,6 +28,7 @@ from braidreps import (
     rationals,
     spectral_report,
 )
+from braidreps.reps import _self_check
 from conftest import REDUCIBLE_FAMILIES, SWEEP_SEED, plan_rep, reducible_plan, sweep_plans
 
 Q = rationals()
@@ -88,16 +90,12 @@ class TestCentralValue:
             spectral_report(broken)
 
     def test_not_scalar_raised_when_only_b_squared_differs(self):
-        # g1 = I and g2 a 3-cycle: A^3 = g2^3 = I is scalar, B^2 = g2^2 is not
-        good = rep3()
-        broken = Representation(
-            spec=good.spec,
-            g1=Matrix.identity(Q, 3),
-            g2=Matrix.from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-            multiplicities=good.multiplicities,
-        )
-        with pytest.raises(NotScalar, match=r"\(g1 g2 g1\)\^2 differs from \(g1 g2\)\^3"):
-            spectral_report(broken)
+        # g1 = I and g2 a 3-cycle: A^3 = g2^3 = I is scalar, B^2 = g2^2 is
+        # not.  The pair breaks the braid relation, so build_rep refuses it
+        # and spectral_report, which checks B^2 alone, never sees it.
+        with pytest.raises(ConstructionFailed, match="braid relation"):
+            _self_check(rep3().spec, Matrix.identity(Q, 3),
+                        Matrix.from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
 
 
 class TestTraces:
@@ -203,22 +201,28 @@ class TestCharpolysFromRelations:
             assert report.all_ok, rep.spec
 
     def test_five_products_and_no_charpoly(self, monkeypatch):
-        reps = [rep2(), rep3(), rep4(), rep5(), rep6(),
-                build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))]
+        # A = g1 g2 and B = A g1 have the diagonal g1 as a factor; B^2 is the
+        # one dense product
+        built = [rep2(), rep3(), rep4(), rep5(), rep6(),
+                 build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))]
         calls, products = [], []
         real = Matrix.__matmul__
 
+        def diagonal(m):
+            return m == Matrix.diagonal(Q, [m[i, i] for i in range(m.rows)])
+
         def counting(a, b):
-            products.append((a.rows, b.cols))
+            products.append(diagonal(a) or diagonal(b))
             return real(a, b)
 
         monkeypatch.setattr(linalg, "charpoly", lambda m: calls.append(m))
         monkeypatch.setattr(spectral, "charpoly", lambda m: calls.append(m), raising=False)
         monkeypatch.setattr(Matrix, "__matmul__", counting)
-        for rep in reps:
+        for rep in built:
             products.clear()
             assert spectral_report(rep).all_ok
-            assert len(products) == 5, rep.dim
+            assert len(products) == 3, rep.dim
+            assert rep.dim == 1 or products.count(False) == 1, rep.dim
         assert calls == []
 
 
