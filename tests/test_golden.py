@@ -235,6 +235,12 @@ CALLS = [
     # before FieldContext builds its reduction table, quadratic in the degree
     ["build", "--params", "[1,2]", "--context", "t^65-2"],
     ["build", "--params", json.dumps({"X": [1, 2], "context": [-2] + [0] * 64 + [1]})],
+    # rational sets over extension contexts, recorded while semisimplicity
+    # still evaluated them as field elements and checked their unit product
+    ["semisimple", "--context", "t^2-1", "--params", "[-4, 1, 2, 4, -1]"],
+    ["semisimple", "--context", "t^3-t", "--params", '[1, 2, "27/2", 3]'],
+    ["scan", "--context", "t^4+t^3+t^2+t+1", "--params",
+     '{"grid": [[1, 2, 3], [2, 1, -4], [1, 2, 3, 4, 24], [-4, 1, 2, 4, -1]]}'],
 ]
 
 
