@@ -23,19 +23,20 @@ subspace by the zero pattern of both generators, one with a line by rank.
 
 Semisimplicity of the whole quotient algebra reduces to the same predicate
 families evaluated over all subsets, and the dimension census cross-checks
-the verdict against the algebra dimension (6, 24, 96 or 600).  Over Q the
-verdict is decided on integers: every family is homogeneous, so scaling X
-by the lcm of its denominators keeps the set of vanishing predicates.
+the verdict against the algebra dimension (6, 24, 96 or 600).  For a
+rational X, in any context, the verdict is decided on integers: every
+family is homogeneous, so scaling X by the lcm of its denominators keeps
+the set of vanishing predicates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations, zip_longest
-from math import comb, lcm, prod
+from itertools import combinations, permutations
+from math import comb, prod
 
-from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
+from .field import FieldContext, FieldElement, NotInvertible, _lift, element_kth_roots
 from .linalg import Matrix, intertwiner_dim, rank
 from .reps import (
     DeferredRoot,
@@ -126,6 +127,59 @@ def _pairings(indices: tuple[int, ...]):
     return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
 
 
+def _families(vals: tuple, level: int, root=None):
+    """Each predicate of one dimension class at vals, in a fixed order, as
+    (family, 0-based indices, value); with no root, the level-4 and -5
+    values are norms over all roots."""
+    if level == 2:
+        x, y = vals
+        yield "I2", (0, 1), x * x - x * y + y * y
+    elif level == 3:
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            yield "I3", (i, j, k), vals[i] ** 2 + vals[j] * vals[k]
+    elif level == 4:
+        e4 = prod(vals)
+        combos = [("I4", (i,), vals[i] ** 2) for i in range(4)] + [
+            ("J4", (i, j, k, l), vals[i] * vals[j] + vals[k] * vals[l])
+            for (i, j), (k, l) in _pairings((0, 1, 2, 3))]
+        for family, idx, c in combos:
+            # c - h, or its norm over both square roots of e4: c^2 - e4
+            yield family, idx, c * c - e4 if root is None else c - root
+    elif level == 5:
+        e5 = prod(vals)
+        for i, x in enumerate(vals):
+            if root is None:
+                # prod_f (x^2 + x f + f^2) = (x^15 - e5^3) / (x^5 - e5)
+                x5 = x**5
+                yield "I5", (i,), x5 * x5 + x5 * e5 + e5 * e5
+            else:
+                yield "I5", (i,), x * x + x * root + root * root
+        for i, j in combinations(range(5), 2):
+            c = vals[i] * vals[j]
+            # c + f^2, or its norm over the fifth roots of e5: c^5 + e5^2
+            yield "J5", (i, j), c**5 + e5 * e5 if root is None else c + root * root
+    else:
+        e5 = prod(vals)
+        for i in range(5):
+            yield "I6", (i,), e5 + vals[i] ** 5
+        for i, j in permutations(range(5), 2):
+            yield "J6", (i, j), e5 - vals[i] ** 3 * vals[j] ** 2
+        for i in range(5):
+            for (j, k), (l, m) in _pairings(tuple(t for t in range(5) if t != i)):
+                yield "K6", (i, j, k, l, m), vals[j] * vals[k] + vals[l] * vals[m]
+
+
+def _predicate(level, pos, family, idx, value, quantified) -> PredicateValue:
+    """A row of :func:`_families`, its indices labelled by ``pos``.  The
+    level-4 and -5 families record their subset and whether no root was
+    given; a level-6 vanishing breaks the variant of J6's last index and of
+    the first index of I6 and K6."""
+    rooted = level in (4, 5)
+    variant = (idx[-1] if family == "J6" else idx[0]) + 1 if level == 6 else None
+    return PredicateValue(family, tuple(pos[t] for t in idx), value,
+                          quantified and rooted, pos if rooted else None, variant)
+
+
 def evaluate_predicates(
     X: Sequence[FieldElement | int],
     level: int,
@@ -153,87 +207,8 @@ def evaluate_predicates(
     if n != needed[level]:
         raise BadLevel(f"level {level} needs {needed[level]} eigenvalues, got {n}")
     pos = tuple(positions) if positions is not None else tuple(range(1, n + 1))
-    vals = tuple(X)
-    quant = root is None
-    out: list[PredicateValue] = []
-
-    if level == 2:
-        x, y = vals
-        out.append(
-            PredicateValue("I2", (pos[0], pos[1]), x * x - x * y + y * y)
-        )
-    elif level == 3:
-        for i in range(3):
-            j, k = [t for t in range(3) if t != i]
-            out.append(
-                PredicateValue(
-                    "I3", (pos[i], pos[j], pos[k]), vals[i] ** 2 + vals[j] * vals[k]
-                )
-            )
-    elif level == 4:
-        e4 = prod(vals)
-        combos = [("I4", (i,), vals[i] ** 2) for i in range(4)]
-        combos += [
-            ("J4", (i, j, k, l), vals[i] * vals[j] + vals[k] * vals[l])
-            for (i, j), (k, l) in _pairings((0, 1, 2, 3))
-        ]
-        for family, idx, c in combos:
-            # c - h, or its norm over both square roots of e4: c^2 - e4
-            value = c * c - e4 if quant else c - root
-            out.append(
-                PredicateValue(
-                    family, tuple(pos[t] for t in idx), value, quant, subset=pos
-                )
-            )
-    elif level == 5:
-        e5 = prod(vals)
-        for i in range(5):
-            x = vals[i]
-            if quant:
-                # prod_f (x^2 + x f + f^2) = (x^15 - e5^3) / (x^5 - e5)
-                x5 = x**5
-                value = x5 * x5 + x5 * e5 + e5 * e5
-            else:
-                value = x * x + x * root + root * root
-            out.append(PredicateValue("I5", (pos[i],), value, quant, subset=pos))
-        for i, j in combinations(range(5), 2):
-            c = vals[i] * vals[j]
-            # c + f^2, or its norm over the fifth roots of e5: c^5 + e5^2
-            value = c**5 + e5 * e5 if quant else c + root * root
-            out.append(
-                PredicateValue("J5", (pos[i], pos[j]), value, quant, subset=pos)
-            )
-    else:
-        e5 = prod(vals)
-        for i in range(5):
-            out.append(
-                PredicateValue(
-                    "I6", (pos[i],), e5 + vals[i] ** 5, affects_variant=i + 1
-                )
-            )
-        for i in range(5):
-            for j in range(5):
-                if i != j:
-                    out.append(
-                        PredicateValue(
-                            "J6",
-                            (pos[i], pos[j]),
-                            e5 - vals[i] ** 3 * vals[j] ** 2,
-                            affects_variant=j + 1,
-                        )
-                    )
-        for i in range(5):
-            rest = tuple(t for t in range(5) if t != i)
-            for (j, k), (l, m) in _pairings(rest):
-                out.append(
-                    PredicateValue(
-                        "K6",
-                        (pos[i], pos[j], pos[k], pos[l], pos[m]),
-                        vals[j] * vals[k] + vals[l] * vals[m],
-                        affects_variant=i + 1,
-                    )
-                )
-    return out
+    return [_predicate(level, pos, *row, root is None)
+            for row in _families(tuple(X), level, root)]
 
 
 def rep_predicates(
@@ -337,27 +312,27 @@ def _search_is_complete(rep: Representation) -> bool:
     return True
 
 
-def _unit_product(ctx: FieldContext, values, differences_of=(), labels=()) -> None:
+def _unit_product(ctx: FieldContext, values, differences_of=(), label=None) -> None:
     """NotInvertible unless the nonzero values and the pairwise differences
     of the distinct ``differences_of`` multiply to a unit (the D5 test: Della
     Dora, Dicrescenzo, Duval, 1985).  Then each factor is a unit, so a
     computation that needed them nonzero decides alike on every factor of a
     reducible modulus.  The witness search and semisimplicity share it.
     On failure the first non-unit factor raises, naming a proper factor of
-    the modulus (a product of exactly 0 names all of it), and its label in
-    ``labels``, which runs parallel to ``values``, if any."""
+    the modulus (a product of exactly 0 names all of it), and ``label(i)``
+    for ``values[i]`` when a label is given (then with no differences)."""
     diffs = [x - y for x, y in combinations(set(differences_of), 2)]
-    factors = [(v, label) for v, label in zip_longest([*values, *diffs], labels) if v]
+    factors = [(i, v) for i, v in enumerate([*values, *diffs]) if v]
     try:
-        prod((v for v, _ in factors), start=ctx.one()).inverse()
+        prod((v for _, v in factors), start=ctx.one()).inverse()
     except NotInvertible:
-        for v, label in factors:
+        for i, v in factors:
             try:
                 v.inverse()
             except NotInvertible as exc:
                 if label is None:
                     raise
-                raise NotInvertible(f"no verdict: {label} vanishes on a factor of "
+                raise NotInvertible(f"no verdict: {label(i)} vanishes on a factor of "
                                     f"the modulus ({exc})", exc.factor) from None
         raise
 
@@ -629,18 +604,13 @@ class CensusReport:
     mode: str | None = None
 
 
-def _all_predicates(vals: tuple) -> list[PredicateValue]:
-    n = len(vals)
-    preds: list[PredicateValue] = []
-    for level in range(2, min(n, 4) + 1):
-        for c in combinations(range(n), level):
-            preds += evaluate_predicates(
-                tuple(vals[i] for i in c), level, positions=tuple(i + 1 for i in c)
-            )
-    if n == 5:
-        preds += evaluate_predicates(vals, 5)
-        preds += evaluate_predicates(vals, 6)
-    return preds
+def _table(vals: tuple):
+    """Every predicate over every subset of vals, in report order, as
+    (level, positions, family, 0-based indices, value) with no root."""
+    for level in (2, 3, 4, 5, 6):
+        for pos in combinations(range(1, len(vals) + 1), min(level, 5)):
+            for row in _families(tuple(vals[i - 1] for i in pos), level):
+                yield (level, pos, *row)
 
 
 def semisimplicity(X: ParameterSet) -> CensusReport:
@@ -650,30 +620,32 @@ def semisimplicity(X: ParameterSet) -> CensusReport:
     roots, so the verdict never needs an extension field.  Only the verdict
     fields of the report are filled; :func:`dimension_census` returns this
     same report when the verdict is negative and fills the rest otherwise.
+    Each failing predicate is reported with the value ``ctx.zero()``.
 
-    Over Q (a degree-1 context) the predicates are evaluated on integers:
-    every family is homogeneous, P(lambda X) = lambda^deg P(X), so X scaled
-    by the lcm of its denominators has the same vanishing predicates; each
-    failing one is reported with the value ``ctx.zero()``.
+    For a rational X, in any context, the predicates are evaluated on
+    integers: every family is homogeneous, P(lambda X) = lambda^deg P(X),
+    so X scaled by the lcm of its denominators has the same vanishing
+    predicates, and each nonzero value is a rational, a unit over any
+    modulus.
 
-    Over a reducible modulus every nonzero value must also be a unit, else
-    :class:`NotInvertible` names the predicate and there is no verdict; the
-    product is inverted once, as it is a unit iff each factor is.
+    Otherwise, over a reducible modulus every nonzero value must also be a
+    unit, else :class:`NotInvertible` names the predicate and there is no
+    verdict; the product is inverted once, as it is a unit iff each factor is.
     """
     ctx = X.context
-    if ctx.degree == 1:
-        qs = [v.coeffs[0] for v in X]
-        scale = lcm(*(q.denominator for q in qs))
-        preds = _all_predicates(tuple(q.numerator * (scale // q.denominator) for q in qs))
-        failing = tuple(replace(p, value=ctx.zero()) for p in preds if p.is_zero)
-    else:
-        preds = _all_predicates(tuple(X))
-        failing = tuple(p for p in preds if p.is_zero)
-        nonzero = [p for p in preds if not p.is_zero]
-        _unit_product(ctx, [p.value for p in nonzero],
-                      labels=[f"predicate {p.name}" for p in nonzero])
+    rational = all(v.is_rational() for v in X)
+    vals = tuple(_lift(tuple(v.coeffs[0] for v in X))[0]) if rational else tuple(X)
+    failing, nonzero = [], []
+    for row in _table(vals):
+        if not row[-1]:
+            failing.append(_predicate(*row[:-1], ctx.zero(), True))
+        elif not rational:
+            nonzero.append(row)
+    if not rational:
+        _unit_product(ctx, [row[-1] for row in nonzero],
+                      label=lambda i: f"predicate {_predicate(*nonzero[i], True).name}")
     return CensusReport(algebra_dim=ALGEBRA_DIMS[len(X)], semisimple_verdict=not failing,
-                        failing_predicates=failing)
+                        failing_predicates=tuple(failing))
 
 
 def _combinatorial_count(n: int) -> int:

@@ -24,7 +24,8 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, Sequence
 
-from .field import FieldContext, FieldElement, NotInvertible, element_kth_roots
+from .field import (FieldContext, FieldElement, NotInvertible, cyclotomic5_context,
+                    element_kth_roots)
 from .linalg import Matrix, charpoly, determinant, poly_eval_matrix
 from .poly import Polynomial
 
@@ -534,9 +535,6 @@ def build_rep(spec: RepSpec) -> Representation:
     return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
 
 
-CYCLOTOMIC5 = (1, 1, 1, 1, 1)  # ascending coefficients of t^4+t^3+t^2+t+1
-
-
 def compose_fifth_roots(f0: FieldElement) -> tuple[FieldElement, ...]:
     """The five fifth roots f0 * zeta^k in a context whose generator is zeta.
 
@@ -597,7 +595,7 @@ def enumerate_irreps(
                 reps.append(build_rep(RepSpec(dim=5, params=sub, f=f, subset=label)))
             if len(roots) < 5:
                 if roots:
-                    mod = Polynomial.from_coeffs(ctx, CYCLOTOMIC5)
+                    mod = Polynomial.from_coeffs(ctx, cyclotomic5_context().modulus)
                 else:
                     coeffs = [-e5] + [ctx.zero()] * 4 + [ctx.one()]
                     mod = Polynomial.from_coeffs(ctx, coeffs)

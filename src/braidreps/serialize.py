@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .analysis import CensusReport, PredicateValue, Witness
-from .field import FieldContext, FieldElement, TooLarge
+from .field import FieldContext, FieldElement, TooLarge, rationals
 from .linalg import Matrix
 from .poly import Polynomial
 from .reps import Representation, RepSpec
@@ -159,7 +159,7 @@ def parse_modulus(spec) -> tuple[Fraction, ...]:
 def context_from_spec(spec) -> FieldContext:
     """Field context from a modulus expression, coefficient list, or None (Q)."""
     if spec is None:
-        return FieldContext((Fraction(0), Fraction(1)))
+        return rationals()
     return FieldContext(parse_modulus(spec))
 
 

@@ -7,7 +7,9 @@ the distinguished one rather than equality of the whole set.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 import json
 import random
 import sys
@@ -945,21 +947,43 @@ def rational_sets(draw):
     return vals
 
 
+def _failing_by_field_elements(X):
+    """The vanishing predicates of every subset of X, in report order, each
+    evaluated by :func:`evaluate_predicates` on X's field elements."""
+    vals = tuple(X)
+    preds = []
+    for level in (2, 3, 4, 5, 6):
+        for c in combinations(range(len(vals)), min(level, 5)):
+            preds += evaluate_predicates([vals[i] for i in c], level,
+                                         positions=tuple(i + 1 for i in c))
+    return [p for p in preds if p.is_zero]
+
+
+EXTENSIONS = (cyclotomic5_context(), FieldContext([-24, 0, 1]))
+
+
 class TestIntegerRoute:
-    # over a degree-1 context semisimplicity decides on X scaled to integers
+    # a rational X is decided on X scaled to integers in every context; an
+    # irrational one (x_1 times the generator of a field) on field elements
     @settings(max_examples=200, deadline=None)
-    @given(vals=rational_sets(), ctx=st.sampled_from([Q, FieldContext([5, 1])]),
-           lam=st.fractions(-40, 40, max_denominator=1000003).filter(bool))
+    @given(vals=rational_sets(),
+           ctx=st.sampled_from([Q, FieldContext([5, 1]), *EXTENSIONS, FieldContext([-1, 0, 1])]),
+           lam=st.fractions(-40, 40, max_denominator=1000003).filter(bool),
+           irrational=st.booleans())
     @example(vals=[Fraction(1, 2), Fraction(-3, 4), 3, Fraction(9, 2), Fraction(-1, 3)],
-             ctx=Q, lam=Fraction(-7, 1000003))
-    def test_scaled_integers_match_field_elements(self, vals, ctx, lam):
-        X = ParameterSet.from_rationals(ctx, vals)
+             ctx=Q, lam=Fraction(-7, 1000003), irrational=False)
+    def test_scaled_integers_match_field_elements(self, vals, ctx, lam, irrational):
+        def params(values):
+            if irrational and ctx in EXTENSIONS:
+                values = [ctx.from_rational(values[0]) * ctx.generator(), *values[1:]]
+            return ParameterSet.from_rationals(ctx, values)
+
+        X = params(vals)
         failing = semisimplicity(X).failing_predicates
-        reference = [p for p in analysis._all_predicates(tuple(X)) if p.is_zero]
-        assert list(failing) == reference  # names, order and every field
+        assert list(failing) == _failing_by_field_elements(X)  # names, order, every field
         assert all(isinstance(p.value, FieldElement) and p.value == ctx.zero()
                    for p in failing)
-        scaled = ParameterSet.from_rationals(ctx, [lam * v for v in vals])
+        scaled = params([lam * v for v in vals])
         assert [p.name for p in semisimplicity(scaled).failing_predicates] == \
             [p.name for p in failing]
 
@@ -1013,6 +1037,21 @@ class TestCensus:
             # all classes are distinct, so each member meets every one before it
             n = len(after.entries)
             assert len(pairs) == n * (n - 1) // 2
+
+    def test_equivalent_member_joins_its_class(self, monkeypatch):
+        # a rebuilt copy of the last member has its probes and an intertwiner
+        # to it, so it takes its class id and the sum counts the class once
+        real = analysis.enumerate_irreps
+
+        def with_copy(X, context=None):
+            enum = real(X, context)
+            return replace(enum, reps=enum.reps + (build_rep(enum.reps[-1].spec),))
+
+        monkeypatch.setattr(analysis, "enumerate_irreps", with_copy)
+        report = dimension_census(ps(1, 2, 3, 6))
+        ids = [e.class_id for e in report.entries]
+        assert ids[-1] == ids[-2] and len(set(ids)) == len(ids) - 1
+        assert report.sum_of_squares == 96
 
     def test_degenerate_raises(self):
         report = dimension_census(FIX_J6)

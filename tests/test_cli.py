@@ -252,6 +252,11 @@ class TestExitCodes:
         ("build", "--params", "[1,2]", "--context", "t^65"),
         ("build", "--params", "[1,2]", "--context", "t^1000"),
         ("build", "--params", json.dumps({"X": [1, 2], "context": [-2] + [0] * 64 + [1]})),
+        ("build", "--params", "@/nonexistent/x.json"),
+        ("build", "--params", "[1,"),
+        ("build", "--params", "5"),
+        ("scan", "--params", '{"grid": [[1, 2]], "mode": "x"}'),
+        ("verify", "--params", json.dumps(["7" * 1000])),
     ], ids=["X-int", "X-string", "build-dim", "variant", "scan-jobs",
             "grid-row", "unbalanced-bracket", "mode-not-semisimple",
             "mode-semisimple", "word-exponent", "word-merged-exponent",
@@ -259,7 +264,9 @@ class TestExitCodes:
             "zero-denominator-semisimple", "zero-denominator-context",
             "zero-denominator-h", "zero-denominator-grid", "words-string",
             "words-object", "words-int", "words-null", "words-mixed",
-            "modulus-degree-65", "modulus-degree-1000", "modulus-list-66"])
+            "modulus-degree-65", "modulus-degree-1000", "modulus-list-66",
+            "params-file-missing", "params-bad-json", "params-scalar", "scan-mode",
+            "result-too-large-at-encode"])
     def test_malformed_job_fields(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

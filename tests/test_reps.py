@@ -313,3 +313,9 @@ class TestEnumeration:
         t = ctx.generator()
         assert {r.spec.h for r in four} == {t, -t}
         assert result.deferred == ()
+
+    def test_context_lift_refuses_irrational(self):
+        ctx = FieldContext([-24, 0, 1])
+        X = ParameterSet.from_rationals(ctx, [1, 2, ctx.generator()])
+        with pytest.raises(BadSpec, match="cannot move non-rational eigenvalues"):
+            enumerate_irreps(X, context=Q)
