@@ -241,6 +241,23 @@ CALLS = [
     ["semisimple", "--context", "t^3-t", "--params", '[1, 2, "27/2", 3]'],
     ["scan", "--context", "t^4+t^3+t^2+t+1", "--params",
      '{"grid": [[1, 2, 3], [2, 1, -4], [1, 2, 3, 4, 24], [-4, 1, 2, 4, -1]]}'],
+    # RepSpec refusals: a wrong root, each eigenvalue count, a variant out of
+    # range and an unknown dimension
+    ["build", "--params", "[1,2,3,6]", "--h", "5"],
+    ["build", "--params", "[-4,1,2,4,-1]", "--f", "3"],
+    ["verify", "--params", "[1,2,3]", "--dim", "2"],
+    ["verify", "--params", "[1,2,3,4,5]", "--dim", "4", "--h", "6"],
+    ["verify", "--params", "[1,2,3,4]", "--dim", "5", "--f", "2"],
+    ["verify", "--params", "[1,2,3,4]", "--dim", "6", "--variant", "1"],
+    ["verify", "--params", "[1,2,3,4,5]", "--dim", "6", "--variant", "9"],
+    ["build", "--params", "[1,2,3,4,5]", "--dim", "7"],
+    # builder zero divisors over t^2-1: the message names the factor of the
+    # first inverse that fails (d = 3 at a Delta_i; d = 4 at e4/x_1^2, then at
+    # Delta_1 where x_2 - x_1 vanishes at t = 1; d = 6 at a Delta_i)
+    ["build", "--context", "t^2-1", "--params", '[2,3,"[5/2,1/2]"]'],
+    ["build", "--context", "t^2-1", "--params", '["[2,2]",2,3,6]', "--h", "[6,6]"],
+    ["build", "--context", "t^2-1", "--params", '["[15/2,-9/2]",3,1,4]', "--h", "[9,-3]"],
+    ["build", "--context", "t^2-1", "--params", '["[1,1]",2,3,4,5]', "--dim", "6"],
 ]
 
 

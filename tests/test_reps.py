@@ -69,14 +69,14 @@ class TestSpecValidation:
             RepSpec(dim=3, params=pset(1, 2))
 
     def test_dim4_root_checked(self):
-        with pytest.raises(MissingRoot):
+        with pytest.raises(MissingRoot, match=r"dimension 4 needs h with h\^2 = e4\(X\)"):
             RepSpec(dim=4, params=pset(1, 2, 3, 6))
         with pytest.raises(BadSpec):
             RepSpec(dim=4, params=pset(1, 2, 3, 6), h=qval(5))
         RepSpec(dim=4, params=pset(1, 2, 3, 6), h=qval(-6))  # e4 = 36
 
     def test_dim5_root_checked(self):
-        with pytest.raises(MissingRoot):
+        with pytest.raises(MissingRoot, match=r"dimension 5 needs f with f\^5 = e5\(X\)"):
             RepSpec(dim=5, params=pset(1, 2, 3, 4, Fraction(4, 3)))
         with pytest.raises(BadSpec):
             RepSpec(dim=5, params=pset(1, 2, 3, 4, Fraction(4, 3)), f=qval(3))
