@@ -3,9 +3,10 @@
 For an ordered set X of n distinct nonzero eigenvalues (n <= 5) the quotient
 of C[B3] by prod_{x in X} (g - x) on the generators is finite dimensional,
 and its irreducible representations in dimensions 1..6 admit closed-form
-matrices once g1 is diagonalised.  This module transcribes those closed
-forms: :func:`build_rep` lays out the diagonal g1, the eigenvalues of X with
-one of them doubled in dimension 6, and a builder per dimension gives g2.
+matrices once g1 is diagonalised.  :func:`build_rep` lays out the diagonal
+g1 (X, one eigenvalue doubled in dimension 6) and a builder per dimension
+gives g2: each states its entry rules once, row by row, and forms a row's
+shared quantities (Delta_i^-1, the e_k of the other eigenvalues) once.
 Every construction checks the braid relation and det g2 = det g1 before
 returning; by similarity these imply P_X(g2) = 0 and the characteristic
 polynomial of g2 (see :func:`_self_check`), so a transcription or root error
@@ -66,13 +67,18 @@ def elementary_symmetric(values: Sequence[FieldElement], k: int) -> FieldElement
     n = len(values)
     if k < 0 or k > n:
         raise ValueError(f"e_{k} of {n} values")
-    ctx = values[0].context
-    coeffs = [ctx.one()] + [ctx.zero()] * k
-    for t, x in enumerate(values):
-        # only e_0 .. e_t are nonzero after t values
-        for i in range(min(k, t + 1), 0, -1):
-            coeffs[i] = coeffs[i] + coeffs[i - 1] * x
-    return coeffs[k]
+    return _esym(values)[k]
+
+
+def _esym(values: Sequence[FieldElement]) -> list[FieldElement]:
+    """[e_0, ..., e_n] of the given values, from one expansion."""
+    es = [values[0].context.one(), values[0]]
+    for x in values[1:]:
+        es.append(es[-1] * x)
+        for i in range(len(es) - 2, 1, -1):
+            es[i] = es[i] + es[i - 1] * x
+        es[1] = es[1] + x
+    return es
 
 
 def delta(values: Sequence[FieldElement], i: int) -> FieldElement:
@@ -136,6 +142,10 @@ class ParameterSet:
         return ParameterSet(tuple(self.values[i] for i in indices))
 
 
+# what a dimension takes besides X: a root (its name and order) or the variant
+_TAKES = {4: ("h", 2), 5: ("f", 5), 6: ("variant", None)}
+
+
 @dataclass(frozen=True)
 class RepSpec:
     """What to build: dimension, eigenvalues, auxiliary roots, variant.
@@ -154,33 +164,20 @@ class RepSpec:
     subset: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n = len(self.params)
-        if self.dim in (1, 2, 3):
-            if n != self.dim:
-                raise BadSpec(f"dimension {self.dim} needs exactly {self.dim} eigenvalues")
-        elif self.dim == 4:
-            if n != 4:
-                raise BadSpec("dimension 4 needs exactly 4 eigenvalues")
-            if self.h is None:
-                raise MissingRoot("dimension 4 needs h with h^2 = e4(X)")
-            e4 = prod(self.params.values)
-            if self.h * self.h != e4:
-                raise BadSpec("h^2 does not equal e4(X)")
-        elif self.dim == 5:
-            if n != 5:
-                raise BadSpec("dimension 5 needs exactly 5 eigenvalues")
-            if self.f is None:
-                raise MissingRoot("dimension 5 needs f with f^5 = e5(X)")
-            if self.f**5 != prod(self.params.values):
-                raise BadSpec("f^5 does not equal e5(X)")
-        elif self.dim == 6:
-            if n != 5:
-                raise BadSpec("dimension 6 needs exactly 5 eigenvalues")
-            if self.variant is None or not 1 <= self.variant <= 5:
-                raise BadSpec("dimension 6 needs a variant index in 1..5")
-        else:
-            raise BadSpec(f"no representations of dimension {self.dim}")
-        takes = {4: "h", 5: "f", 6: "variant"}.get(self.dim)
+        d = self.dim
+        if d not in range(1, 7):
+            raise BadSpec(f"no representations of dimension {d}")
+        if len(self.params) != min(d, 5):
+            raise BadSpec(f"dimension {d} needs exactly {min(d, 5)} eigenvalues")
+        takes, order = _TAKES.get(d, (None, None))
+        if order:  # a root of e_d(X)
+            root = getattr(self, takes)
+            if root is None:
+                raise MissingRoot(f"dimension {d} needs {takes} with {takes}^{order} = e{d}(X)")
+            if root**order != prod(self.params.values):
+                raise BadSpec(f"{takes}^{order} does not equal e{d}(X)")
+        elif takes == "variant" and (self.variant is None or not 1 <= self.variant <= 5):
+            raise BadSpec("dimension 6 needs a variant index in 1..5")
         for k in ("h", "f", "variant"):
             if k != takes and getattr(self, k) is not None:
                 raise BadSpec(f"dimension {self.dim} takes no {k if takes else 'root or variant'}")
@@ -248,76 +245,48 @@ def _build_dim2(values):
 
 
 def _build_dim3(values):
-    ctx = values[0].context
-    x1, x2, x3 = values
-    d1, d2, d3 = (delta(values, i).inverse() for i in range(3))
-    return Matrix.from_rows(
-        ctx,
-        [
-            [
-                x2 * x3 * (x2 + x3) * d1,
-                x3 * (x1 * x1 + x2 * x3) * d1,
-                x2 * (x1 * x1 + x2 * x3) * d1,
-            ],
-            [
-                x3 * (x2 * x2 + x1 * x3) * d2,
-                x1 * x3 * (x1 + x3) * d2,
-                x1 * (x2 * x2 + x1 * x3) * d2,
-            ],
-            [
-                x2 * (x3 * x3 + x1 * x2) * d3,
-                x1 * (x3 * x3 + x1 * x2) * d3,
-                x1 * x2 * (x1 + x2) * d3,
-            ],
-        ],
-    )
+    """Row i carries Delta_i^-1: (i, i) = x_j x_k (x_j + x_k) and (i, j) =
+    x_k (x_i^2 + x_j x_k), where {i, j, k} = {1, 2, 3}."""
+    entries = []
+    for i, xi in enumerate(values):
+        dinv = delta(values, i).inverse()
+        for j, xj in enumerate(values):
+            if i == j:
+                a, b = _excl(values, i)
+                entries.append(a * b * (a + b) * dinv)
+            else:
+                xk = values[3 - i - j]
+                entries.append(xk * (xi * xi + xj * xk) * dinv)
+    return Matrix(values[0].context, 3, 3, entries)
 
 
 def _build_dim4(values, h):
-    ctx = values[0].context
+    """Row r carries Delta_r^-1: (r, r) = alpha_r = e3 e1 - h e2 of the other
+    eigenvalues, (r, 1) = beta_r, (1, c) = beta_1 gamma_a gamma_b for
+    {a, b} = {2, 3, 4} - {c}, and (r, c) = beta_r gamma_r otherwise."""
     e4 = prod(values)
-    alphas = []
-    betas = []
-    for i in range(4):
-        rest = _excl(values, i)
-        alphas.append(
-            elementary_symmetric(rest, 3) * elementary_symmetric(rest, 1)
-            - h * elementary_symmetric(rest, 2)
-        )
-        betas.append(e4 / (values[i] * values[i]) - h)
+    betas = [e4 / (x * x) - h for x in values]
     # gamma_a for a in {2,3,4} (1-based labels): x1*xa + xb*xc - h
     gammas = {}
     for a in (2, 3, 4):
         b, c = [t for t in (2, 3, 4) if t != a]
         gammas[a] = values[0] * values[a - 1] + values[b - 1] * values[c - 1] - h
-    dinv = [delta(values, i).inverse() for i in range(4)]
-    rows = [
-        [
-            alphas[0] * dinv[0],
-            betas[0] * gammas[3] * gammas[4] * dinv[0],
-            betas[0] * gammas[2] * gammas[4] * dinv[0],
-            betas[0] * gammas[2] * gammas[3] * dinv[0],
-        ],
-        [
-            betas[1] * dinv[1],
-            alphas[1] * dinv[1],
-            betas[1] * gammas[2] * dinv[1],
-            betas[1] * gammas[2] * dinv[1],
-        ],
-        [
-            betas[2] * dinv[2],
-            betas[2] * gammas[3] * dinv[2],
-            alphas[2] * dinv[2],
-            betas[2] * gammas[3] * dinv[2],
-        ],
-        [
-            betas[3] * dinv[3],
-            betas[3] * gammas[4] * dinv[3],
-            betas[3] * gammas[4] * dinv[3],
-            alphas[3] * dinv[3],
-        ],
-    ]
-    return Matrix.from_rows(ctx, rows)
+    entries = []
+    for r in range(4):
+        es = _esym(_excl(values, r))
+        dinv = delta(values, r).inverse()
+        off = betas[r] * dinv
+        for c in range(4):
+            if c == r:
+                entries.append((es[3] * es[1] - h * es[2]) * dinv)
+            elif r == 0:
+                ga, gb = (g for a, g in gammas.items() if a != c + 1)
+                entries.append(off * ga * gb)
+            elif c == 0:
+                entries.append(off)
+            else:
+                entries.append(off * gammas[r + 1])
+    return Matrix(values[0].context, 4, 4, entries)
 
 
 def _build_dim5(values, f):
@@ -326,25 +295,26 @@ def _build_dim5(values, f):
     f2 = f * f
     for i in range(5):
         rest = _excl(values, i)
+        es = _esym(rest)
         dinv = delta(values, i).inverse()
         if i == 0:  # entry (0, 1) is the first to divide by f x_0 x_1, a unit
             # iff f is (each x_i divides f^5): zero divisors are met in that order
             finv = f.inverse()
             xinv = [x.inverse() for x in values]
         xi = values[i]
-        off = dinv * finv * xinv[i]
+        off = (xi * xi + f * xi + f2) * dinv * finv * xinv[i]
+        pairs = {k: f2 + xi * values[k] for k in range(5) if k != i}
         for j in range(5):
             if i == j:
                 num = (
-                    elementary_symmetric(rest, 4) * elementary_symmetric(rest, 1)
-                    + f * xi * elementary_symmetric(rest, 3)
+                    es[4] * es[1]
+                    + f * xi * es[3]
                     + f * prod((f + xk for xk in rest), start=ctx.one())
                 )
                 entries.append(num * dinv)
             else:
-                others = (f2 + xi * values[k] for k in range(5) if k not in (i, j))
-                num = (xi * xi + f * xi + f2) * prod(others, start=ctx.one())
-                entries.append(num * off * xinv[j])
+                a, b, c = (p for k, p in pairs.items() if k != j)
+                entries.append(a * b * c * off * xinv[j])
     return Matrix(ctx, 5, 5, entries)
 
 
@@ -401,9 +371,7 @@ def _d6_w(x) -> FieldElement:
 def _d6_z(x) -> FieldElement:
     # e_i below are elementary symmetric in x2, x3, x4 only
     trio = (x[2], x[3], x[4])
-    e1 = elementary_symmetric(trio, 1)
-    e2 = elementary_symmetric(trio, 2)
-    e3 = prod(trio)
+    _, e1, e2, e3 = _esym(trio)
     first = (e1 * e3 - x[1] ** 2 * e2) * (x[1] * e1 * e3 - e2 * x[5] ** 3) * x[1] * x[5]
     second = e3 * (x[1] - x[5]) * (
         x[1] ** 2 * (e1 - x[1]) * (e3 * (x[1] - x[5]) - e1 * x[5] ** 3)
@@ -422,11 +390,8 @@ def _build_dim6(values):
     g = [[zero] * 7 for _ in range(7)]
     # top-left 4x4 block
     for i in range(1, 5):
-        rest = _excl(values, i - 1)
-        g[i][i] = (
-            elementary_symmetric(rest, 4) * elementary_symmetric(rest, 1)
-            - x[i] * x[5] * elementary_symmetric(rest, 3)
-        ) * dinv[i]
+        es = _esym(_excl(values, i - 1))
+        g[i][i] = (es[4] * es[1] - x[i] * x[5] * es[3]) * dinv[i]
     for a in (2, 3, 4):
         b, c = [t for t in (2, 3, 4) if t != a]
         g[1][a] = _d6_p(x, a) * _d6_q(x, b) * _d6_q(x, c) / (x[1] ** 2) * dinv[a]
@@ -448,13 +413,13 @@ def _build_dim6(values):
     g[6][5] = _d6_v(_sig(x, (1, 2)))
     g[6][6] = _d6_u(_sig(x, (1, 2)))
     # rows 3..4, columns 5..6
-    s23 = (x[5] * delta(values, 4)).inverse()
+    s13 = dinv[5]
+    s23 = s13 / x[5]
     g[3][5] = _d6_w(x) / (x[3] ** 2) * s23
     g[3][6] = _d6_q(x, 3) * _d6_w(_sig(x, (1, 2))) / (x[3] ** 2) * s23
     g[4][5] = _d6_w(_sig(x, (3, 4))) / (x[4] ** 2) * s23
     g[4][6] = _d6_q(x, 4) * _d6_w(_sig(x, (1, 2), (3, 4))) / (x[4] ** 2) * s23
     # rows 1..2, columns 5..6
-    s13 = delta(values, 4).inverse()
     g[1][5] = _d6_z(x) / x[1] * s13
     g[1][6] = (
         _d6_q(x, 3)

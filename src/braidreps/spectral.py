@@ -120,7 +120,7 @@ def spectral_report(rep: Representation) -> SpectralReport:
     B = A @ rep.g1
     B2 = B @ B
     c = B2[0, 0]
-    if B2 != Matrix.identity(ctx, d).scale(c):
+    if B2 != Matrix.diagonal(ctx, [c] * d):
         raise NotScalar("(g1 g2)^3 is not scalar")
     c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec)
     tr_a, tr_b = A.trace(), B.trace()

@@ -724,6 +724,28 @@ class TestUnconstrainedPlaneLines:
         assert verify_witness(rep, witness) and decomposability_check(rep, witness)
 
 
+class TestPlaneWitnesses:
+    # g2 keeps the plane span(e5, e6) and, for this block, the line e5
+    def rep(self):
+        return _plane_rep(Q, [[1, 2], [0, 4]])
+
+    def test_line_span_dependent_or_too_large(self):
+        rep = self.rep()
+        assert verify_witness(rep, Witness((5,), extra_line=(qv(0), qv(1))))
+        # e5 and the line (1, 0) on coordinates 5, 6 are one vector twice
+        assert not verify_witness(rep, Witness((5,), extra_line=(qv(1), qv(0))))
+        # six independent vectors span the whole space, seven are dependent
+        assert not verify_witness(rep, Witness((1, 2, 3, 4, 5), extra_line=(qv(0), qv(1))))
+        assert not verify_witness(rep, Witness((1, 2, 3, 4, 5, 6), extra_line=(qv(1), qv(1))))
+
+    def test_decomposability_refuses_a_line_with_plane_coordinates(self):
+        # span(e5) plus the line e6 is the invariant plane, a verified
+        # witness, but the complement search takes the plane in one form only
+        w = Witness((5,), extra_line=(qv(0), qv(1)))
+        with pytest.raises(InvalidWitness, match="extra_line together with plane coordinates"):
+            decomposability_check(self.rep(), w)
+
+
 class TestReducibleSweep:
     @pytest.mark.parametrize("family", REDUCIBLE_FAMILIES)
     def test_vanishing_predicate_gives_verified_witness(self, family):
@@ -995,6 +1017,10 @@ class TestCensus:
                            ((1, 2, 3, 4, Fraction(4, 3)), 600)):
             report = dimension_census(ps(*vals), mode="combinatorial")
             assert report.sum_of_squares == want == report.algebra_dim
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="unknown census mode 'x'"):
+            dimension_census(ps(1, 2), mode="x")
 
     def test_constructive_small(self):
         report = dimension_census(ps(1, 2))

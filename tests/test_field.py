@@ -262,3 +262,8 @@ class TestElementRoots:
     def test_no_root_gives_empty_list(self):
         assert element_kth_roots(Q.from_rational(24), 2) == []
         assert element_kth_roots(ZETA5.from_rational(24), 2) == []
+
+    @pytest.mark.parametrize("ctx", [Q, SQRT24, ZETA5], ids=["Q", "sqrt24", "zeta5"])
+    def test_zero_is_its_only_root(self, ctx):
+        for k in (2, 5):
+            assert element_kth_roots(ctx.zero(), k) == [ctx.zero()]
