@@ -258,6 +258,15 @@ CALLS = [
     ["build", "--context", "t^2-1", "--params", '["[2,2]",2,3,6]', "--h", "[6,6]"],
     ["build", "--context", "t^2-1", "--params", '["[15/2,-9/2]",3,1,4]', "--h", "[9,-3]"],
     ["build", "--context", "t^2-1", "--params", '["[1,1]",2,3,4,5]', "--dim", "6"],
+    # rational specs over extension contexts, recorded while each was still
+    # built in its own context: a census over Q(zeta5) with rational h = +-6
+    # and +-4 and the five f = 2 zeta^k, a d = 6 verify over t^2-24 and a
+    # d = 5 irred with f = 2 over t^3-t
+    ["semisimple", "--mode", "constructive", "--context", "t^4+t^3+t^2+t+1",
+     "--params", '[1, 2, 3, 6, "8/9"]'],
+    ["verify", "--context", "t^2-24", "--params", "[1, 2, 3, 4, 5]", "--dim", "6",
+     "--variant", "3"],
+    ["irred", "--context", "t^3-t", "--params", '[1, 2, 4, 8, "1/2"]', "--f", "2"],
 ]
 
 
