@@ -479,6 +479,8 @@ def element_kth_roots(value: FieldElement, k: int) -> list[FieldElement]:
     context).  Roots of other shapes are reported as missing by callers.
 
     Results are ordered by generator power, positive rational factor first.
+    The search stops where a power of the generator returns to 1 (after five
+    steps over Q(zeta_5)): the later powers, and so their roots, repeat.
     """
     ctx = value.context
     if value.is_zero():
@@ -491,6 +493,8 @@ def element_kth_roots(value: FieldElement, k: int) -> list[FieldElement]:
     for j in range(max_j):
         if j:
             theta_pow = theta_pow * theta
+            if theta_pow == 1:
+                break
         y = theta_pow**k
         if y.is_zero():
             break

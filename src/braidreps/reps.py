@@ -12,6 +12,12 @@ returning; by similarity these imply P_X(g2) = 0 and the characteristic
 polynomial of g2 (see :func:`_self_check`), so a transcription or root error
 cannot escape.
 
+Rational work is done over Q.  A spec whose eigenvalues and root are
+rational has rational entries in every context, so it is built over Q and
+embedded.  Over Q(zeta5), the dimension-5
+representations of a rational X with f = f0 zeta^k are the images of k = 1
+under the automorphisms zeta -> zeta^k, which fix X; they are mapped, not built.
+
 Representations of dimension 4 need a square root h of e4(X); dimension 5
 needs a fifth root f of e5(X).  When the coefficient context lacks such a
 root, :func:`enumerate_irreps` reports the construction as deferred along
@@ -20,13 +26,13 @@ with a modulus that would provide the root, rather than dropping it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import prod
 from typing import Iterable, Sequence
 
 from .field import (FieldContext, FieldElement, NotInvertible, cyclotomic5_context,
-                    element_kth_roots)
+                    element_kth_roots, rationals)
 from .linalg import Matrix, charpoly, determinant, poly_eval_matrix
 from .poly import Polynomial
 
@@ -144,6 +150,7 @@ class ParameterSet:
 
 # what a dimension takes besides X: a root (its name and order) or the variant
 _TAKES = {4: ("h", 2), 5: ("f", 5), 6: ("variant", None)}
+_Q = rationals()  # where a rational spec is built (see build_rep)
 
 
 @dataclass(frozen=True)
@@ -348,17 +355,13 @@ def _d6_r(x) -> FieldElement:
     return x[3] / (x[1] * (x[2] - x[1]) * d3)
 
 
-def _d6_v(x) -> FieldElement:
-    d5 = (x[1] - x[5]) * (x[3] - x[5]) * (x[4] - x[5])
-    return _d6_p(x, 2) / (x[1] * x[5] * (x[2] - x[1]) * d5)
-
-
-def _d6_u(x) -> FieldElement:
-    d5 = (x[1] - x[5]) * (x[3] - x[5]) * (x[4] - x[5])
+def _d6_uv(x, inv15) -> tuple[FieldElement, FieldElement]:
+    """u and v: both divide by (x2-x1)(x1-x5)(x3-x5)(x4-x5), v also by x1 x5 (inv15)."""
+    c = ((x[2] - x[1]) * (x[1] - x[5]) * (x[3] - x[5]) * (x[4] - x[5])).inverse()
     num = x[1] * x[2] * (x[3] + x[4]) * (x[3] * x[4] - x[1] * x[5]) + x[3] * x[4] * (
         x[2] - x[1]
     ) * (x[1] * x[1] + x[2] * x[5])
-    return num / ((x[2] - x[1]) * d5)
+    return num * c, _d6_p(x, 2) * inv15 * c
 
 
 def _d6_w(x) -> FieldElement:
@@ -381,11 +384,15 @@ def _d6_z(x) -> FieldElement:
 
 
 def _build_dim6(values):
-    """The variant with the last eigenvalue doubled, straight off the table."""
+    """The variant with the last eigenvalue doubled, straight off the table.
+    Each Delta_i, x_1^2 .. x_4^2 and x_5 is inverted once, in the order of its
+    first use; later denominators are their products, so no zero divisor moves."""
     ctx = values[0].context
     x = (None,) + tuple(values)
     zero = ctx.zero()
     dinv = [None] + [delta(values, i).inverse() for i in range(5)]
+    sq = [None] + [(x[a] ** 2).inverse() for a in range(1, 5)]
+    x5inv = x[5].inverse()
 
     g = [[zero] * 7 for _ in range(7)]
     # top-left 4x4 block
@@ -394,11 +401,11 @@ def _build_dim6(values):
         g[i][i] = (es[4] * es[1] - x[i] * x[5] * es[3]) * dinv[i]
     for a in (2, 3, 4):
         b, c = [t for t in (2, 3, 4) if t != a]
-        g[1][a] = _d6_p(x, a) * _d6_q(x, b) * _d6_q(x, c) / (x[1] ** 2) * dinv[a]
-        g[a][1] = _d6_p(x, 1) / (x[a] ** 2) * dinv[1]
+        g[1][a] = _d6_p(x, a) * _d6_q(x, b) * _d6_q(x, c) * sq[1] * dinv[a]
+        g[a][1] = _d6_p(x, 1) * sq[a] * dinv[1]
         for b2 in (2, 3, 4):
             if b2 != a:
-                g[a][b2] = _d6_q(x, a) * _d6_p(x, b2) / (x[a] ** 2) * dinv[b2]
+                g[a][b2] = _d6_q(x, a) * _d6_p(x, b2) * sq[a] * dinv[b2]
     # rows 5..6, columns 1..2
     g[5][1] = dinv[1]
     g[6][2] = dinv[2]
@@ -408,27 +415,19 @@ def _build_dim6(values):
     g[6][3] = _d6_r(_sig(x, (1, 2)))
     g[6][4] = _d6_r(_sig(x, (1, 2), (3, 4)))
     # rows 5..6, columns 5..6
-    g[5][5] = _d6_u(x)
-    g[5][6] = _d6_q(x, 3) * _d6_q(x, 4) * _d6_v(x)
-    g[6][5] = _d6_v(_sig(x, (1, 2)))
-    g[6][6] = _d6_u(_sig(x, (1, 2)))
+    g[5][5], v = _d6_uv(x, x[1] * sq[1] * x5inv)
+    g[5][6] = _d6_q(x, 3) * _d6_q(x, 4) * v
+    g[6][6], g[6][5] = _d6_uv(_sig(x, (1, 2)), x[2] * sq[2] * x5inv)
     # rows 3..4, columns 5..6
-    s13 = dinv[5]
-    s23 = s13 / x[5]
-    g[3][5] = _d6_w(x) / (x[3] ** 2) * s23
-    g[3][6] = _d6_q(x, 3) * _d6_w(_sig(x, (1, 2))) / (x[3] ** 2) * s23
-    g[4][5] = _d6_w(_sig(x, (3, 4))) / (x[4] ** 2) * s23
-    g[4][6] = _d6_q(x, 4) * _d6_w(_sig(x, (1, 2), (3, 4))) / (x[4] ** 2) * s23
+    s13, s23 = dinv[5], dinv[5] * x5inv
+    g[3][5] = _d6_w(x) * sq[3] * s23
+    g[3][6] = _d6_q(x, 3) * _d6_w(_sig(x, (1, 2))) * sq[3] * s23
+    g[4][5] = _d6_w(_sig(x, (3, 4))) * sq[4] * s23
+    g[4][6] = _d6_q(x, 4) * _d6_w(_sig(x, (1, 2), (3, 4))) * sq[4] * s23
     # rows 1..2, columns 5..6
     g[1][5] = _d6_z(x) / x[1] * s13
-    g[1][6] = (
-        _d6_q(x, 3)
-        * _d6_q(x, 4)
-        * _d6_w(_sig(x, (1, 2), (2, 3)))
-        / (x[1] ** 2 * x[5])
-        * s13
-    )
-    g[2][5] = _d6_w(_sig(x, (2, 3))) / (x[2] ** 2 * x[5]) * s13
+    g[1][6] = _d6_q(x, 3) * _d6_q(x, 4) * _d6_w(_sig(x, (1, 2), (2, 3))) * sq[1] * x5inv * s13
+    g[2][5] = _d6_w(_sig(x, (2, 3))) * sq[2] * x5inv * s13
     g[2][6] = _d6_z(_sig(x, (1, 2))) / x[2] * s13
     return Matrix.from_rows(ctx, [row[1:] for row in g[1:]])
 
@@ -448,7 +447,7 @@ def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     are distinct, the minimal polynomial divides P_X and, as charpoly(g2) =
     prod (L - x_i)^{m_i}, has every x_i as a root.
     """
-    ctx = spec.context
+    ctx = g1.context
     a = g1 @ g2
     if a @ g1 != g2 @ a:
         raise ConstructionFailed(f"braid relation failed for {spec}")
@@ -475,29 +474,43 @@ def build_rep(spec: RepSpec) -> Representation:
     g1 is diagonal: X in its given order, except that in dimension 6 the
     variant's eigenvalue is swapped into position 5 and doubled.  The
     builder of the dimension gives g2, for the eigenvalues in that order.
+    A spec with rational eigenvalues and root is built and checked over Q, then
+    padded into its context: Q -> Q[t]/(m) is a ring map for every modulus,
+    and the builders invert only nonzero rationals, units over any modulus.
     """
-    values = spec.params.values
+    ctx = spec.context
+    given = spec.params.values + tuple(r for r in (spec.h, spec.f) if r is not None)
+    if ctx.degree == 1 or not all(v.is_rational() for v in given):
+        g1, g2, mults = _construct(spec, given)
+    else:
+        g1, g2, mults = _construct(spec, tuple(_Q.from_rational(v.coeffs[0]) for v in given))
+        zero = ctx.zero()  # shared by the zero entries, as a build in ctx would
+        g1, g2 = (Matrix(ctx, m.rows, m.cols, [FieldElement(ctx, e.coeffs + zero.coeffs[1:])
+                                                if e else zero for e in m.entries])
+                  for m in (g1, g2))
+    return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
+
+
+def _construct(spec: RepSpec, given: tuple[FieldElement, ...]):
+    """g1, g2 and the multiplicities of ``spec`` built and checked from ``given``
+    (its eigenvalues, then its root) in their context; a failure names ``spec``."""
+    values = given[:len(spec.params)]
     order = list(values)
     if spec.dim == 6:
         v = spec.variant - 1
         order[v], order[4] = order[4], order[v]
         order.append(order[4])
-    g1 = Matrix.diagonal(spec.context, order)
+    g1 = Matrix.diagonal(values[0].context, order)
     if spec.dim == 1:
         g2 = g1
-    elif spec.dim == 2:
-        g2 = _build_dim2(values)
-    elif spec.dim == 3:
-        g2 = _build_dim3(values)
-    elif spec.dim == 4:
-        g2 = _build_dim4(values, spec.h)
-    elif spec.dim == 5:
-        g2 = _build_dim5(values, spec.f)
-    else:
+    elif spec.dim == 6:
         g2 = _build_dim6(order[:5])
+    else:  # d = 4 and 5 take their root, the entry after the eigenvalues
+        build = {2: _build_dim2, 3: _build_dim3, 4: _build_dim4, 5: _build_dim5}[spec.dim]
+        g2 = build(values, *given[len(values):])
     mults = tuple(order.count(x) for x in values)
     _self_check(spec, g1, g2)
-    return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
+    return g1, g2, mults
 
 
 def compose_fifth_roots(f0: FieldElement) -> tuple[FieldElement, ...]:
@@ -513,6 +526,18 @@ def compose_fifth_roots(f0: FieldElement) -> tuple[FieldElement, ...]:
     return tuple(f0 * zeta**k for k in range(5))
 
 
+def _conjugate(m: Matrix, k: int) -> Matrix:
+    """sigma_k(m) over Q(zeta5), entry by entry: zeta^i goes to zeta^(ik mod 5),
+    then zeta^4 = -1 - zeta - zeta^2 - zeta^3 (subtract its coefficient)."""
+    entries = []
+    for e in m.entries:
+        c = [0] * 5
+        for i, ci in enumerate(e.coeffs):
+            c[i * k % 5] = ci
+        entries.append(FieldElement(m.context, tuple(ci - c[4] for ci in c[:4])))
+    return Matrix(m.context, m.rows, m.cols, entries)
+
+
 def enumerate_irreps(
     X: ParameterSet, context: FieldContext | None = None
 ) -> EnumerationResult:
@@ -523,7 +548,10 @@ def enumerate_irreps(
     context are returned as :class:`DeferredRoot` entries carrying a
     modulus suggestion: the defining polynomial of the missing root or,
     once one fifth root exists, the fifth cyclotomic modulus that supplies
-    the remaining four.
+    the remaining four.  Over Q(zeta5) with a rational X and f0 rational, the
+    reps with f = f0 zeta^k, k = 2, 3, 4, are sigma_k (zeta -> zeta^k) of k = 1:
+    sigma_k is a ring automorphism fixing X, so the braid relation and det g2 =
+    det g1 that k = 1 passed hold for each image.  X must be rational for this.
     """
     if context is not None and context != X.context:
         lifted = []
@@ -556,8 +584,15 @@ def enumerate_irreps(
         else:
             e5 = prod(sub.values)
             roots = element_kth_roots(e5, 5)
-            for f in roots:
-                reps.append(build_rep(RepSpec(dim=5, params=sub, f=f, subset=label)))
+            conjugates = (roots and ctx == cyclotomic5_context() and roots[0].is_rational()
+                          and all(v.is_rational() for v in sub)
+                          and tuple(roots) == compose_fifth_roots(roots[0]))
+            for k, f in enumerate(roots):
+                spec = RepSpec(dim=5, params=sub, f=f, subset=label)
+                if conjugates and k > 1:  # base is the k = 1 rep
+                    reps.append(replace(base, spec=spec, g2=_conjugate(base.g2, k)))
+                else:
+                    reps.append(base := build_rep(spec))
             if len(roots) < 5:
                 if roots:
                     mod = Polynomial.from_coeffs(ctx, cyclotomic5_context().modulus)

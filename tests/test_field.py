@@ -267,3 +267,28 @@ class TestElementRoots:
     def test_zero_is_its_only_root(self, ctx):
         for k in (2, 5):
             assert element_kth_roots(ctx.zero(), k) == [ctx.zero()]
+
+    @pytest.mark.parametrize("ctx", [Q, SQRT24, ZETA5], ids=["Q", "sqrt24", "zeta5"])
+    def test_early_stop_keeps_roots_and_order(self, ctx):
+        # the search stops where a power of the generator returns to 1; a
+        # search over every power up to k deg(m) finds the same roots in order
+        def full_search(value, k):
+            theta, roots = ctx.generator(), []
+            for j in range(1 if ctx.degree == 1 else k * ctx.degree + 1):
+                q = value / (theta ** j) ** k
+                r0 = rational_kth_root(q.rational_value(), k) if q.is_rational() else None
+                for r in ([] if r0 is None else [r0, -r0] if k % 2 == 0 else [r0]):
+                    root = theta ** j * r
+                    if root not in roots and root ** k == value:
+                        roots.append(root)
+            return roots
+
+        t = ctx.generator()
+        values = [ctx.from_rational(v) for v in (32, -32, Fraction(25, 16), 24, 576, 5)]
+        values += [t, t ** 2, t ** 3 * 32, -t]
+        found = 0
+        for v in values:
+            for k in (2, 5):
+                assert element_kth_roots(v, k) == full_search(v, k), (v, k)
+                found += len(full_search(v, k))
+        assert found >= 6

@@ -319,3 +319,93 @@ class TestEnumeration:
         X = ParameterSet.from_rationals(ctx, [1, 2, ctx.generator()])
         with pytest.raises(BadSpec, match="cannot move non-rational eigenvalues"):
             enumerate_irreps(X, context=Q)
+
+
+ZETA5 = cyclotomic5_context()
+# rational specs (dim, X, root): d = 4 takes h, d = 5 takes f
+RATIONAL_SPECS = [
+    (1, [3], {}),
+    (2, [1, 2], {}),
+    (3, [1, -2, "1/3"], {}),
+    (4, [1, 2, 3, 6], {"h": -6}),
+    (5, [1, 2, 4, 8, "1/2"], {"f": 2}),
+    (6, [1, 2, 3, 4, 5], {"variant": 2}),
+]
+
+
+def _recording_checks(monkeypatch):
+    """Record (spec, dim, degree of g1's context) for every _self_check call."""
+    import braidreps.reps as reps
+
+    calls, real = [], reps._self_check
+    monkeypatch.setattr(reps, "_self_check",
+                        lambda spec, g1, g2: calls.append((spec, spec.dim, g1.context.degree))
+                        or real(spec, g1, g2))
+    return calls
+
+
+class TestSmallestField:
+    @pytest.mark.parametrize("modulus", [[1, 1, 1, 1, 1], [-24, 0, 1], [-1, 0, 1], [0, -1, 0, 1]],
+                             ids=["zeta5", "sqrt24", "t^2-1", "t^3-t"])
+    def test_rational_spec_built_over_q_matches_direct_build(self, modulus, monkeypatch):
+        import braidreps.reps as reps
+
+        ctx = FieldContext(modulus)
+        calls = _recording_checks(monkeypatch)
+        for dim, values, extra in RATIONAL_SPECS:
+            X = ParameterSet.from_rationals(ctx, [Fraction(v) for v in values])
+            kw = {k: v if k == "variant" else ctx.from_rational(v) for k, v in extra.items()}
+            spec = RepSpec(dim=dim, params=X, **kw)
+            rep = build_rep(spec)
+            assert calls.pop() == (spec, dim, 1)  # checked over Q, naming the caller's spec
+            roots = tuple(kw[k] for k in ("h", "f") if k in kw)
+            g1, g2, mults = reps._construct(spec, X.values + roots)  # the builder in ctx
+            assert calls.pop() == (spec, dim, ctx.degree)
+            assert rep.spec is spec
+            assert rep.g1.context == ctx and rep.g2.context == ctx
+            assert (rep.g1, rep.g2, rep.multiplicities) == (g1, g2, mults)
+            assert all(len(e.coeffs) == ctx.degree for e in rep.g2.entries)
+
+    def test_failure_names_the_callers_spec(self, monkeypatch):
+        import braidreps.reps as reps
+
+        # diag(x2, x1) commutes with g1 but breaks the braid relation
+        monkeypatch.setattr(reps, "_build_dim2",
+                            lambda values: Matrix.diagonal(values[0].context, values[::-1]))
+        spec = RepSpec(dim=2, params=ParameterSet.from_rationals(ZETA5, [1, 2]))
+        with pytest.raises(ConstructionFailed) as err:
+            build_rep(spec)
+        assert str(err.value) == f"braid relation failed for {spec}"
+
+    @pytest.mark.parametrize("values", [
+        [1, 2, 3, 4, "4/3"], [1, 2, 3, 6, "8/9"], [-4, 1, 2, 4, -1], ["1/2", 3, -5, 7, "1/1680"],
+    ])
+    def test_conjugates_equal_direct_builds(self, values):
+        X = ParameterSet.from_rationals(ZETA5, [Fraction(v) for v in values])
+        five = [r for r in enumerate_irreps(X).reps if r.dim == 5]
+        assert tuple(r.spec.f for r in five) == compose_fifth_roots(five[0].spec.f)
+        assert five[0].spec.f.is_rational()
+        for k in (2, 3, 4):
+            direct = build_rep(five[k].spec)
+            assert (five[k].g1, five[k].g2) == (direct.g1, direct.g2)
+            assert five[k].multiplicities == direct.multiplicities
+            assert five[k].g2 != five[1].g2
+
+    def test_zeta_component_takes_the_direct_path(self, monkeypatch):
+        # 2 zeta and 2 zeta^4 are moved by sigma_k: all five f-variants are built
+        calls = _recording_checks(monkeypatch)
+        z = ZETA5.generator()
+        X = ParameterSet.from_rationals(ZETA5, [2 * z, 2 * z ** 4, 1, 4, 2])
+        five = [r for r in enumerate_irreps(X).reps if r.dim == 5]
+        assert len(five) == 5 and five[0].spec.f == 2
+        assert [c[1:] for c in calls if c[1] == 5] == [(5, 4)] * 5
+
+    def test_rational_census_checks_once_in_degree_four_per_five_subset(self, monkeypatch):
+        calls = _recording_checks(monkeypatch)
+        for values in ([1, 2, 3, 6], [1, 2, 3, 4, "4/3"], [1, 2, 3, 6, "8/9"]):
+            calls.clear()
+            X = ParameterSet.from_rationals(ZETA5, [Fraction(v) for v in values])
+            result = enumerate_irreps(X)
+            assert len(result.reps) == len(calls) + 3 * (len(values) == 5)
+            five_subsets = len(values) == 5
+            assert [c[1:] for c in calls if c[2] == 4] == [(5, 4)] * five_subsets
