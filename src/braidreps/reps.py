@@ -14,9 +14,9 @@ cannot escape.
 
 Rational work is done over Q.  A spec whose eigenvalues and root are
 rational has rational entries in every context, so it is built over Q and
-embedded.  Over Q(zeta5), the dimension-5
-representations of a rational X with f = f0 zeta^k are the images of k = 1
-under the automorphisms zeta -> zeta^k, which fix X; they are mapped, not built.
+embedded.  Over Q(zeta5), the dimension-5 representations of a rational X
+with f = f0 zeta^k are the images of k = 1 under the automorphisms
+zeta -> zeta^k, which fix X; they are mapped, not built.
 
 Representations of dimension 4 need a square root h of e4(X); dimension 5
 needs a fifth root f of e5(X).  When the coefficient context lacks such a
