@@ -288,15 +288,8 @@ def _cmd_eval(args):
     }
 
 
-@functools.cache
-def _scan_context(modulus: tuple):
-    # one context per process: ParameterSet compares moduli by value
-    return context_from_spec(list(modulus))
-
-
 def _scan_point(task):
-    index, modulus, values = task
-    ctx = _scan_context(modulus)
+    index, ctx, values = task  # the values as JSON gave them, like --params
     X = ParameterSet(tuple(parse_element(ctx, v) for v in values))
     report = semisimplicity(X)
     return {
@@ -318,12 +311,11 @@ def _cmd_scan(args):
     if mode != "semisimple":
         raise InputError(f"unsupported scan mode {mode!r}")
     ctx = _context(job)
-    modulus = tuple(str(c) for c in ctx.modulus)
     jobs = _int_option(job, "jobs", 1)
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1, len(grid))
-    tasks = [(i, modulus, [str(x) for x in xs]) for i, xs in enumerate(grid)]
+    tasks = [(i, ctx, xs) for i, xs in enumerate(grid)]
     try:
         if jobs > 1:
             with Pool(processes=jobs) as pool:

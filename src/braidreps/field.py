@@ -8,6 +8,11 @@ yields a product of fields, and inverting a zero divisor raises
 :class:`NotInvertible` at the point of use, with the factor of the modulus
 it exposes, where :meth:`FieldContext.split` can go on.
 
+There is one context per modulus: ``FieldContext(m)`` returns the same object
+for every m of equal value, so contexts compare by identity, and elements of
+two contexts never mix (:class:`ContextMismatch`).  :meth:`FieldContext.image`
+is the one map of an element into a context.
+
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` throughout
 (always reduced, positive denominator), so there is no floating point
 anywhere in this module.  Elements are stored as tuples of ``Fraction``;
@@ -123,19 +128,29 @@ def _power(base, n: int, mul=operator.mul):
 
 
 class FieldContext:
-    """Coefficient field Q[t]/(m(t)) for a monic squarefree modulus m."""
+    """Coefficient field Q[t]/(m(t)) for a monic squarefree modulus m.
+
+    ``FieldContext(m)`` returns the one context of the modulus m: the checks
+    and the reduction table run the first time m is seen, and every later
+    call (an unpickled context included) returns that object, so two
+    contexts are the same exactly when they are identical.
+    """
 
     __slots__ = ("modulus", "degree", "_reduction", "_zero", "_one")
 
-    def __init__(self, modulus: Sequence[Coercible]):
-        coeffs = [Fraction(c) for c in modulus]
-        _trim(coeffs)
+    def __new__(cls, modulus: Sequence[Coercible]) -> "FieldContext":
+        coeffs = _trim([Fraction(c) for c in modulus])
+        key = tuple(coeffs)
+        self = _CONTEXTS.get(key)
+        if self is not None:
+            return self
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise NonMonicModulus(f"modulus must be monic of degree >= 1, got {coeffs}")
         deriv = [i * c for i, c in enumerate(coeffs)][1:]
         if len(_poly_gcd(coeffs, deriv)) != 1:
             raise NotSquarefree(f"modulus {coeffs} is not squarefree")
-        self.modulus: tuple[Fraction, ...] = tuple(coeffs)
+        self = super().__new__(cls)
+        self.modulus: tuple[Fraction, ...] = key
         self.degree: int = len(coeffs) - 1
         # Coefficient vectors of t^k mod m for k = d .. 2d-2.
         d = self.degree
@@ -158,6 +173,11 @@ class FieldContext:
         zero = Fraction(0)
         self._zero = FieldElement(self, (zero,) * d)
         self._one = FieldElement(self, (Fraction(1),) + (zero,) * (d - 1))
+        _CONTEXTS[key] = self
+        return self
+
+    def __reduce__(self):
+        return FieldContext, (self.modulus,)
 
     # -- constructors --------------------------------------------------
 
@@ -192,12 +212,6 @@ class FieldContext:
 
     # -- structural ----------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldContext) and self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash(self.modulus)
-
     def __repr__(self) -> str:
         return f"FieldContext({[str(c) for c in self.modulus]})"
 
@@ -207,8 +221,16 @@ class FieldContext:
         return FieldContext(factor), FieldContext(_poly_divmod(list(self.modulus), factor)[0])
 
     def image(self, e: "FieldElement") -> "FieldElement":
-        """e reduced into this context, whose modulus divides e's: a ring map."""
+        """e mapped into this context: a rational embeds (zero as the shared
+        zero), anything else is reduced modulo this modulus, which must divide
+        e's.  Both are the one ring map where both apply."""
+        if e.is_rational():
+            c = e.coeffs[0]
+            return FieldElement(self, (c,) + self._zero.coeffs[1:]) if c else self._zero
         return self.element(_poly_divmod(list(e.coeffs), list(self.modulus))[1])
+
+
+_CONTEXTS: dict[tuple[Fraction, ...], FieldContext] = {}  # see FieldContext
 
 
 def rationals() -> FieldContext:
@@ -227,12 +249,6 @@ def _lift(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _check_context(a: "FieldElement", b: "FieldElement") -> None:
-    ca, cb = a.context, b.context
-    if ca is not cb and ca.modulus != cb.modulus:
-        raise ContextMismatch(f"{ca!r} vs {cb!r}")
-
-
 class FieldElement:
     """An element of Q[t]/(m), stored as a coefficient vector of length deg m."""
 
@@ -246,7 +262,8 @@ class FieldElement:
 
     def _coerce(self, other: Coercible) -> "FieldElement | None":
         if isinstance(other, FieldElement):
-            _check_context(self, other)
+            if other.context is not self.context:
+                raise ContextMismatch(f"{self.context!r} vs {other.context!r}")
             return other
         if isinstance(other, (int, Fraction)):
             return self.context.from_rational(other)
@@ -391,10 +408,7 @@ class FieldElement:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldElement):
-            return (
-                self.context.modulus == other.context.modulus
-                and self.coeffs == other.coeffs
-            )
+            return self.context is other.context and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
         return NotImplemented

@@ -116,7 +116,7 @@ class Matrix:
             raise ShapeMismatch(
                 f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-        if self.context.modulus != other.context.modulus:
+        if self.context is not other.context:
             raise ContextMismatch("matrices over different contexts")
         return Matrix(
             self.context,
@@ -130,7 +130,7 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.context.modulus != other.context.modulus:
+        if self.context is not other.context:
             raise ContextMismatch("matrices over different contexts")
         n, m, p = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
@@ -189,7 +189,7 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.context.modulus == other.context.modulus
+            and self.context is other.context
             and self.entries == other.entries
         )
 

@@ -65,10 +65,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (
-            self.context.modulus == other.context.modulus
-            and self.coeffs == other.coeffs
-        )
+        return self.context is other.context and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.context.modulus, self.coeffs))
@@ -91,7 +88,7 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
-        if self.context.modulus != other.context.modulus:
+        if self.context is not other.context:
             raise ContextMismatch("polynomials over different contexts")
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":

@@ -45,7 +45,6 @@ __all__ = [
     "Representation",
     "DeferredRoot",
     "EnumerationResult",
-    "elementary_symmetric",
     "delta",
     "build_rep",
     "compose_fifth_roots",
@@ -66,14 +65,6 @@ class ConstructionFailed(ArithmeticError):
 
 
 # -- symmetric-function helpers ------------------------------------------------
-
-
-def elementary_symmetric(values: Sequence[FieldElement], k: int) -> FieldElement:
-    """e_k of the given values (e_0 = 1)."""
-    n = len(values)
-    if k < 0 or k > n:
-        raise ValueError(f"e_{k} of {n} values")
-    return _esym(values)[k]
 
 
 def _esym(values: Sequence[FieldElement]) -> list[FieldElement]:
@@ -111,7 +102,7 @@ class ParameterSet:
             raise BadSpec(f"need between 1 and 5 eigenvalues, got {n}")
         ctx = self.values[0].context
         for v in self.values:
-            if v.context.modulus != ctx.modulus:
+            if v.context is not ctx:
                 raise BadSpec("eigenvalues from mixed contexts")
             if v.is_zero():
                 raise BadSpec("eigenvalues must be nonzero")
@@ -475,18 +466,17 @@ def build_rep(spec: RepSpec) -> Representation:
     variant's eigenvalue is swapped into position 5 and doubled.  The
     builder of the dimension gives g2, for the eigenvalues in that order.
     A spec with rational eigenvalues and root is built and checked over Q, then
-    padded into its context: Q -> Q[t]/(m) is a ring map for every modulus,
-    and the builders invert only nonzero rationals, units over any modulus.
+    mapped into its context by :meth:`FieldContext.image`: Q -> Q[t]/(m) is a
+    ring map for every modulus, and the builders invert only nonzero
+    rationals, units over any modulus.
     """
     ctx = spec.context
     given = spec.params.values + tuple(r for r in (spec.h, spec.f) if r is not None)
     if ctx.degree == 1 or not all(v.is_rational() for v in given):
         g1, g2, mults = _construct(spec, given)
     else:
-        g1, g2, mults = _construct(spec, tuple(_Q.from_rational(v.coeffs[0]) for v in given))
-        zero = ctx.zero()  # shared by the zero entries, as a build in ctx would
-        g1, g2 = (Matrix(ctx, m.rows, m.cols, [FieldElement(ctx, e.coeffs + zero.coeffs[1:])
-                                                if e else zero for e in m.entries])
+        g1, g2, mults = _construct(spec, tuple(_Q.image(v) for v in given))
+        g1, g2 = (Matrix(ctx, m.rows, m.cols, [ctx.image(e) for e in m.entries])
                   for m in (g1, g2))
     return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
 
@@ -553,13 +543,10 @@ def enumerate_irreps(
     sigma_k is a ring automorphism fixing X, so the braid relation and det g2 =
     det g1 that k = 1 passed hold for each image.  X must be rational for this.
     """
-    if context is not None and context != X.context:
-        lifted = []
-        for v in X.values:
-            if not v.is_rational():
-                raise BadSpec("cannot move non-rational eigenvalues between contexts")
-            lifted.append(context.from_rational(v.rational_value()))
-        X = ParameterSet(tuple(lifted))
+    if context is not None and context is not X.context:
+        if not all(v.is_rational() for v in X.values):
+            raise BadSpec("cannot move non-rational eigenvalues between contexts")
+        X = ParameterSet(tuple(context.image(v) for v in X.values))
     ctx = X.context
     n = len(X)
     reps: list[Representation] = []
@@ -584,7 +571,7 @@ def enumerate_irreps(
         else:
             e5 = prod(sub.values)
             roots = element_kth_roots(e5, 5)
-            conjugates = (roots and ctx == cyclotomic5_context() and roots[0].is_rational()
+            conjugates = (roots and ctx is cyclotomic5_context() and roots[0].is_rational()
                           and all(v.is_rational() for v in sub)
                           and tuple(roots) == compose_fifth_roots(roots[0]))
             for k, f in enumerate(roots):

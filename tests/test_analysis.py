@@ -11,6 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 import json
+from math import prod
 import random
 import sys
 
@@ -35,7 +36,6 @@ from braidreps import (
     cyclotomic5_context,
     decomposability_check,
     dimension_census,
-    elementary_symmetric,
     encode_element,
     enumerate_irreps,
     evaluate_predicates,
@@ -230,7 +230,7 @@ def _norm_by_sylvester(vals, p):
         coeffs, k = [x[0] ** 2, x[0], 1], 5
     else:
         coeffs, k = [x[0] * x[1], 0, 1], 5
-    e = elementary_symmetric(vals, len(vals))
+    e = prod(vals)  # e_n
     radical = Polynomial.from_coeffs(ctx, [-e] + [0] * (k - 1) + [1])
     return sylvester_resultant(radical, Polynomial.from_coeffs(ctx, coeffs))
 

@@ -495,6 +495,21 @@ class TestScan:
         _, parallel, _ = run_cli(capsys, "scan", "--params", f"@{cfg}", "--jobs", "3")
         assert serial == parallel
 
+    def test_grid_values_read_like_params(self, capsys):
+        # coefficient lists of strings, as --params takes them, serially and
+        # through the worker pool
+        grid = [[["1", "1"], 2, 3], [["1/2", "-1"], "3/4", 5]]
+        params = json.dumps({"grid": grid})
+        serial, parallel = (run_json(capsys, "scan", "--context", "t^2-24", "--params", params,
+                                     "--jobs", jobs) for jobs in ("1", "2"))
+        assert serial == parallel
+        for point, xs in zip(serial["points"], grid):
+            single = run_json(capsys, "semisimple", "--context", "t^2-24",
+                              "--params", json.dumps(xs))
+            assert point["X"] == single["X"]
+            assert point["verdict"] == single["verdict"]
+        assert serial["points"][0]["X"] == ["[1, 1]", "2", "3"]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         code, out, err = run_cli(capsys, "scan", "--params", '{"grid": [[1, 2]]}',

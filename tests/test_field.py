@@ -1,5 +1,10 @@
 """Exact arithmetic in Q and in single extensions Q[t]/(m)."""
 
+import contextlib
+import copy
+import gc
+import io
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,6 +22,8 @@ from braidreps import (
     rational_kth_root,
     rationals,
 )
+from braidreps import field
+from braidreps.cli import main
 
 Q = rationals()
 SQRT24 = FieldContext([-24, 0, 1])        # t^2 - 24
@@ -55,6 +62,69 @@ class TestContextValidation:
         assert SQRT24 != ZETA5
         with pytest.raises(ContextMismatch):
             SQRT24.generator() + ZETA5.generator()
+
+
+class TestOneContextPerModulus:
+    def test_equal_moduli_give_one_object(self):
+        assert FieldContext([-24, 0, 1]) is SQRT24
+        assert FieldContext((Fraction(-24), Fraction(0), Fraction(1))) is SQRT24
+        assert FieldContext([-24, 0, 1, 0, 0]) is SQRT24
+        assert FieldContext(["-24", Fraction(0), 1]) is SQRT24
+        assert cyclotomic5_context() is ZETA5 and rationals() is Q
+        assert FieldContext([Fraction(-1, 2), 1]) is FieldContext(["-1/2", 1, 0])
+        assert FieldContext([-2, 0, 1]) is not SQRT24
+
+    @pytest.mark.parametrize("ctx", [Q, SQRT24, ZETA5], ids=["Q", "sqrt24", "zeta5"])
+    def test_pickle_and_copy_return_the_context(self, ctx):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(ctx, protocol)) is ctx
+        assert copy.deepcopy(ctx) is ctx
+        e = ctx.generator() + 3
+        back = pickle.loads(pickle.dumps(e))
+        assert back.context is ctx and back == e
+
+    def test_split_factors_are_interned(self):
+        t3mt = FieldContext([0, -1, 0, 1])  # t (t - 1) (t + 1)
+        left, right = t3mt.split([Fraction(0), Fraction(1)])
+        assert left is rationals()
+        assert right is FieldContext([-1, 0, 1])
+        for c in (left, right):
+            assert FieldContext(c.modulus) is c
+
+    def test_different_moduli_do_not_mix(self):
+        split = FieldContext([-1, 0, 1])
+        with pytest.raises(ContextMismatch):
+            SQRT24.generator() * split.generator()
+        with pytest.raises(ContextMismatch):
+            split.one() - SQRT24.one()
+        # the same coefficients over two moduli are two different elements
+        assert SQRT24.generator() != split.generator()
+
+    @pytest.mark.parametrize("modulus,error", [
+        ([1, -2, 1], NotSquarefree),  # (t - 1)^2
+        ([1, 0, 2], NonMonicModulus),
+        ([3], NonMonicModulus),
+    ])
+    def test_bad_modulus_raises_and_is_not_stored(self, modulus, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                FieldContext(modulus)
+        assert tuple(Fraction(c) for c in modulus) not in field._CONTEXTS
+
+    def test_census_leaves_no_context_in_cyclic_garbage(self):
+        argv = ["semisimple", "--mode", "constructive", "--context", "t^4+t^3+t^2+t+1",
+                "--params", '[1, 2, 3, 6, "8/9"]']
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, FieldContext)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 @pytest.fixture

@@ -267,6 +267,10 @@ CALLS = [
     ["verify", "--context", "t^2-24", "--params", "[1, 2, 3, 4, 5]", "--dim", "6",
      "--variant", "3"],
     ["irred", "--context", "t^3-t", "--params", '[1, 2, 4, 8, "1/2"]', "--f", "2"],
+    # exited 2 while scan read each grid value through str(): a JSON list of
+    # strings became its Python repr, "['1', '1']"
+    ["scan", "--context", "t^2-24", "--params",
+     '{"grid": [[["1", "1"], 2, 3], [["1/2", "-1"], "3/4", 5]]}'],
 ]
 
 

@@ -21,12 +21,11 @@ from braidreps import (
     compose_fifth_roots,
     cyclotomic5_context,
     determinant,
-    elementary_symmetric,
     enumerate_irreps,
     poly_eval_matrix,
     rationals,
 )
-from braidreps.reps import _self_check
+from braidreps.reps import _esym, _self_check
 from conftest import SWEEP_SEED, IndexOutOfRange, sweep_plans, transpose_parameters
 
 Q = rationals()
@@ -54,11 +53,7 @@ class TestParameterSet:
         assert [v.rational_value() for v in s] == [5, 11]
 
     def test_elementary_symmetric(self):
-        vals = pset(1, 2, 3).values
-        assert elementary_symmetric(vals, 0) == 1
-        assert elementary_symmetric(vals, 1) == 6
-        assert elementary_symmetric(vals, 2) == 11
-        assert elementary_symmetric(vals, 3) == 6
+        assert _esym(pset(1, 2, 3).values) == [1, 6, 11, 6]
 
 
 class TestSpecValidation:

@@ -27,3 +27,13 @@ def test_script_exits_zero(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_replay_of_the_tree_against_itself():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "replay.py"), "--calls", "20",
+         "--base-dir", str(SCRIPTS.parent)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "same bytes: 20\n" in proc.stdout
