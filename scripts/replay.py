@@ -6,7 +6,9 @@ the factors of the modulus (its values at the roots): small rationals, with
 set rates of vanishing on a factor and of meeting an earlier eigenvalue
 there.  A dimension-4 or -5 call draws its root h or f the same way and
 solves the last eigenvalue for h^2 = e4 or f^5 = e5 on every factor where
-the others are nonzero.
+the others are nonzero.  One such call in four leaves the root out, so the
+CLI looks for it in the context, and one call in ten of ``build``, ``verify``
+and ``irred`` names a ``--dim`` that takes another number of eigenvalues.
 
 The calls run through ``braidreps.cli.main`` once at the base revision,
 exported with ``git archive`` into a temporary directory, and once at the
@@ -37,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONTEXTS = {"t^2-1": (1, -1), "t^3-t": (0, 1, -1)}  # modulus: its roots
 COMMANDS = ("build", "verify", "irred", "semisimple")
 P_ZERO, P_MEET = 0.05, 0.1  # per eigenvalue and factor
+P_NO_ROOT, P_WRONG_DIM = 0.25, 0.1  # per d = 4 or 5 call; per build, verify, irred
 ROOTS = {4: ("h", 2), 5: ("f", 5)}  # the root a dimension takes, and its order
 
 # Runs the JSON list of argv on stdin through one tree's cli.main.
@@ -107,9 +110,13 @@ def generate(calls: int, seed: int) -> list[list[str]]:
                 rest = prod(x[j] for x in images[:-1])
                 if rest:
                     images[-1][j] = r**order / rest
-            options = [f"--{name}={_element(root, roots)}"]
+            if rng.random() >= P_NO_ROOT:
+                options = [f"--{name}={_element(root, roots)}"]
         elif dim == 6:
             options = ["--dim", "6", "--variant", str(rng.randint(1, 5))]
+        if command != "semisimple" and rng.random() < P_WRONG_DIM:
+            wrong = [d for d in range(1, 7) if min(d, 5) != len(images)]
+            options = ["--dim", str(rng.choice(wrong))]
         params = json.dumps([_element(x, roots) for x in images])
         out.append([command, "--context", modulus, "--params", params, *options])
     return out

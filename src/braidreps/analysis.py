@@ -39,6 +39,7 @@ from math import comb, prod
 from .field import FieldContext, FieldElement, NotInvertible, _lift, element_kth_roots
 from .linalg import Matrix, intertwiner_dim, rank
 from .reps import (
+    TAKES,
     DeferredRoot,
     ParameterSet,
     Representation,
@@ -200,12 +201,11 @@ def evaluate_predicates(
     norms are polynomial identities in the eigenvalues, so they hold over
     any modulus.
     """
-    needed = {2: 2, 3: 3, 4: 4, 5: 5, 6: 5}
-    if level not in needed:
+    if level not in range(2, 7):
         raise BadLevel(f"no predicate family for level {level}")
     n = len(X)
-    if n != needed[level]:
-        raise BadLevel(f"level {level} needs {needed[level]} eigenvalues, got {n}")
+    if n != min(level, 5):
+        raise BadLevel(f"level {level} needs {min(level, 5)} eigenvalues, got {n}")
     pos = tuple(positions) if positions is not None else tuple(range(1, n + 1))
     return [_predicate(level, pos, *row, root is None)
             for row in _families(tuple(X), level, root)]
@@ -227,7 +227,7 @@ def rep_predicates(
     if d == 6:
         preds = evaluate_predicates(spec.params, 6)
         return preds, [p for p in preds if p.affects_variant == spec.variant]
-    preds = evaluate_predicates(spec.params, d, root={4: spec.h, 5: spec.f}.get(d))
+    preds = evaluate_predicates(spec.params, d, root=spec.h if spec.h is not None else spec.f)
     return preds, preds
 
 
@@ -308,21 +308,20 @@ def _search_is_complete(rep: Representation) -> bool:
             conds = [c for half in _line_conditions(g2) for c in half]
             values += [p0 * q1 - p1 * q0 for (p0, q0), (p1, q1) in combinations(conds, 2)]
             values += [_residual(g2, p, q) for p, q in conds]
-        _unit_product(rep.context, values, diag)
+        values += [x - y for x, y in combinations(set(diag), 2)]
+        _unit_product(rep.context, values)
     return True
 
 
-def _unit_product(ctx: FieldContext, values, differences_of=(), label=None) -> None:
-    """NotInvertible unless the nonzero values and the pairwise differences
-    of the distinct ``differences_of`` multiply to a unit (the D5 test: Della
-    Dora, Dicrescenzo, Duval, 1985).  Then each factor is a unit, so a
-    computation that needed them nonzero decides alike on every factor of a
-    reducible modulus.  The witness search and semisimplicity share it.
+def _unit_product(ctx: FieldContext, values, label=None) -> None:
+    """NotInvertible unless the nonzero values multiply to a unit (the D5
+    test: Della Dora, Dicrescenzo, Duval, 1985).  Then each factor is a unit,
+    so a computation that needed them nonzero decides alike on every factor
+    of a reducible modulus.  The witness search and semisimplicity share it.
     On failure the first non-unit factor raises, naming a proper factor of
     the modulus (a product of exactly 0 names all of it), and ``label(i)``
-    for ``values[i]`` when a label is given (then with no differences)."""
-    diffs = [x - y for x, y in combinations(set(differences_of), 2)]
-    factors = [(i, v) for i, v in enumerate([*values, *diffs]) if v]
+    for ``values[i]`` when a label is given."""
+    factors = [(i, v) for i, v in enumerate(values) if v]
     try:
         prod((v for _, v in factors), start=ctx.one()).inverse()
     except NotInvertible:
@@ -649,10 +648,9 @@ def semisimplicity(X: ParameterSet) -> CensusReport:
 
 
 def _combinatorial_count(n: int) -> int:
-    total = comb(n, 1) * 1 + comb(n, 2) * 4 + comb(n, 3) * 9
-    total += comb(n, 4) * 2 * 16
-    total += comb(n, 5) * (5 * 25 + 5 * 36)
-    return total
+    """Sum of count * d^2 over the irreducibles of :data:`TAKES` on every
+    subset of n eigenvalues, over an algebraically closed field."""
+    return sum(comb(n, min(d, 5)) * count * d * d for d, (_, count) in TAKES.items())
 
 
 def _check_sum_of_squares(total: int, algebra_dim: int) -> None:
@@ -671,9 +669,9 @@ def dimension_census(
 
     The semisimplicity verdict comes first: when it is negative, its
     report (with the failing predicates and no census fields) is returned
-    as it is.  Combinatorial mode counts subset representatives with their
-    root multiplicities (two h-variants, five f-variants) without building
-    anything, matching the count over an algebraically closed field.
+    as it is.  Combinatorial mode counts subset representatives with the
+    counts of :data:`~braidreps.reps.TAKES` without building anything,
+    matching the count over an algebraically closed field.
     Constructive mode builds everything :func:`enumerate_irreps` can reach
     in the context, separates the rest as deferred roots, and still counts
     the deferred variants in the sum.  Pairwise inequivalence of the built

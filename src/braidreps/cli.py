@@ -30,6 +30,7 @@ from .analysis import (
 from .braidword import WordSyntaxError, evaluate, parse
 from .field import NotInvertible, TooLarge, element_kth_roots
 from .reps import (
+    TAKES,
     BadSpec,
     ConstructionFailed,
     MissingRoot,
@@ -73,12 +74,12 @@ def _load_job(args) -> dict:
             try:
                 with open(text[1:], "r", encoding="utf-8") as fh:
                     loaded = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # JSONDecodeError, or over 4300 digits
                 raise InputError(f"cannot read params file: {exc}")
         else:
             try:
                 loaded = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise InputError(f"bad inline params: {exc}")
         if isinstance(loaded, list):
             job["X"] = loaded
@@ -133,42 +134,40 @@ def _parameter_set(ctx, job) -> ParameterSet:
         raise InputError(f"bad parameters: {exc}")
 
 
-_ROOTS = {"h": (2, "e4", "square"), "f": (5, "e5", "fifth")}
+def _given_root(job, ctx, key: str):
+    try:
+        return parse_element(ctx, job[key])
+    except ValueError as exc:
+        raise InputError(f"bad {key}: {exc}")
 
 
-def _roots(job, ctx, X, key: str) -> list:
-    """The given h or f, else every root of e(X) of that order in the context."""
-    given = job.get(key)
-    if given is not None:
-        try:
-            return [parse_element(ctx, given)]
-        except ValueError as exc:
-            raise InputError(f"bad {key}: {exc}")
-    order, name, word = _ROOTS[key]
-    target = prod(X.values)
-    roots = element_kth_roots(target, order)
-    if not roots:
-        raise InputError(
-            f"{name} = {encode_element(target)} has no {word} root in this "
-            "context; extend the modulus"
-        )
-    return roots
-
-
-def _resolve_specs(job, ctx, X, variants=(5,)) -> list[RepSpec]:
-    """The specs a job names: one per root of a dimension 4 or 5 given no h
-    or f, and one per default variant of a dimension 6 given none.  RepSpec
-    rejects any given option its dimension does not take."""
+def _resolve_specs(job, ctx, X, every_variant=False) -> list[RepSpec]:
+    """The specs a job names: for a dimension that takes a root given none,
+    one per root of e_d(X) in the context, and for one that takes a variant
+    given none, every variant or the last (X in its given order).  RepSpec
+    rejects a wrong number of eigenvalues before any root is sought, and any
+    option its dimension does not take."""
     dim = _int_option(job, "dim", len(X))
-    hs = _roots(job, ctx, X, "h") if dim == 4 or job.get("h") is not None else [None]
-    fs = _roots(job, ctx, X, "f") if dim == 5 or job.get("f") is not None else [None]
+    takes, count = TAKES.get(dim, (None, 1))
+    given = {key: _given_root(job, ctx, key) for key in ("h", "f") if job.get(key) is not None}
     if job.get("variant") is not None:
-        variants = (_int_option(job, "variant", 5),)
-    elif dim != 6:
+        variants = (_int_option(job, "variant", count),)
+    elif takes == "variant":
+        variants = range(1, count + 1) if every_variant else (count,)
+    else:
         variants = (None,)
     try:
-        return [RepSpec(dim=dim, params=X, h=h, f=f, variant=v)
-                for h in hs for f in fs for v in variants]
+        try:
+            return [RepSpec(dim=dim, params=X, variant=v, **given) for v in variants]
+        except MissingRoot:  # the count is right: seek the root in the context
+            target = prod(X.values)
+            roots = element_kth_roots(target, count)
+            if not roots:
+                word = ("square", "cube", "fourth", "fifth")[count - 2]
+                raise InputError(f"e{dim} = {encode_element(target)} has no {word} root "
+                                 "in this context; extend the modulus")
+            return [RepSpec(dim=dim, params=X, variant=v, **given, **{takes: r})
+                    for r in roots for v in variants]
     except (BadSpec, MissingRoot) as exc:
         raise InputError(str(exc))
 
@@ -184,7 +183,7 @@ def _cmd_build(args):
     job = _load_job(args)
     ctx = _context(job)
     X = _parameter_set(ctx, job)
-    reps = [build_rep(s) for s in _resolve_specs(job, ctx, X, variants=range(1, 6))]
+    reps = [build_rep(s) for s in _resolve_specs(job, ctx, X, every_variant=True)]
     return {
         "command": "build",
         "context": encode_context(ctx),

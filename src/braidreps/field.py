@@ -509,10 +509,7 @@ def element_kth_roots(value: FieldElement, k: int) -> list[FieldElement]:
             theta_pow = theta_pow * theta
             if theta_pow == 1:
                 break
-        y = theta_pow**k
-        if y.is_zero():
-            break
-        q = value / y
+        q = value / theta_pow**k
         if not q.is_rational():
             continue
         r0 = rational_kth_root(q.rational_value(), k)

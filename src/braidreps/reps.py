@@ -18,10 +18,11 @@ embedded.  Over Q(zeta5), the dimension-5 representations of a rational X
 with f = f0 zeta^k are the images of k = 1 under the automorphisms
 zeta -> zeta^k, which fix X; they are mapped, not built.
 
-Representations of dimension 4 need a square root h of e4(X); dimension 5
-needs a fifth root f of e5(X).  When the coefficient context lacks such a
-root, :func:`enumerate_irreps` reports the construction as deferred along
-with a modulus that would provide the root, rather than dropping it.
+What each dimension takes besides its eigenvalues (nothing, a root h or f
+of e_d(X), or a variant) and how many irreducibles that gives is said once,
+in :data:`TAKES`.  When the coefficient context lacks a root,
+:func:`enumerate_irreps` reports the construction as deferred along with a
+modulus that would provide the root, rather than dropping it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "MissingRoot",
     "ConstructionFailed",
     "ParameterSet",
+    "TAKES",
     "RepSpec",
     "Representation",
     "DeferredRoot",
@@ -139,8 +141,11 @@ class ParameterSet:
         return ParameterSet(tuple(self.values[i] for i in indices))
 
 
-# what a dimension takes besides X: a root (its name and order) or the variant
-_TAKES = {4: ("h", 2), 5: ("f", 5), 6: ("variant", None)}
+# d: what it takes besides min(d, 5) eigenvalues (nothing, a variant in
+# 1..count, or h or f with root^count = e_d(X)) and count, its irreducibles
+# per subset over an algebraically closed field
+TAKES = {1: (None, 1), 2: (None, 1), 3: (None, 1),
+         4: ("h", 2), 5: ("f", 5), 6: ("variant", 5)}
 _Q = rationals()  # where a rational spec is built (see build_rep)
 
 
@@ -148,7 +153,7 @@ _Q = rationals()  # where a rational spec is built (see build_rep)
 class RepSpec:
     """What to build: dimension, eigenvalues, auxiliary roots, variant.
 
-    Only dimension 4 takes h, only 5 takes f and only 6 a variant.
+    Each dimension takes what :data:`TAKES` says, and nothing else.
 
     ``subset`` (1-based positions into an enclosing eigenvalue set) is
     bookkeeping for enumeration reports and has no effect on the matrices.
@@ -163,19 +168,20 @@ class RepSpec:
 
     def __post_init__(self):
         d = self.dim
-        if d not in range(1, 7):
+        if d not in TAKES:
             raise BadSpec(f"no representations of dimension {d}")
         if len(self.params) != min(d, 5):
             raise BadSpec(f"dimension {d} needs exactly {min(d, 5)} eigenvalues")
-        takes, order = _TAKES.get(d, (None, None))
-        if order:  # a root of e_d(X)
+        takes, count = TAKES[d]
+        if takes == "variant":
+            if self.variant is None or not 1 <= self.variant <= count:
+                raise BadSpec(f"dimension {d} needs a variant index in 1..{count}")
+        elif takes:  # a root of e_d(X)
             root = getattr(self, takes)
             if root is None:
-                raise MissingRoot(f"dimension {d} needs {takes} with {takes}^{order} = e{d}(X)")
-            if root**order != prod(self.params.values):
-                raise BadSpec(f"{takes}^{order} does not equal e{d}(X)")
-        elif takes == "variant" and (self.variant is None or not 1 <= self.variant <= 5):
-            raise BadSpec("dimension 6 needs a variant index in 1..5")
+                raise MissingRoot(f"dimension {d} needs {takes} with {takes}^{count} = e{d}(X)")
+            if root**count != prod(self.params.values):
+                raise BadSpec(f"{takes}^{count} does not equal e{d}(X)")
         for k in ("h", "f", "variant"):
             if k != takes and getattr(self, k) is not None:
                 raise BadSpec(f"dimension {self.dim} takes no {k if takes else 'root or variant'}")
@@ -376,8 +382,10 @@ def _d6_z(x) -> FieldElement:
 
 def _build_dim6(values):
     """The variant with the last eigenvalue doubled, straight off the table.
-    Each Delta_i, x_1^2 .. x_4^2 and x_5 is inverted once, in the order of its
-    first use; later denominators are their products, so no zero divisor moves."""
+    It inverts each Delta_i, x_1^2 .. x_4^2 and x_5 first, then eight products
+    of their factors: x_a (x_b - x_a) times three differences in _d6_r (four
+    calls), four differences in _d6_uv (two calls), and x_1 and x_2 in g[1][5]
+    and g[2][6].  So the first ten meet any zero divisor first."""
     ctx = values[0].context
     x = (None,) + tuple(values)
     zero = ctx.zero()
@@ -533,10 +541,11 @@ def enumerate_irreps(
 ) -> EnumerationResult:
     """All irreducible representations over every nonempty subset of X.
 
-    Subsets are visited in lexicographic order of their index tuples.
-    Dimension-4 and -5 members whose auxiliary root is missing from the
-    context are returned as :class:`DeferredRoot` entries carrying a
-    modulus suggestion: the defining polynomial of the missing root or,
+    Subsets are visited in lexicographic order of their index tuples, and
+    for each the dimensions d with min(d, 5) = |subset| in ascending order:
+    one rep per variant, or one per root of e_d(X) that the context holds
+    (:data:`TAKES`).  The roots it lacks are returned as one
+    :class:`DeferredRoot` carrying a modulus suggestion: t^k - e_d(X) or,
     once one fifth root exists, the fifth cyclotomic modulus that supplies
     the remaining four.  Over Q(zeta5) with a rational X and f0 rational, the
     reps with f = f0 zeta^k, k = 2, 3, 4, are sigma_k (zeta -> zeta^k) of k = 1:
@@ -555,40 +564,31 @@ def enumerate_irreps(
         combo for size in range(1, n + 1) for combo in combinations(range(n), size)
     )
     for combo in subsets:
-        size = len(combo)
         sub = X.subset(combo)
         label = tuple(c + 1 for c in combo)
-        if size <= 3:
-            reps.append(build_rep(RepSpec(dim=size, params=sub, subset=label)))
-        elif size == 4:
-            e4 = prod(sub.values)
-            roots = element_kth_roots(e4, 2)
-            for h in roots:
-                reps.append(build_rep(RepSpec(dim=4, params=sub, h=h, subset=label)))
-            if not roots:
-                mod = Polynomial.from_coeffs(ctx, [-e4, ctx.zero(), ctx.one()])
-                deferred.append(DeferredRoot(label, 4, 2, e4, 2, mod))
-        else:
-            e5 = prod(sub.values)
-            roots = element_kth_roots(e5, 5)
-            conjugates = (roots and ctx is cyclotomic5_context() and roots[0].is_rational()
-                          and all(v.is_rational() for v in sub)
-                          and tuple(roots) == compose_fifth_roots(roots[0]))
-            for k, f in enumerate(roots):
-                spec = RepSpec(dim=5, params=sub, f=f, subset=label)
+        for d, (takes, count) in TAKES.items():  # in ascending d
+            if min(d, 5) != len(combo):
+                continue
+            options, conjugates = [None], False
+            if takes == "variant":
+                options = range(1, count + 1)
+            elif takes:  # the roots of e_d(X) in the context
+                e = prod(sub.values)
+                options = element_kth_roots(e, count)
+                conjugates = (len(options) == 5 and ctx is cyclotomic5_context()
+                              and options[0].is_rational()
+                              and all(v.is_rational() for v in sub)
+                              and tuple(options) == compose_fifth_roots(options[0]))
+                if len(options) < count:  # t^count - e, or Phi5 for the other fifth roots
+                    coeffs = (cyclotomic5_context().modulus if options
+                              else [-e] + [ctx.zero()] * (count - 1) + [ctx.one()])
+                    deferred.append(DeferredRoot(label, d, count, e, count - len(options),
+                                                 Polynomial.from_coeffs(ctx, coeffs)))
+            for k, option in enumerate(options):
+                spec = RepSpec(dim=d, params=sub, subset=label,
+                               **({takes: option} if takes else {}))
                 if conjugates and k > 1:  # base is the k = 1 rep
                     reps.append(replace(base, spec=spec, g2=_conjugate(base.g2, k)))
                 else:
                     reps.append(base := build_rep(spec))
-            if len(roots) < 5:
-                if roots:
-                    mod = Polynomial.from_coeffs(ctx, cyclotomic5_context().modulus)
-                else:
-                    coeffs = [-e5] + [ctx.zero()] * 4 + [ctx.one()]
-                    mod = Polynomial.from_coeffs(ctx, coeffs)
-                deferred.append(DeferredRoot(label, 5, 5, e5, 5 - len(roots), mod))
-            for variant in range(1, 6):
-                reps.append(
-                    build_rep(RepSpec(dim=6, params=sub, variant=variant, subset=label))
-                )
     return EnumerationResult(tuple(reps), tuple(deferred))

@@ -25,7 +25,7 @@ from math import prod
 from .field import FieldElement
 from .linalg import Matrix, _charpoly_from_power_sums
 from .poly import Polynomial
-from .reps import RepSpec, Representation, BadSpec
+from .reps import RepSpec, Representation
 
 __all__ = [
     "NotScalar",
@@ -100,12 +100,10 @@ def _closed_forms(spec: RepSpec):
         chi_a = poly(-(f**2), one) * poly(f**4, f**2, one) ** 2
         chi_b = poly(-(f**3), one) ** 3 * poly(f**3, one) ** 2
         return f**6, (-(f**2), -(f**4), f**3), (chi_a, chi_b)
-    if d == 6:
-        xie5 = values[spec.variant - 1] * prod(values)
-        chi_a = poly(xie5, zero, zero, one) ** 2
-        chi_b = poly(xie5, zero, one) ** 3
-        return -xie5, (zero, zero, zero), (chi_a, chi_b)
-    raise BadSpec(f"no closed forms for dimension {d}")
+    xie5 = values[spec.variant - 1] * prod(values)  # d = 6: RepSpec admits no other
+    chi_a = poly(xie5, zero, zero, one) ** 2
+    chi_b = poly(xie5, zero, one) ** 3
+    return -xie5, (zero, zero, zero), (chi_a, chi_b)
 
 
 def spectral_report(rep: Representation) -> SpectralReport:

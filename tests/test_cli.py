@@ -225,6 +225,36 @@ class TestExitCodes:
         assert code == 2
         assert "square root" in err
 
+    @pytest.mark.parametrize("argv, dim, count", [
+        (("verify", "--params", "[1,2,3,4,5]", "--dim", "4"), 4, 4),
+        (("verify", "--params", "[1,2,3,4]", "--dim", "5"), 5, 5),
+        (("verify", "--params", "[1,2,3,4,6]", "--dim", "4"), 4, 4),
+    ], ids=["d4-e4-no-root", "d5-e5-no-root", "d4-e4-root"])
+    def test_eigenvalue_count_checked_before_roots(self, capsys, argv, dim, count):
+        # the first two said that e4 = 120 and e5 = 24 have no root; whether
+        # e_d(X) has one in the context must not decide which error is named
+        expected = f"error: dimension {dim} needs exactly {count} eigenvalues\n"
+        assert run_cli(capsys, *argv) == (2, "", expected)
+
+    @pytest.mark.parametrize("params", ['["[1,2,3]", 2]', "[[1,2,3], 2]"],
+                             ids=["string", "list"])
+    def test_coefficient_vector_longer_than_the_degree(self, capsys, params):
+        expected = ("error: bad parameters: coefficient vector of length 3 in a "
+                    "degree 2 context\n")
+        assert run_cli(capsys, "build", "--context", "t^2-24", "--params", params) == (
+            2, "", expected)
+
+    def test_json_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # json raises a plain ValueError, no JSONDecodeError, past 4300 digits
+        text = "[1" + "0" * 5000 + ", 2]"
+        path = tmp_path / "job.json"
+        path.write_text(text, encoding="utf-8")
+        for argv, head in [(text, "error: bad inline params: "),
+                           (f"@{path}", "error: cannot read params file: ")]:
+            code, out, err = run_cli(capsys, "build", "--params", argv)
+            assert code == 2 and out == ""
+            assert err.startswith(head) and "digits" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--params", '{"X": 5}'),
         ("verify", "--params", '{"X": "12"}'),

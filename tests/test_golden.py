@@ -271,6 +271,15 @@ CALLS = [
     # strings became its Python repr, "['1', '1']"
     ["scan", "--context", "t^2-24", "--params",
      '{"grid": [[["1", "1"], 2, 3], [["1/2", "-1"], "3/4", 5]]}'],
+    # ended in a traceback: json raises a plain ValueError past 4300 digits
+    ["build", "--params", "[1" + "0" * 5000 + ", 2]"],
+    # a coefficient list longer than the degree, as a string and as a list
+    ["build", "--context", "t^2-24", "--params", '["[1,2,3]", 2]'],
+    ["build", "--context", "t^2-24", "--params", "[[1,2,3], 2]"],
+    # the wrong number of eigenvalues for dimension 4 or 5 was named only
+    # once e_d(X) had a root in the context; these said it had none
+    ["verify", "--params", "[1,2,3,4,5]", "--dim", "4"],
+    ["verify", "--params", "[1,2,3,4]", "--dim", "5"],
 ]
 
 

@@ -294,6 +294,23 @@ class TestEnumeration:
         built = sum(r.dim ** 2 for r in result.reps)
         assert built + d.count * d.dim ** 2 == 96
 
+    def test_e5_without_rational_fifth_root_defers_all_five(self):
+        result = enumerate_irreps(pset(1, 2, 3, 4, 5))
+        assert [r for r in result.reps if r.dim == 5] == []
+        (d,) = [d for d in result.deferred if d.dim == 5]
+        assert (d.subset, d.root_order, d.count) == ((1, 2, 3, 4, 5), 5, 5)
+        assert d.radicand == 120
+        assert [c.rational_value() for c in d.suggested_modulus.coeffs] == [-120, 0, 0, 0, 0, 1]
+
+    def test_rational_fifth_root_defers_the_other_four(self):
+        # f = 2 is built; the four f = 2 zeta^k need the fifth cyclotomic modulus
+        result = enumerate_irreps(pset(1, 2, 3, 4, Fraction(4, 3)))
+        assert [r.spec.f for r in result.reps if r.dim == 5] == [2]
+        (d,) = [d for d in result.deferred if d.dim == 5]
+        assert (d.subset, d.root_order, d.count) == ((1, 2, 3, 4, 5), 5, 4)
+        assert d.radicand == 32
+        assert [c.rational_value() for c in d.suggested_modulus.coeffs] == [1] * 5  # Phi5
+
     def test_five_set_has_all_variants(self):
         result = enumerate_irreps(pset(1, 2, 3, 4, Fraction(4, 3)))
         six = [r for r in result.reps if r.dim == 6]
