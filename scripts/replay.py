@@ -9,6 +9,9 @@ solves the last eigenvalue for h^2 = e4 or f^5 = e5 on every factor where
 the others are nonzero.  One such call in four leaves the root out, so the
 CLI looks for it in the context, and one call in ten of ``build``, ``verify``
 and ``irred`` names a ``--dim`` that takes another number of eigenvalues.
+One call in ten draws a rational set: each eigenvalue, and the root, takes
+the same value on every factor, so the CLI's root search over t^3-t meets a
+rational e4 or e5.
 
 The calls run through ``braidreps.cli.main`` once at the base revision,
 exported with ``git archive`` into a temporary directory, and once at the
@@ -40,6 +43,7 @@ CONTEXTS = {"t^2-1": (1, -1), "t^3-t": (0, 1, -1)}  # modulus: its roots
 COMMANDS = ("build", "verify", "irred", "semisimple")
 P_ZERO, P_MEET = 0.05, 0.1  # per eigenvalue and factor
 P_NO_ROOT, P_WRONG_DIM = 0.25, 0.1  # per d = 4 or 5 call; per build, verify, irred
+P_RATIONAL = 0.1  # per call: the same eigenvalues and root on every factor
 ROOTS = {4: ("h", 2), 5: ("f", 5)}  # the root a dimension takes, and its order
 
 # Runs the JSON list of argv on stdin through one tree's cli.main.
@@ -96,16 +100,19 @@ def generate(calls: int, seed: int) -> list[list[str]]:
         modulus, roots = rng.choice(list(CONTEXTS.items()))
         command = rng.choice(COMMANDS)
         dim = rng.randint(1, 5) if command == "semisimple" else rng.randint(1, 6)
+        # a rational set draws the image on one factor and repeats it
+        factors = 1 if rng.random() < P_RATIONAL else len(roots)
+        repeat = len(roots) // factors
         images: list[list[Fraction]] = []
         for _ in range(min(dim, 5)):
-            images.append([_image(rng, j, images) for j in range(len(roots))])
+            images.append([_image(rng, j, images) for j in range(factors)] * repeat)
         options = []
         if command == "semisimple":
             if rng.random() < 0.25:
                 options = ["--mode", "constructive"]
         elif dim in ROOTS:
             name, order = ROOTS[dim]
-            root = [_small(rng) for _ in roots]
+            root = [_small(rng) for _ in range(factors)] * repeat
             for j, r in enumerate(root):
                 rest = prod(x[j] for x in images[:-1])
                 if rest:

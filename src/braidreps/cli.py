@@ -38,20 +38,7 @@ from .reps import (
     RepSpec,
     build_rep,
 )
-from .serialize import (
-    canonical_dumps,
-    context_from_spec,
-    encode_census,
-    encode_context,
-    encode_element,
-    encode_matrix,
-    encode_predicate,
-    encode_rep,
-    encode_spec,
-    encode_spectral,
-    encode_witness,
-    parse_element,
-)
+from .serialize import canonical_dumps, context_from_spec, encode, encode_element, parse_element
 from .spectral import NotScalar, spectral_report
 
 __all__ = ["main"]
@@ -184,11 +171,7 @@ def _cmd_build(args):
     ctx = _context(job)
     X = _parameter_set(ctx, job)
     reps = [build_rep(s) for s in _resolve_specs(job, ctx, X, every_variant=True)]
-    return {
-        "command": "build",
-        "context": encode_context(ctx),
-        "reps": [encode_rep(r) for r in reps],
-    }
+    return {"command": "build", "context": encode(ctx), "reps": encode(reps)}
 
 
 def _cmd_verify(args):
@@ -198,12 +181,12 @@ def _cmd_verify(args):
     report = spectral_report(rep)
     out = {
         "command": "verify",
-        "context": encode_context(ctx),
-        "spec": encode_spec(rep.spec),
+        "context": encode(ctx),
+        "spec": encode(rep.spec),
         "braid_relation_ok": True,
         "generator_relation_ok": True,
         "minpoly_ok": True,
-        "spectral": encode_spectral(report),
+        "spectral": encode(report),
         "all_ok": report.all_ok,
     }
     if not report.all_ok:
@@ -220,13 +203,13 @@ def _cmd_irred(args):
     oracle, witness = irreducibility(rep)
     out = {
         "command": "irred",
-        "context": encode_context(ctx),
-        "spec": encode_spec(rep.spec),
-        "predicates": [encode_predicate(p) for p in preds],
+        "context": encode(ctx),
+        "spec": encode(rep.spec),
+        "predicates": encode(preds),
         "predicate_verdict_irreducible": predicate_verdict,
         "oracle_irreducible": oracle,
         "verdicts_agree": predicate_verdict == oracle,
-        "witness": encode_witness(witness),
+        "witness": encode(witness),
         # the witness search already ran the complement check
         "decomposable": None if witness is None else witness.complement_found,
     }
@@ -249,11 +232,11 @@ def _cmd_semisimple(args):
     report = dimension_census(X, mode=mode)
     return {
         "command": "semisimple",
-        "context": encode_context(ctx),
+        "context": encode(ctx),
         "X": [encode_element(v) for v in X.values],
         "verdict": report.semisimple_verdict,
-        "failing": [encode_predicate(p) for p in report.failing_predicates],
-        "census": encode_census(report) if report.semisimple_verdict else None,
+        "failing": encode(report.failing_predicates),
+        "census": encode(report) if report.semisimple_verdict else None,
     }
 
 
@@ -272,17 +255,11 @@ def _cmd_eval(args):
         except WordSyntaxError as exc:
             raise InputError(f"bad word {text!r}: {exc}")
         m = evaluate(w, rep)
-        results.append(
-            {
-                "word": text,
-                "matrix": encode_matrix(m),
-                "trace": encode_element(m.trace()),
-            }
-        )
+        results.append({"word": text, "matrix": encode(m), "trace": encode_element(m.trace())})
     return {
         "command": "eval",
-        "context": encode_context(ctx),
-        "spec": encode_spec(rep.spec),
+        "context": encode(ctx),
+        "spec": encode(rep.spec),
         "words": results,
     }
 
@@ -323,12 +300,7 @@ def _cmd_scan(args):
             points = [_scan_point(t) for t in tasks]
     except (ValueError, BadSpec) as exc:
         raise InputError(f"bad grid point: {exc}")
-    return {
-        "command": "scan",
-        "context": encode_context(ctx),
-        "mode": mode,
-        "points": points,
-    }
+    return {"command": "scan", "context": encode(ctx), "mode": mode, "points": points}
 
 
 _COMMANDS = {

@@ -509,10 +509,14 @@ def element_kth_roots(value: FieldElement, k: int) -> list[FieldElement]:
             theta_pow = theta_pow * theta
             if theta_pow == 1:
                 break
-        q = value / theta_pow**k
-        if not q.is_rational():
+        # value = c theta^(jk) for a rational c, read off the first nonzero
+        # coefficient: no division, as theta is a zero divisor when t | m
+        power = theta_pow**k
+        i, lead = next((i, c) for i, c in enumerate(power.coeffs) if c)
+        c = value.coeffs[i] / lead
+        if power * c != value:
             continue
-        r0 = rational_kth_root(q.rational_value(), k)
+        r0 = rational_kth_root(c, k)
         if r0 is None:
             continue
         candidates = [r0, -r0] if k % 2 == 0 else [r0]

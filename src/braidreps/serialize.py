@@ -5,20 +5,21 @@ form: base rationals as "p/q" (or "p"), extension elements as coefficient
 lists "[c0, c1, ...]" in ascending powers of the generator.  Plain JSON
 integers are reserved for structural data (dimensions, counts, indices).
 Map keys are emitted sorted so identical inputs give byte-identical
-reports.
+reports.  The JSON names of each report are stated once, in :func:`encode`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
 
-from .analysis import CensusReport, PredicateValue, Witness
+from .analysis import CensusEntry, CensusReport, PredicateValue, Witness
 from .field import FieldContext, FieldElement, TooLarge, rationals
 from .linalg import Matrix
 from .poly import Polynomial
-from .reps import Representation, RepSpec
+from .reps import DeferredRoot, Representation, RepSpec
 from .spectral import SpectralReport
 
 __all__ = [
@@ -26,17 +27,9 @@ __all__ = [
     "parse_rational",
     "encode_element",
     "parse_element",
-    "encode_poly",
-    "encode_matrix",
-    "encode_context",
     "parse_modulus",
     "context_from_spec",
-    "encode_spec",
-    "encode_rep",
-    "encode_predicate",
-    "encode_witness",
-    "encode_spectral",
-    "encode_census",
+    "encode",
     "canonical_dumps",
 ]
 
@@ -72,7 +65,7 @@ def parse_rational(text) -> Fraction:
 
 def encode_element(e: FieldElement) -> str:
     if e.is_rational():
-        return encode_rational(e.rational_value())
+        return encode_rational(e.coeffs[0])
     return "[" + ", ".join(encode_rational(c) for c in e.coeffs) + "]"
 
 
@@ -89,22 +82,6 @@ def parse_element(ctx: FieldContext, obj) -> FieldElement:
     if isinstance(obj, (list, tuple)):
         return ctx.element([parse_rational(c) for c in obj])
     return ctx.from_rational(parse_rational(obj))
-
-
-def encode_poly(p: Polynomial) -> list[str]:
-    return [encode_element(c) for c in p.coeffs]
-
-
-def encode_matrix(m: Matrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [encode_element(e) for e in m.entries],
-    }
-
-
-def encode_context(ctx: FieldContext) -> dict:
-    return {"modulus": [encode_rational(c) for c in ctx.modulus]}
 
 
 _TERM_RE = re.compile(
@@ -163,40 +140,17 @@ def context_from_spec(spec) -> FieldContext:
     return FieldContext(parse_modulus(spec))
 
 
-def encode_spec(spec: RepSpec) -> dict:
-    out = {
-        "dim": spec.dim,
-        "X": [encode_element(v) for v in spec.params.values],
-    }
-    if spec.h is not None:
-        out["h"] = encode_element(spec.h)
-    if spec.f is not None:
-        out["f"] = encode_element(spec.f)
-    if spec.variant is not None:
-        out["variant"] = spec.variant
-    if spec.subset is not None:
-        out["subset"] = list(spec.subset)
+def _spec(s: RepSpec) -> dict:
+    out = {"dim": s.dim, "X": [encode_element(v) for v in s.params.values]}
+    for key in ("h", "f", "variant", "subset"):
+        if (value := getattr(s, key)) is not None:
+            out[key] = encode(value)
     return out
 
 
-def encode_rep(rep: Representation) -> dict:
-    return {
-        "spec": encode_spec(rep.spec),
-        "g1": encode_matrix(rep.g1),
-        "g2": encode_matrix(rep.g2),
-        "multiplicities": list(rep.multiplicities),
-    }
-
-
-def encode_predicate(p: PredicateValue) -> dict:
-    out = {
-        "name": p.name,
-        "family": p.family,
-        "indices": list(p.indices),
-        "value": encode_element(p.value),
-        "zero": p.is_zero,
-        "quantified": p.quantified,
-    }
+def _predicate(p: PredicateValue) -> dict:
+    out = {"name": p.name, "family": p.family, "indices": list(p.indices),
+           "value": encode_element(p.value), "zero": p.is_zero, "quantified": p.quantified}
     if p.subset is not None:
         out["subset"] = list(p.subset)
     if p.affects_variant is not None:
@@ -204,62 +158,60 @@ def encode_predicate(p: PredicateValue) -> dict:
     return out
 
 
-def encode_witness(w: Witness | None) -> dict | None:
-    if w is None:
-        return None
+def _witness(w: Witness) -> dict:
     out = {"Y": list(w.index_set), "complement_found": w.complement_found}
     if w.extra_line is not None:
-        out["line"] = [encode_element(c) for c in w.extra_line]
+        out["line"] = encode(w.extra_line)
     return out
 
 
-def encode_spectral(r: SpectralReport) -> dict:
-    return {
-        "C_rho": encode_element(r.C_rho),
-        "C_expected": encode_element(r.C_expected),
-        "trA": encode_element(r.trA),
-        "trA_expected": encode_element(r.trA_expected),
-        "trA2": encode_element(r.trA2),
-        "trA2_expected": encode_element(r.trA2_expected),
-        "trB": encode_element(r.trB),
-        "trB_expected": encode_element(r.trB_expected),
-        "charpoly_A": encode_poly(r.charpoly_A),
-        "charpoly_A_expected": encode_poly(r.charpoly_A_expected),
-        "charpoly_B": encode_poly(r.charpoly_B),
-        "charpoly_B_expected": encode_poly(r.charpoly_B_expected),
-        "det_constraint_ok": r.det_constraint_ok,
-        "all_ok": r.all_ok,
-        "checks": {name: ok for name, ok in r.checks},
-    }
+def _census(r: CensusReport) -> dict:
+    return {"mode": r.mode, "algebra_dim": r.algebra_dim, "sum_of_squares": r.sum_of_squares,
+            "semisimple_verdict": r.semisimple_verdict, "failing": encode(r.failing_predicates),
+            "entries": encode(r.entries), "deferred": encode(r.deferred)}
 
 
-def encode_census(r: CensusReport) -> dict:
-    return {
-        "mode": r.mode,
-        "algebra_dim": r.algebra_dim,
-        "sum_of_squares": r.sum_of_squares,
-        "semisimple_verdict": r.semisimple_verdict,
-        "failing": [encode_predicate(p) for p in r.failing_predicates],
-        "entries": [
-            {
-                "spec": encode_spec(e.spec),
-                "probe": [encode_element(v) for v in e.probe],
-                "class_id": e.class_id,
-            }
-            for e in r.entries
-        ],
-        "deferred": [
-            {
-                "subset": list(d.subset),
-                "dim": d.dim,
-                "root_order": d.root_order,
-                "radicand": encode_element(d.radicand),
-                "count": d.count,
-                "suggested_modulus": encode_poly(d.suggested_modulus),
-            }
-            for d in r.deferred
-        ],
-    }
+def _fields(obj) -> dict:
+    """A report under its own field names (a SpectralReport's checks aside)."""
+    return {name: encode(getattr(obj, name)) for name in _FIELDS[type(obj)]}
+
+
+_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name != "checks")
+           for cls in (SpectralReport, Representation, CensusEntry, DeferredRoot)}
+
+_ENCODERS = {
+    **dict.fromkeys((int, bool, str, type(None)), lambda x: x),
+    **dict.fromkeys((list, tuple), lambda xs: [encode(x) for x in xs]),
+    dict: lambda d: {key: encode(v) for key, v in d.items()},
+    FieldElement: encode_element,
+    Polynomial: lambda p: [encode_element(c) for c in p.coeffs],
+    Matrix: lambda m: {"rows": m.rows, "cols": m.cols,
+                       "entries": [encode_element(e) for e in m.entries]},
+    FieldContext: lambda ctx: {"modulus": [encode_rational(c) for c in ctx.modulus]},
+    RepSpec: _spec,
+    PredicateValue: _predicate,
+    Witness: _witness,
+    CensusReport: _census,
+    SpectralReport: lambda r: {**_fields(r), "checks": dict(r.checks)},
+    **dict.fromkeys((Representation, CensusEntry, DeferredRoot), _fields),
+}
+
+
+def encode(obj):
+    """The JSON form of a value or a report, chosen by its type.
+
+    Field elements, polynomials, matrices and contexts become exact strings;
+    lists, tuples and dicts are encoded item by item.  RepSpec ("X"),
+    PredicateValue ("name", "zero"), Witness ("Y", "line") and CensusReport
+    ("failing") are written out above, the first three leaving out fields
+    that are None; every other report keeps its field names.  An unknown
+    type raises :class:`TypeError`.
+    """
+    try:
+        encoder = _ENCODERS[type(obj)]
+    except KeyError:
+        raise TypeError(f"cannot encode a {type(obj).__name__}") from None
+    return encoder(obj)
 
 
 def canonical_dumps(obj) -> str:

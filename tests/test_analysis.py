@@ -950,6 +950,34 @@ class TestSemisimplicity:
         assert names == ["I4(5)", "J5(3,5)", "I6(5)", "J6(3,5)"]
 
 
+class TestPermutationSymmetry:
+    # the quotient algebra depends only on the set X: no reordering of X may
+    # change the verdict, the census sum or how many predicates of each
+    # family vanish; only the failing names move with the positions
+    @staticmethod
+    def _invariants(values):
+        X = (ParameterSet(tuple(values)) if isinstance(values[0], FieldElement)
+             else ParameterSet.from_rationals(Q, values))
+        report = semisimplicity(X)
+        return (report.semisimple_verdict,
+                dimension_census(X, mode="combinatorial").sum_of_squares,
+                Counter(p.family for p in report.failing_predicates))
+
+    def test_reorderings_of_x_keep_verdict_sum_and_family_counts(self):
+        rng = random.Random(SWEEP_SEED)
+        sets = [reducible_plan(rng, f)["values"] for f in REDUCIBLE_FAMILIES for _ in range(4)]
+        assert not any(self._invariants(values)[0] for values in sets)
+        # random sets too, so that some census sums are compared
+        sets += [distinct_nonzero(rng, n) for n in (3, 4, 5) for _ in range(3)]
+        assert any(self._invariants(values)[0] for values in sets)
+        for values in sets:
+            want = self._invariants(values)
+            n = len(values)
+            for _ in range(6):
+                order = rng.sample(range(n), n)
+                assert self._invariants([values[i] for i in order]) == want, (values, order)
+
+
 @st.composite
 def rational_sets(draw):
     """Generic sets, rational reducible plans, and scan-style 5-sets that

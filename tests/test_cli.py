@@ -1,6 +1,7 @@
 """Command line interface: exit codes, JSON schemas, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -419,6 +420,27 @@ class TestExitCodes:
         assert code == 1
         assert "braid relation" in err
 
+    def test_failed_spectral_check_exits_one(self, capsys, monkeypatch):
+        # a report whose trace of A disagrees with its closed form
+        real = cli.spectral_report
+
+        def failing(rep):
+            report = real(rep)
+            checks = tuple((name, name != "trace_A") for name, _ in report.checks)
+            return dataclasses.replace(report, checks=checks, all_ok=False)
+
+        monkeypatch.setattr(cli, "spectral_report", failing)
+        code, out, err = run_cli(capsys, "verify", "--params", "[1, 2, 3]")
+        assert (code, out) == (1, "")
+        assert err == "check failed: verification failed: trace_A\n"
+
+    def test_oracle_disagreeing_with_predicates_exits_one(self, capsys, monkeypatch):
+        # no predicate of (1, 2, 3) vanishes, but the oracle says reducible
+        monkeypatch.setattr(cli, "irreducibility", lambda rep: (False, None))
+        code, out, err = run_cli(capsys, "irred", "--params", "[1, 2, 3]")
+        assert (code, out) == (1, "")
+        assert err == ("check failed: predicate/oracle disagreement: oracle says "
+                       "reducible, vanishing predicates: none\n")
 
     def test_construction_failure_exits_one(self, capsys, monkeypatch):
         import braidreps.reps as reps

@@ -19,6 +19,7 @@ from braidreps import (
     NotSquarefree,
     cyclotomic5_context,
     element_kth_roots,
+    encode_element,
     rational_kth_root,
     rationals,
 )
@@ -332,6 +333,31 @@ class TestElementRoots:
     def test_no_root_gives_empty_list(self):
         assert element_kth_roots(Q.from_rational(24), 2) == []
         assert element_kth_roots(ZETA5.from_rational(24), 2) == []
+
+    def test_rational_roots_where_the_generator_is_a_zero_divisor(self):
+        # over t^3 - t, theta^2 = t^2 is no unit; the search used to divide
+        # by it after finding the roots at j = 0, and raised NotInvertible
+        ctx = FieldContext([0, -1, 0, 1])
+        roots = element_kth_roots(ctx.from_rational(36), 2)
+        assert ctx.from_rational(6) in roots and ctx.from_rational(-6) in roots
+        assert all(r ** 2 == 36 for r in roots)
+
+    @pytest.mark.parametrize("ctx, value, k, want", [
+        (ZETA5, 32, 5, ["2", "[0, 2, 0, 0]", "[0, 0, 2, 0]", "[0, 0, 0, 2]",
+                        "[-2, -2, -2, -2]"]),
+        (ZETA5, Fraction(25, 16), 2, ["5/4", "-5/4"]),
+        (ZETA5, 576, 2, ["24", "-24"]),
+        (ZETA5, [0, 0, 4, 0], 2, ["[0, 2, 0, 0]", "[0, -2, 0, 0]"]),
+        (SQRT24, 32, 5, ["2"]),
+        (SQRT24, Fraction(25, 16), 2, ["5/4", "-5/4"]),
+        (SQRT24, 576, 2, ["24", "-24"]),
+        (SQRT24, 24, 2, ["[0, 1]", "[0, -1]"]),
+        (SQRT24, 96, 2, ["[0, 2]", "[0, -2]"]),
+    ])
+    def test_roots_and_order_over_fields_are_unchanged(self, ctx, value, k, want):
+        # literals recorded while the search still divided by theta^(jk)
+        v = ctx.element(value) if isinstance(value, list) else ctx.from_rational(value)
+        assert [encode_element(r) for r in element_kth_roots(v, k)] == want
 
     @pytest.mark.parametrize("ctx", [Q, SQRT24, ZETA5], ids=["Q", "sqrt24", "zeta5"])
     def test_zero_is_its_only_root(self, ctx):

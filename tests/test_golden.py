@@ -280,6 +280,10 @@ CALLS = [
     # once e_d(X) had a root in the context; these said it had none
     ["verify", "--params", "[1,2,3,4,5]", "--dim", "4"],
     ["verify", "--params", "[1,2,3,4]", "--dim", "5"],
+    # exited 2 while the root search divided by theta^k, a zero divisor over
+    # t^3-t: e4 = 36 has the roots h = 6 and -6 at j = 0
+    ["verify", "--context", "t^3-t", "--params", "[1,2,3,6]"],
+    ["semisimple", "--mode", "constructive", "--context", "t^3-t", "--params", "[1,2,3,6]"],
 ]
 
 

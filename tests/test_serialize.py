@@ -1,5 +1,6 @@
 """Canonical JSON encoding: exact strings in, exact strings out."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,17 +12,20 @@ from braidreps import (
     RepSpec,
     build_rep,
     canonical_dumps,
+    charpoly,
     context_from_spec,
     cyclotomic5_context,
+    dimension_census,
+    encode,
     encode_element,
-    encode_matrix,
     encode_rational,
-    encode_rep,
-    encode_spec,
+    irreducibility,
     parse_element,
     parse_modulus,
     parse_rational,
     rationals,
+    rep_predicates,
+    spectral_report,
 )
 
 Q = rationals()
@@ -116,7 +120,7 @@ class TestModulus:
 class TestStructures:
     def test_matrix_encoding_is_flat_row_major(self):
         m = Matrix.from_rows(Q, [[1, 2], [3, 4]])
-        enc = encode_matrix(m)
+        enc = encode(m)
         assert enc == {"rows": 2, "cols": 2, "entries": ["1", "2", "3", "4"]}
 
     def test_spec_encoding(self):
@@ -125,7 +129,7 @@ class TestStructures:
             params=ParameterSet.from_rationals(Q, [1, 2, 3, 6]),
             h=Q.from_rational(6),
         )
-        enc = encode_spec(spec)
+        enc = encode(spec)
         assert enc["dim"] == 4
         assert enc["X"] == ["1", "2", "3", "6"]
         assert enc["h"] == "6"
@@ -133,9 +137,47 @@ class TestStructures:
 
     def test_rep_encoding_holds_matrices(self):
         rep = build_rep(RepSpec(dim=2, params=ParameterSet.from_rationals(Q, [1, 2])))
-        enc = encode_rep(rep)
+        enc = encode(rep)
         assert enc["g2"]["entries"] == ["4", "2", "-3", "-1"]
         assert enc["multiplicities"] == [1, 1]
+
+
+def _json_native(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _json_native(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_json_native(v) for v in value)
+    return value is None or isinstance(value, (str, int, bool))
+
+
+class TestEncode:
+    @pytest.mark.parametrize("obj", [object(), Fraction(1, 2), {"X": [1, Fraction(1, 2)]}],
+                             ids=["object", "Fraction", "nested-Fraction"])
+    def test_unsupported_objects_raise(self, obj):
+        with pytest.raises(TypeError, match="cannot encode a (object|Fraction)"):
+            encode(obj)
+
+    def test_every_printed_report_is_json_native(self):
+        ctx = FieldContext([-24, 0, 1])
+        reducible = build_rep(RepSpec(dim=3, params=ParameterSet.from_rationals(Q, [2, 1, -4])))
+        line = build_rep(RepSpec(dim=6, params=ParameterSet.from_rationals(
+            Q, [2, 3, -1, Fraction(1, 6), 1]), variant=5))
+        generic = build_rep(RepSpec(dim=4, params=ParameterSet.from_rationals(ctx, [1, 2, 3, 4]),
+                                    h=ctx.generator()))
+        witnesses = [irreducibility(r)[1] for r in (reducible, line)]
+        assert witnesses[1].extra_line is not None
+        # a census with entries and one deferred root: e5 = 120 has no
+        # fifth root over Q
+        census = dimension_census(ParameterSet.from_rationals(Q, [1, 2, 3, 4, 5]))
+        assert census.entries and census.deferred
+        objects = [ctx, generic.g2, charpoly(generic.g2), generic.spec, generic,
+                   spectral_report(generic), rep_predicates(generic)[0],
+                   rep_predicates(line)[0], *witnesses, None, census,
+                   dimension_census(ParameterSet.from_rationals(Q, [2, 1, -4]))]
+        for obj in objects:
+            enc = encode(obj)
+            assert _json_native(enc), type(obj).__name__
+            assert json.loads(json.dumps(enc)) == enc
 
 
 class TestCanonicalDumps:
