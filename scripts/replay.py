@@ -140,6 +140,15 @@ def run(tree: Path, calls: list) -> list:
     return report["results"]
 
 
+def export(revision: str, dest) -> Path:
+    """The files of ``revision`` (``git archive``) extracted into ``dest``."""
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return Path(dest)
+
+
 def classify(base, new) -> str:
     if base == new:
         return "same bytes"
@@ -164,11 +173,7 @@ def main():
         if args.base_dir is not None:
             base_tree, label = args.base_dir, str(args.base_dir)
         else:
-            archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
-                                     capture_output=True, check=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(tmp, filter="data")
-            base_tree, label = Path(tmp), args.base
+            base_tree, label = export(args.base, tmp), args.base
         counts, codes = Counter(), Counter()
         for argv, base, new in zip(calls, run(base_tree, calls), run(ROOT, calls)):
             kind = classify(base, new)

@@ -399,10 +399,10 @@ class FieldElement:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
-        if not self.is_rational():
+        if any(self.coeffs[1:]):
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0]
 

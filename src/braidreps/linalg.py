@@ -210,8 +210,9 @@ def determinant(m: Matrix) -> FieldElement:
     The rows go in in order.  A dependent row means det = 0.  Otherwise the
     reduced rows are L*M with L unit lower-triangular, so det M is the
     product of their lead values times the sign of the lead-column
-    permutation.  ``reps`` checks det g2 with it.  Every pivot is inverted:
-    over a reducible modulus a nonzero zero-divisor pivot raises
+    permutation.  ``reps`` checks det g2 with it over an extension (over Q
+    it lifts g2 to integers and takes :func:`_bareiss`).  Every pivot is
+    inverted: over a reducible modulus a nonzero zero-divisor pivot raises
     NotInvertible even where the determinant exists.
     """
     if m.rows != m.cols:
@@ -226,6 +227,28 @@ def determinant(m: Matrix) -> FieldElement:
     cols = [c for c, _ in basis]
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
     return -det if inversions % 2 else det
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): step k divides each updated entry
+    exactly by the pivot of step k - 1, so every entry stays an integer.
+    A zero pivot swaps in the first later row with a nonzero entry there."""
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [(a * pivot - c * b) // prev
+                           for a, b in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
 def inverse(m: Matrix) -> Matrix | None:

@@ -32,9 +32,9 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, Sequence
 
-from .field import (FieldContext, FieldElement, NotInvertible, cyclotomic5_context,
+from .field import (FieldContext, FieldElement, NotInvertible, _lift, cyclotomic5_context,
                     element_kth_roots, rationals)
-from .linalg import Matrix, charpoly, determinant, poly_eval_matrix
+from .linalg import Matrix, _bareiss, charpoly, determinant, poly_eval_matrix
 from .poly import Polynomial
 
 __all__ = [
@@ -346,10 +346,12 @@ def _d6_p(x, i: int) -> FieldElement:
     return e5 - x[i] ** 3 * x[5] ** 2
 
 
-def _d6_r(x) -> FieldElement:
-    # Delta_3 of X minus {x_2}: (x1-x3)(x4-x3)(x5-x3)
-    d3 = (x[1] - x[3]) * (x[4] - x[3]) * (x[5] - x[3])
-    return x[3] / (x[1] * (x[2] - x[1]) * d3)
+def _d6_r(x, dinv, sq) -> FieldElement:
+    # x3 / (x1 (x2-x1) d3), d3 = (x1-x3)(x4-x3)(x5-x3) Delta_3 of X minus {x_2},
+    # from inverses at hand: 1/x1 = x1 x1^-2, 1/d3 = (x2-x3) Delta_3^-1 and
+    # 1/(x2-x1) = (x3-x1)(x4-x1)(x5-x1) Delta_1^-1
+    others = (x[3] - x[1]) * (x[4] - x[1]) * (x[5] - x[1])
+    return x[3] * x[1] * sq[1] * others * dinv[1] * (x[2] - x[3]) * dinv[3]
 
 
 def _d6_uv(x, inv15) -> tuple[FieldElement, FieldElement]:
@@ -382,10 +384,10 @@ def _d6_z(x) -> FieldElement:
 
 def _build_dim6(values):
     """The variant with the last eigenvalue doubled, straight off the table.
-    It inverts each Delta_i, x_1^2 .. x_4^2 and x_5 first, then eight products
-    of their factors: x_a (x_b - x_a) times three differences in _d6_r (four
-    calls), four differences in _d6_uv (two calls), and x_1 and x_2 in g[1][5]
-    and g[2][6].  So the first ten meet any zero divisor first."""
+    It inverts each Delta_i, x_1^2 .. x_4^2 and x_5 first, then only the four
+    differences in _d6_uv (two calls), whose factors those ten hold: so the
+    first ten meet any zero divisor first.  _d6_r, and 1/x_1 and 1/x_2 in
+    g[1][5] and g[2][6], take products of the ten."""
     ctx = values[0].context
     x = (None,) + tuple(values)
     zero = ctx.zero()
@@ -409,14 +411,18 @@ def _build_dim6(values):
     g[5][1] = dinv[1]
     g[6][2] = dinv[2]
     # rows 5..6, columns 3..4
-    g[5][3] = _d6_q(x, 4) * _d6_r(x)
-    g[5][4] = _d6_q(x, 3) * _d6_r(_sig(x, (3, 4)))
-    g[6][3] = _d6_r(_sig(x, (1, 2)))
-    g[6][4] = _d6_r(_sig(x, (1, 2), (3, 4)))
+    def r(*pairs):  # _d6_r with x and its inverses transposed alike
+        return _d6_r(*(_sig(v, *pairs) for v in (x, dinv, sq)))
+
+    g[5][3] = _d6_q(x, 4) * r()
+    g[5][4] = _d6_q(x, 3) * r((3, 4))
+    g[6][3] = r((1, 2))
+    g[6][4] = r((1, 2), (3, 4))
     # rows 5..6, columns 5..6
-    g[5][5], v = _d6_uv(x, x[1] * sq[1] * x5inv)
+    x1inv, x2inv = x[1] * sq[1], x[2] * sq[2]
+    g[5][5], v = _d6_uv(x, x1inv * x5inv)
     g[5][6] = _d6_q(x, 3) * _d6_q(x, 4) * v
-    g[6][6], g[6][5] = _d6_uv(_sig(x, (1, 2)), x[2] * sq[2] * x5inv)
+    g[6][6], g[6][5] = _d6_uv(_sig(x, (1, 2)), x2inv * x5inv)
     # rows 3..4, columns 5..6
     s13, s23 = dinv[5], dinv[5] * x5inv
     g[3][5] = _d6_w(x) * sq[3] * s23
@@ -424,11 +430,20 @@ def _build_dim6(values):
     g[4][5] = _d6_w(_sig(x, (3, 4))) * sq[4] * s23
     g[4][6] = _d6_q(x, 4) * _d6_w(_sig(x, (1, 2), (3, 4))) * sq[4] * s23
     # rows 1..2, columns 5..6
-    g[1][5] = _d6_z(x) / x[1] * s13
+    g[1][5] = _d6_z(x) * x1inv * s13
     g[1][6] = _d6_q(x, 3) * _d6_q(x, 4) * _d6_w(_sig(x, (1, 2), (2, 3))) * sq[1] * x5inv * s13
     g[2][5] = _d6_w(_sig(x, (2, 3))) * sq[2] * x5inv * s13
-    g[2][6] = _d6_z(_sig(x, (1, 2))) / x[2] * s13
+    g[2][6] = _d6_z(_sig(x, (1, 2))) * x2inv * s13
     return Matrix.from_rows(ctx, [row[1:] for row in g[1:]])
+
+
+def _integer_pair(g1: Matrix, g2: Matrix):
+    """Over a degree-1 context, g1's diagonal as integers E over L and the rows
+    of g2 as integers N over q, each over the lcm of its denominators."""
+    d = g1.rows
+    e, l = _lift(tuple(g1[i, i].coeffs[0] for i in range(d)))
+    n, q = _lift(tuple(x.coeffs[0] for x in g2.entries))
+    return e, l, [n[i * d:(i + 1) * d] for i in range(d)], q
 
 
 def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
@@ -441,20 +456,32 @@ def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     argument.  A det g1 of exactly 0 makes g1 singular on every factor of
     the modulus, and its :class:`NotInvertible` propagates.
 
+    Over Q both hold on integers (:func:`_integer_pair`, g1 = E/L and g2 =
+    N/q): the braid relation is q E_i N_ij E_j = L sum_k N_ik E_k N_kj for
+    every i and j, and the determinant identity bareiss(N) L^d = (prod E_i) q^d.
+
     So minpoly(g2) = P_X, which ``verify`` reports unrecomputed: every
     builder inverts each Delta_i, so on each factor of the modulus the x_i
     are distinct, the minimal polynomial divides P_X and, as charpoly(g2) =
     prod (L - x_i)^{m_i}, has every x_i as a root.
     """
-    ctx = g1.context
-    a = g1 @ g2
-    if a @ g1 != g2 @ a:
+    ctx, d = g1.context, g1.rows
+    if ctx.degree == 1:
+        e, l, n, q = _integer_pair(g1, g2)
+        cols = list(zip(*n))
+        braid = all(q * ei * nij * ej == l * sum(a * b * c for a, b, c in zip(row, e, col))
+                    for ei, row in zip(e, n) for nij, ej, col in zip(row, e, cols))
+    else:
+        a = g1 @ g2
+        braid = a @ g1 == g2 @ a
+    if not braid:
         raise ConstructionFailed(f"braid relation failed for {spec}")
-    diag = [g1[i, i] for i in range(g1.rows)]
+    diag = [g1[i, i] for i in range(d)]
     det_g1 = prod(diag, start=ctx.one())
     try:
         det_g1.inverse()
-        if determinant(g2) != det_g1:
+        if (_bareiss(n) * l**d != prod(e) * q**d if ctx.degree == 1
+                else determinant(g2) != det_g1):
             raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
         return
     except NotInvertible:  # no similarity argument: check what it implies

@@ -11,7 +11,9 @@ exactly; a mismatch means a broken construction, not numerical noise.
 against one table of closed forms per dimension: by the braid relation
 B^2 = (g1 g2 g1)(g2 g1 g2) = A^3, and once it is CI, d, C and the three
 traces give every power sum, so both characteristic polynomials come from
-the relations by Newton's identities.
+the relations by Newton's identities.  Over Q that product is on integers:
+with g1 = E/L and g2 = N/q (``reps._integer_pair``), B = E N E / (L^2 q)
+takes two scalings, and C and the traces are read off as fractions.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -20,12 +22,13 @@ as a polynomial in the eigenvalues, h or f, so no branch choices arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 
 from .field import FieldElement
 from .linalg import Matrix, _charpoly_from_power_sums
 from .poly import Polynomial
-from .reps import RepSpec, Representation
+from .reps import RepSpec, Representation, _integer_pair
 
 __all__ = [
     "NotScalar",
@@ -114,15 +117,30 @@ def spectral_report(rep: Representation) -> SpectralReport:
     indicates a broken construction.
     """
     ctx, d = rep.context, rep.dim
-    A = rep.g1 @ rep.g2
-    B = A @ rep.g1
-    B2 = B @ B
-    c = B2[0, 0]
-    if B2 != Matrix.diagonal(ctx, [c] * d):
-        raise NotScalar("(g1 g2)^3 is not scalar")
+    if ctx.degree == 1:  # on integers: A = E N / (L q) and B = E N E / (L^2 q)
+        e, l, n, q = _integer_pair(rep.g1, rep.g2)
+        en = [[ei * x for x in row] for ei, row in zip(e, n)]
+        b = [[x * ej for x, ej in zip(row, e)] for row in en]
+        b2 = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in b]
+        c = b2[0][0]
+        if b2 != [[c if i == j else 0 for j in range(d)] for i in range(d)]:
+            raise NotScalar("(g1 g2)^3 is not scalar")
+        lq = l * q
+        c, tr_a, tr_a2, tr_b = (ctx.from_rational(Fraction(num, den)) for num, den in (
+            (c, (l * lq) ** 2),
+            (sum(en[i][i] for i in range(d)), lq),
+            (sum(x * y for row, col in zip(en, zip(*en)) for x, y in zip(row, col)), lq * lq),
+            (sum(b[i][i] for i in range(d)), l * lq)))
+    else:
+        A = rep.g1 @ rep.g2
+        B = A @ rep.g1
+        B2 = B @ B
+        c = B2[0, 0]
+        if B2 != Matrix.diagonal(ctx, [c] * d):
+            raise NotScalar("(g1 g2)^3 is not scalar")
+        tr_a, tr_b = A.trace(), B.trace()
+        tr_a2 = sum((x * y for x, y in zip(A.entries, A.transpose().entries)), start=ctx.zero())
     c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec)
-    tr_a, tr_b = A.trace(), B.trace()
-    tr_a2 = sum((x * y for x, y in zip(A.entries, A.transpose().entries)), start=ctx.zero())
     # A^3 = B^2 = cI: tr A^k = c^(k//3) tr A^(k%3) and tr B^k = c^(k//2) tr B^(k%2)
     ks, tr_i = range(1, d + 1), ctx.from_rational(d)
     sums_a = [c ** (k // 3) * (tr_i, tr_a, tr_a2)[k % 3] for k in ks]

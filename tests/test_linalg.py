@@ -2,6 +2,7 @@
 polynomials, closures."""
 
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from braidreps import (
     rationals,
 )
 from braidreps.field import _poly_divmod
+from braidreps.linalg import _bareiss
 from conftest import algebra_closure_dim, leibniz_determinant
 
 Q = rationals()
@@ -174,6 +176,48 @@ class TestDeterminant:
         else:
             assert m @ inv == Matrix.identity(ctx, 3)
             assert inv @ m == Matrix.identity(ctx, 3)
+
+
+def _bareiss_cases(seed=2701):
+    """Seeded integer matrices of sizes 1-6: dense, sparse (zero pivots force
+    row swaps), with a repeated row or a combination of rows (singular)."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(1, 7):
+        for kind in ("dense", "sparse", "repeat", "combination"):
+            for _ in range(8):
+                rows = [[rng.randint(-9, 9) if kind != "sparse" or rng.random() < 0.4 else 0
+                         for _ in range(n)] for _ in range(n)]
+                if n > 1 and kind == "repeat":
+                    rows[rng.randrange(1, n)] = list(rows[0])
+                if n > 1 and kind == "combination":
+                    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                    rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+                cases.append(rows)
+    return cases
+
+
+class TestBareiss:
+    def test_agrees_with_determinant(self):
+        cases = _bareiss_cases()
+        singular = 0
+        for rows in cases:
+            det = determinant(Matrix.from_rows(Q, rows))
+            assert _bareiss(rows) == det, rows
+            singular += det.is_zero()
+        assert singular > len(cases) // 4
+
+    def test_zero_pivots_swap_rows(self):
+        # [0][0] = 0 swaps at step 0; the leading 2x2 minor of the second is 0,
+        # so step 1 meets a zero pivot after the first elimination
+        for rows, det in (([[0, 2], [3, 1]], -6), ([[0, 0, 2], [0, 3, 1], [5, 1, 1]], -30),
+                          ([[1, 2, 3], [2, 4, 5], [3, 5, 6]], -1), ([[0, 1], [0, 4]], 0)):
+            assert _bareiss(rows) == det == determinant(Matrix.from_rows(Q, rows))
+
+    def test_leaves_its_argument_alone(self):
+        rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+        assert _bareiss(rows) == -3
+        assert rows == [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
 
 
 class TestCharMinPoly:

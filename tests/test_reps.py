@@ -1,6 +1,7 @@
 """Construction of the irreducible families and the enumeration sweep."""
 
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,9 +128,11 @@ class TestSelfCheck:
             _self_check(rep.spec, rep.g1, bad)
 
     def test_braid_violation_detected(self):
+        # g1 is diagonal, as build_rep lays it out, with its eigenvalues permuted
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
+        g1 = Matrix.diagonal(Q, rep.values[1:] + rep.values[:1])
         with pytest.raises(ConstructionFailed, match="braid relation"):
-            _self_check(rep.spec, rep.g2, rep.g1 @ rep.g2)
+            _self_check(rep.spec, g1, rep.g2)
 
     def test_determinant_identity_detected(self):
         # g2 = 0 satisfies the braid relation with any g1
@@ -421,3 +424,71 @@ class TestSmallestField:
             assert len(result.reps) == len(calls) + 3 * (len(values) == 5)
             five_subsets = len(values) == 5
             assert [c[1:] for c in calls if c[2] == 4] == [(5, 4)] * five_subsets
+
+
+SQRT24 = FieldContext([-24, 0, 1])
+
+
+def _image(m, ctx):
+    return Matrix(ctx, m.rows, m.cols, [ctx.image(e) for e in m.entries])
+
+
+def _outcome(spec, g1, g2):
+    try:
+        _self_check(spec, g1, g2)
+    except ConstructionFailed as exc:
+        return str(exc)
+    return None
+
+
+class TestIntegerSelfCheck:
+    @pytest.mark.parametrize("dim, values, extra", RATIONAL_SPECS[1:],
+                             ids=[f"d{s[0]}" for s in RATIONAL_SPECS[1:]])
+    def test_same_message_as_the_matrix_path(self, dim, values, extra):
+        # over Q _self_check runs on integers; over Q(sqrt 24) on matrices
+        kw = {k: v if k == "variant" else qval(v) for k, v in extra.items()}
+        rep = build_rep(RepSpec(dim=dim, params=pset(*map(Fraction, values)), **kw))
+        rng = random.Random(2700 + dim)
+        g1 = _image(rep.g1, SQRT24)
+        pairs = [rep.g2, Matrix.zeros(Q, dim, dim)]
+        for _ in range(50):
+            entries = list(rep.g2.entries)
+            k = rng.randrange(dim * dim)
+            entries[k] = entries[k] + Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                               rng.randint(1, 4))
+            pairs.append(Matrix(Q, dim, dim, entries))
+        seen = []
+        for g2 in pairs:
+            seen.append(_outcome(rep.spec, rep.g1, g2))
+            assert seen[-1] == _outcome(rep.spec, g1, _image(g2, SQRT24)), g2
+        assert seen[0] is None and "determinant" in seen[1]
+        assert all("braid relation" in m for m in seen[2:])
+
+    def test_dim6_forms_six_inverses_from_the_first_ten(self, monkeypatch):
+        # _d6_r (four calls) and 1/x_1, 1/x_2 in rows 1..2 take products of
+        # the ten first inverses; the entries are those of the direct divisions
+        import braidreps.reps as reps
+        from braidreps.field import FieldElement
+
+        def direct(x):  # the six entries by division, as the table states them
+            def r(y):
+                d3 = (y[1] - y[3]) * (y[4] - y[3]) * (y[5] - y[3])
+                return y[3] / (y[1] * (y[2] - y[1]) * d3)
+
+            s13, sw = 1 / reps.delta(x[1:], 4), reps._sig
+            return [reps._d6_q(x, 4) * r(x), reps._d6_q(x, 3) * r(sw(x, (3, 4))),
+                    r(sw(x, (1, 2))), r(sw(x, (1, 2), (3, 4))),
+                    reps._d6_z(x) / x[1] * s13, reps._d6_z(sw(x, (1, 2))) / x[2] * s13]
+
+        calls, real = [], FieldElement.inverse
+        z = SQRT24.generator()
+        for values in ([qval(v) for v in (1, 2, 3, 4, 5)],
+                       [qval(v) for v in (11, 3, 5, 7, 2)],
+                       [z, SQRT24.from_rational(2), 3 - z, SQRT24.from_rational(-5), z / 7]):
+            expected = direct((None, *values))
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(FieldElement, "inverse", lambda e: calls.append(e) or real(e))
+                g2 = reps._build_dim6(values)
+            assert len(calls) == 12
+            assert [g2[4, 2], g2[4, 3], g2[5, 2], g2[5, 3], g2[0, 4], g2[1, 5]] == expected

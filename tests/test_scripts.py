@@ -37,3 +37,63 @@ def test_replay_of_the_tree_against_itself():
     )
     assert proc.returncode == 0, proc.stderr
     assert "same bytes: 20\n" in proc.stdout
+
+
+def _bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run was started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    return bench_pairs
+
+
+def test_bench_pairs_assembles_fixed_records(monkeypatch):
+    bench_pairs = _bench_pairs(monkeypatch)
+    metrics = {"throughput_per_s": ("higher", 0.25), "peak_rss_mb": ("lower", 0.05)}
+    # (parent, change) throughput and RSS per seed; the change first on odd seeds
+    figures = {11: ((100, 150), (24.0, 24.5)), 12: ((110, 140), (24.2, 24.4)),
+               13: ((90, 160), (24.1, 24.6)), 14: ((105, 100), (24.3, 24.2))}
+    pairs = []
+    for seed, (tp, rss) in figures.items():
+        runs = {side: {"metrics": {"throughput_per_s": tp[k], "peak_rss_mb": rss[k]},
+                       "correct": True, "failed": 0, "digest": f"d{seed}"}
+                for k, side in enumerate(("parent", "change"))}
+        pairs.append(bench_pairs.pair(seed, "change" if seed % 2 else "parent", runs))
+    entry = bench_pairs.assemble(pairs, metrics)
+    assert entry["seeds"] == [11, 14] and entry["pairs"] == 4
+    assert entry["parent"]["throughput_per_s"]["median"] == 102.5
+    assert entry["change"]["throughput_per_s"]["median"] == 145
+    assert entry["parent"]["peak_rss_mb"]["median"] == 24.15
+    assert entry["change_wins"] == {"throughput_per_s": 3, "peak_rss_mb": 1}
+    assert entry["change_vs_parent"]["throughput_per_s"] == round(145 / 102.5 - 1, 4)
+    # RSS rose by 1.45 %, inside its 5 % bound
+    assert entry["within_bound"] == {"throughput_per_s": True, "peak_rss_mb": True}
+    assert entry["all_correct"] and entry["failed"] == 0 and entry["digests_identical"]
+    assert [p["first"] for p in entry["runs"]] == ["change", "parent", "change", "parent"]
+    text = bench_pairs.claim(entry, "rep-pipeline", "throughput_per_s")
+    assert text.startswith("throughput_per_s on rep-pipeline: median 102.5 -> 145.0 (1.41x)")
+    assert "the change won 3 of 4 pairs" in text
+
+
+def test_bench_pairs_flags_a_changed_digest_and_a_broken_bound(monkeypatch):
+    bench_pairs = _bench_pairs(monkeypatch)
+    runs = {"parent": {"metrics": {"peak_rss_mb": 20.0}, "correct": True, "failed": 0,
+                       "digest": "a"},
+            "change": {"metrics": {"peak_rss_mb": 22.0}, "correct": False, "failed": 2,
+                       "digest": "b"}}
+    entry = bench_pairs.assemble([bench_pairs.pair(s, "parent", runs) for s in (1, 2)],
+                                 {"peak_rss_mb": ("lower", 0.05)})
+    assert entry["within_bound"] == {"peak_rss_mb": False}
+    assert not entry["all_correct"] and entry["failed"] == 4
+    assert not entry["digests_identical"]
+    passes = {side: {"metrics": {"field.inverse.calls": n, "linalg.matmul.calls": 6,
+                                 "poly.resultant.calls": 0}, "correct": True, "digest": "a"}
+              for side, n in (("parent", 18), ("change", 12))}
+    counts = bench_pairs.traced(passes, ["field.inverse.calls", "linalg.matmul.calls",
+                                         "poly.resultant.calls"])
+    assert counts["counts"] == {"field.inverse.calls": [18, 12], "linalg.matmul.calls": [6, 6]}
+    assert counts["changed_counts"] == {"field.inverse.calls": [18, 12]}
+    assert counts["digest_identical"]

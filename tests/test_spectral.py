@@ -7,6 +7,7 @@ library code existed; they are frozen here as regression anchors.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,14 @@ import braidreps.spectral as spectral
 from braidreps import (
     ConstructionFailed,
     FieldContext,
+    FieldElement,
     Matrix,
     NotScalar,
     ParameterSet,
+    Polynomial,
     RepSpec,
     Representation,
+    SpectralReport,
     build_rep,
     charpoly,
     cyclotomic5_context,
@@ -200,16 +204,15 @@ class TestCharpolysFromRelations:
             assert report.charpoly_B == charpoly(A @ rep.g1), rep.spec
             assert report.all_ok, rep.spec
 
-    def test_five_products_and_no_charpoly(self, monkeypatch):
-        # A = g1 g2 and B = A g1 have the diagonal g1 as a factor; B^2 is the
-        # one dense product
-        built = [rep2(), rep3(), rep4(), rep5(), rep6(),
-                 build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))]
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record, for every Matrix product, whether a factor is diagonal; and
+        fail any charpoly call."""
         calls, products = [], []
         real = Matrix.__matmul__
 
         def diagonal(m):
-            return m == Matrix.diagonal(Q, [m[i, i] for i in range(m.rows)])
+            return m == Matrix.diagonal(m.context, [m[i, i] for i in range(m.rows)])
 
         def counting(a, b):
             products.append(diagonal(a) or diagonal(b))
@@ -218,12 +221,59 @@ class TestCharpolysFromRelations:
         monkeypatch.setattr(linalg, "charpoly", lambda m: calls.append(m))
         monkeypatch.setattr(spectral, "charpoly", lambda m: calls.append(m), raising=False)
         monkeypatch.setattr(Matrix, "__matmul__", counting)
+        return calls, products
+
+    def test_no_matrix_product_over_q(self, monkeypatch):
+        # over Q the products run on integers (B = E N E and its square)
+        built = [rep2(), rep3(), rep4(), rep5(), rep6(),
+                 build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))]
+        calls, products = self._counting(monkeypatch)
+        for rep in built:
+            assert spectral_report(rep).all_ok
+        assert products == [] and calls == []
+
+    def test_three_products_over_an_extension(self, monkeypatch):
+        # A = g1 g2 and B = A g1 have the diagonal g1 as a factor; B^2 is the
+        # one dense product
+        built = [_built(SQRT24, [1, 2, 3, 4], h="[0,1]"),
+                 _built(SQRT24, ["[0,1]", 2, 3, "-1/2", 5], dim=6, variant=1),
+                 _built(cyclotomic5_context(), [-4, 1, 2, 4, -1], f="[0,2]"),
+                 _built(SQRT24, ["[0,1]"])]
+        calls, products = self._counting(monkeypatch)
         for rep in built:
             products.clear()
             assert spectral_report(rep).all_ok
             assert len(products) == 3, rep.dim
             assert rep.dim == 1 or products.count(False) == 1, rep.dim
         assert calls == []
+
+
+def _image(rep, ctx):
+    """rep with its spec, g1 and g2 mapped into ctx entry by entry."""
+    s, im = rep.spec, ctx.image
+    spec = replace(s, params=ParameterSet(tuple(map(im, s.params.values))),
+                   h=s.h and im(s.h), f=s.f and im(s.f))
+    g1, g2 = (Matrix(ctx, m.rows, m.cols, [im(e) for e in m.entries]) for m in (rep.g1, rep.g2))
+    return replace(rep, spec=spec, g1=g1, g2=g2)
+
+
+class TestIntegerReport:
+    def test_equals_the_report_of_the_image(self):
+        # over Q the report is read off integers; over Q(sqrt 24) off matrices
+        rng = random.Random(SWEEP_SEED + 5)
+        reps = [plan_rep(plan) for plan in sweep_plans(3, seed=SWEEP_SEED + 5)]
+        reps += [plan_rep(reducible_plan(rng, f)) for f in REDUCIBLE_FAMILIES if f != "J4"]
+        reps += [rep2(), rep3(), rep4(), rep4(-1), rep5(), *(rep6(v) for v in range(1, 6))]
+        for rep in reps:
+            assert rep.context is Q
+            here, there = spectral_report(rep), spectral_report(_image(rep, SQRT24))
+            for name in SpectralReport.__dataclass_fields__:
+                a, b = getattr(here, name), getattr(there, name)
+                if isinstance(a, FieldElement):
+                    a = SQRT24.image(a)
+                elif isinstance(a, Polynomial):
+                    a = Polynomial(SQRT24, tuple(map(SQRT24.image, a.coeffs)))
+                assert a == b, (name, rep.spec)
 
 
 class TestDeterminantConstraint:
