@@ -10,6 +10,8 @@ Pivoting always takes the first nonzero entry; there are no magnitude
 heuristics because the arithmetic is exact.  Every pivot is inverted, so
 over a reducible modulus a zero-divisor pivot raises NotInvertible.
 Characteristic polynomials come from power sums by Newton's identities.
+The one integer routine, :func:`_bareiss`, is the fraction-free determinant
+that ``reps`` checks det g2 with over Q.
 """
 
 from __future__ import annotations

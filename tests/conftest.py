@@ -17,8 +17,8 @@ norms the predicates use: the determinant of the Sylvester matrix.
 probes, which are read off the diagonals: it evaluates each braid word.
 ``algebra_closure_dim`` is the reference for the Burnside oracle, which
 decides by the witness search: it spans the algebra g1 and g2 generate.
-``transpose_parameters`` and ``free_reduce`` are operations only the tests
-use.
+``transpose_parameters``, ``free_reduce`` and ``matrix_image`` are
+operations only the tests use.
 """
 
 from fractions import Fraction
@@ -150,6 +150,11 @@ def character(rep, words):
 
 class IndexOutOfRange(ValueError):
     """A 1-based eigenvalue position outside the parameter list."""
+
+
+def matrix_image(m, ctx):
+    """m with every entry mapped into ctx by ``ctx.image``."""
+    return Matrix(ctx, m.rows, m.cols, [ctx.image(e) for e in m.entries])
 
 
 def transpose_parameters(rep, i, j):

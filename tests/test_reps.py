@@ -27,7 +27,8 @@ from braidreps import (
     rationals,
 )
 from braidreps.reps import _esym, _self_check
-from conftest import SWEEP_SEED, IndexOutOfRange, sweep_plans, transpose_parameters
+from conftest import (SWEEP_SEED, IndexOutOfRange, matrix_image, sweep_plans,
+                      transpose_parameters)
 
 Q = rationals()
 
@@ -429,10 +430,6 @@ class TestSmallestField:
 SQRT24 = FieldContext([-24, 0, 1])
 
 
-def _image(m, ctx):
-    return Matrix(ctx, m.rows, m.cols, [ctx.image(e) for e in m.entries])
-
-
 def _outcome(spec, g1, g2):
     try:
         _self_check(spec, g1, g2)
@@ -449,7 +446,7 @@ class TestIntegerSelfCheck:
         kw = {k: v if k == "variant" else qval(v) for k, v in extra.items()}
         rep = build_rep(RepSpec(dim=dim, params=pset(*map(Fraction, values)), **kw))
         rng = random.Random(2700 + dim)
-        g1 = _image(rep.g1, SQRT24)
+        g1 = matrix_image(rep.g1, SQRT24)
         pairs = [rep.g2, Matrix.zeros(Q, dim, dim)]
         for _ in range(50):
             entries = list(rep.g2.entries)
@@ -460,7 +457,7 @@ class TestIntegerSelfCheck:
         seen = []
         for g2 in pairs:
             seen.append(_outcome(rep.spec, rep.g1, g2))
-            assert seen[-1] == _outcome(rep.spec, g1, _image(g2, SQRT24)), g2
+            assert seen[-1] == _outcome(rep.spec, g1, matrix_image(g2, SQRT24)), g2
         assert seen[0] is None and "determinant" in seen[1]
         assert all("braid relation" in m for m in seen[2:])
 

@@ -33,7 +33,8 @@ from braidreps import (
     spectral_report,
 )
 from braidreps.reps import _self_check
-from conftest import REDUCIBLE_FAMILIES, SWEEP_SEED, plan_rep, reducible_plan, sweep_plans
+from conftest import (REDUCIBLE_FAMILIES, SWEEP_SEED, matrix_image, plan_rep, reducible_plan,
+                      sweep_plans)
 
 Q = rationals()
 
@@ -253,8 +254,7 @@ def _image(rep, ctx):
     s, im = rep.spec, ctx.image
     spec = replace(s, params=ParameterSet(tuple(map(im, s.params.values))),
                    h=s.h and im(s.h), f=s.f and im(s.f))
-    g1, g2 = (Matrix(ctx, m.rows, m.cols, [im(e) for e in m.entries]) for m in (rep.g1, rep.g2))
-    return replace(rep, spec=spec, g1=g1, g2=g2)
+    return replace(rep, spec=spec, g1=matrix_image(rep.g1, ctx), g2=matrix_image(rep.g2, ctx))
 
 
 class TestIntegerReport:
