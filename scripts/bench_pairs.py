@@ -7,9 +7,9 @@ Both revisions are exported with ``git archive`` (``replay.export``), so
 neither holds a bytecode cache, and every process runs with
 PYTHONDONTWRITEBYTECODE=1: both sides compile braidreps from source alike.
 For each workload and seed, ``bench/record.py`` runs once in each export,
-one run at a time, the change first on odd seeds.  With ``--trace-seed``
-(0 skips it) each side also makes one traced pass per workload, whose
-operation counts are compared exactly.
+one run at a time, the change first on odd seeds.  Each side also makes
+one traced pass per workload on seed 1, whose operation counts are compared
+exactly.
 
 The record keeps the schema of the earlier ``BENCH_<pr>.json`` files: per
 workload and end-to-end metric of BENCHMARK.json, each side's median,
@@ -33,6 +33,7 @@ from pathlib import Path
 from replay import ROOT, export
 
 SIDES = ("parent", "change")
+TRACE_SEED = 1
 
 
 def seeds(text: str) -> list[int]:
@@ -117,13 +118,12 @@ def main():
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 2701-2710")
-    ap.add_argument("--workloads", nargs="*", default=[w["name"] for w in spec["workloads"]])
-    ap.add_argument("--trace-seed", type=int, default=1)
     ap.add_argument("--claim", help="workload/metric to state the gain of, e.g. "
                                     "rep-pipeline/throughput_per_s")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     revisions = dict(zip(SIDES, (short(args.parent), short(args.change))))
@@ -138,7 +138,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(revisions[side], Path(tmp) / side) for side in SIDES}
         scratch = Path(tmp) / "record.json"
-        for workload in args.workloads:
+        for workload in workloads:
             pairs = []
             for seed in seeds(args.seeds):
                 order = SIDES[::-1] if seed % 2 else SIDES
@@ -146,11 +146,10 @@ def main():
                 pairs.append(pair(seed, order[0], runs))
                 print(workload, seed, *(f"{side} {pairs[-1][side]}" for side in SIDES), flush=True)
             out["workloads"][workload] = assemble(pairs, metrics)
-        if args.trace_seed:
-            out[f"traced_seed_{args.trace_seed}"] = {
-                workload: traced({side: record(trees[side], workload, args.trace_seed, 1, scratch)
-                                  for side in SIDES}, counts)
-                for workload in args.workloads}
+        out[f"traced_seed_{TRACE_SEED}"] = {
+            workload: traced({side: record(trees[side], workload, TRACE_SEED, 1, scratch)
+                              for side in SIDES}, counts)
+            for workload in workloads}
     if args.claim:
         workload, metric = args.claim.split("/")
         out["claim"] = claim(out["workloads"][workload], workload, metric)

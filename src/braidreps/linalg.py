@@ -212,10 +212,10 @@ def determinant(m: Matrix) -> FieldElement:
     The rows go in in order.  A dependent row means det = 0.  Otherwise the
     reduced rows are L*M with L unit lower-triangular, so det M is the
     product of their lead values times the sign of the lead-column
-    permutation.  ``reps`` checks det g2 with it over an extension (over Q
-    it lifts g2 to integers and takes :func:`_bareiss`).  Every pivot is
-    inverted: over a reducible modulus a nonzero zero-divisor pivot raises
-    NotInvertible even where the determinant exists.
+    permutation.  ``reps`` checks det g2 with it over an extension (over Q,
+    with g1 diagonal, it lifts g2 to integers and takes :func:`_bareiss`).
+    Every pivot is inverted: over a reducible modulus a nonzero zero-divisor
+    pivot raises NotInvertible even where the determinant exists.
     """
     if m.rows != m.cols:
         raise NotSquare("determinant of a non-square matrix")

@@ -438,9 +438,12 @@ def _build_dim6(values):
 
 
 def _integer_pair(g1: Matrix, g2: Matrix):
-    """Over a degree-1 context, g1's diagonal as integers E over L and the rows
-    of g2 as integers N over q, each over the lcm of its denominators."""
+    """For a diagonal g1 over a degree-1 context, g1's diagonal as integers E
+    over L and the rows of g2 as integers N over q, each over the lcm of its
+    denominators; None for any other pair, which the Matrix code checks."""
     d = g1.rows
+    if g1.context.degree != 1 or any(x for k, x in enumerate(g1.entries) if k % (d + 1)):
+        return None
     e, l = _lift(tuple(g1[i, i].coeffs[0] for i in range(d)))
     n, q = _lift(tuple(x.coeffs[0] for x in g2.entries))
     return e, l, [n[i * d:(i + 1) * d] for i in range(d)], q
@@ -466,22 +469,24 @@ def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     prod (L - x_i)^{m_i}, has every x_i as a root.
     """
     ctx, d = g1.context, g1.rows
-    if ctx.degree == 1:
-        e, l, n, q = _integer_pair(g1, g2)
+    diag = [g1[i, i] for i in range(d)]
+    det_g1 = prod(diag, start=ctx.one())
+    pair = _integer_pair(g1, g2)
+    if pair:
+        e, l, n, q = pair
         cols = list(zip(*n))
         braid = all(q * ei * nij * ej == l * sum(a * b * c for a, b, c in zip(row, e, col))
                     for ei, row in zip(e, n) for nij, ej, col in zip(row, e, cols))
+        det_ok = lambda: _bareiss(n) * l**d == prod(e) * q**d
     else:
         a = g1 @ g2
         braid = a @ g1 == g2 @ a
+        det_ok = lambda: determinant(g2) == det_g1
     if not braid:
         raise ConstructionFailed(f"braid relation failed for {spec}")
-    diag = [g1[i, i] for i in range(d)]
-    det_g1 = prod(diag, start=ctx.one())
     try:
         det_g1.inverse()
-        if (_bareiss(n) * l**d != prod(e) * q**d if ctx.degree == 1
-                else determinant(g2) != det_g1):
+        if not det_ok():
             raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
         return
     except NotInvertible:  # no similarity argument: check what it implies

@@ -11,9 +11,10 @@ exactly; a mismatch means a broken construction, not numerical noise.
 against one table of closed forms per dimension: by the braid relation
 B^2 = (g1 g2 g1)(g2 g1 g2) = A^3, and once it is CI, d, C and the three
 traces give every power sum, so both characteristic polynomials come from
-the relations by Newton's identities.  Over Q that product is on integers:
-with g1 = E/L and g2 = N/q (``reps._integer_pair``), B = E N E / (L^2 q)
-takes two scalings, and C and the traces are read off as fractions.
+the relations by Newton's identities.  Over Q, for a diagonal g1 (as
+``build_rep`` makes it), that product is on integers: with g1 = E/L and
+g2 = N/q (``reps._integer_pair``), B = E N E / (L^2 q) takes two scalings,
+and C and the traces are read off as fractions.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -117,8 +118,9 @@ def spectral_report(rep: Representation) -> SpectralReport:
     indicates a broken construction.
     """
     ctx, d = rep.context, rep.dim
-    if ctx.degree == 1:  # on integers: A = E N / (L q) and B = E N E / (L^2 q)
-        e, l, n, q = _integer_pair(rep.g1, rep.g2)
+    pair = _integer_pair(rep.g1, rep.g2)
+    if pair:  # on integers: A = E N / (L q) and B = E N E / (L^2 q)
+        e, l, n, q = pair
         en = [[ei * x for x in row] for ei, row in zip(e, n)]
         b = [[x * ej for x, ej in zip(row, e)] for row in en]
         b2 = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in b]

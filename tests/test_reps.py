@@ -129,11 +129,13 @@ class TestSelfCheck:
             _self_check(rep.spec, rep.g1, bad)
 
     def test_braid_violation_detected(self):
-        # g1 is diagonal, as build_rep lays it out, with its eigenvalues permuted
+        # g1 is diagonal, as build_rep lays it out, with its eigenvalues
+        # permuted; a non-diagonal g1 takes the Matrix path even over Q
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
         g1 = Matrix.diagonal(Q, rep.values[1:] + rep.values[:1])
-        with pytest.raises(ConstructionFailed, match="braid relation"):
-            _self_check(rep.spec, g1, rep.g2)
+        for g1, g2 in ((g1, rep.g2), (rep.g2, rep.g1 @ rep.g2)):
+            with pytest.raises(ConstructionFailed, match="braid relation"):
+                _self_check(rep.spec, g1, g2)
 
     def test_determinant_identity_detected(self):
         # g2 = 0 satisfies the braid relation with any g1

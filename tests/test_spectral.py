@@ -264,6 +264,8 @@ class TestIntegerReport:
         reps = [plan_rep(plan) for plan in sweep_plans(3, seed=SWEEP_SEED + 5)]
         reps += [plan_rep(reducible_plan(rng, f)) for f in REDUCIBLE_FAMILIES if f != "J4"]
         reps += [rep2(), rep3(), rep4(), rep4(-1), rep5(), *(rep6(v) for v in range(1, 6))]
+        # with s1 and s2 exchanged g1 is not diagonal: the Matrix path over Q
+        reps += [replace(rep, g1=rep.g2, g2=rep.g1) for rep in reps]
         for rep in reps:
             assert rep.context is Q
             here, there = spectral_report(rep), spectral_report(_image(rep, SQRT24))
