@@ -12,11 +12,14 @@ returning; by similarity these imply P_X(g2) = 0 and the characteristic
 polynomial of g2 (see :func:`_self_check`), so a transcription or root error
 cannot escape.
 
-Rational work is done over Q.  A spec whose eigenvalues and root are
-rational has rational entries in every context, so it is built over Q and
-embedded.  Over Q(zeta5), the dimension-5 representations of a rational X
-with f = f0 zeta^k are the images of k = 1 under the automorphisms
-zeta -> zeta^k, which fix X; they are mapped, not built.
+Rational work is done on integers over the common denominator.  A spec
+whose eigenvalues and root are rational has rational entries in every
+context: :func:`build_rep` runs the same builders on the integers D X (D the
+lcm of X's denominators), checks the identities there and rescales each
+entry once, by the homogeneity of the closed forms.  Over Q(zeta5), the
+dimension-5 representations of a rational X with f = f0 zeta^k are the
+images of k = 1 under the automorphisms zeta -> zeta^k, which fix X; they
+are mapped, not built.
 
 What each dimension takes besides its eigenvalues (nothing, a root h or f
 of e_d(X), or a variant) and how many irreducibles that gives is said once,
@@ -28,12 +31,15 @@ modulus that would provide the root, rather than dropping it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .field import (FieldContext, FieldElement, NotInvertible, _lift, cyclotomic5_context,
-                    element_kth_roots, rationals)
+                    element_kth_roots)
 from .linalg import Matrix, _bareiss, charpoly, determinant, poly_eval_matrix
 from .poly import Polynomial
 
@@ -67,11 +73,18 @@ class ConstructionFailed(ArithmeticError):
 
 
 # -- symmetric-function helpers ------------------------------------------------
+#
+# These and the builders take FieldElements, or ints and Fractions alike.
+
+
+def _inv(v):
+    """1/v: a Fraction for a rational number, the inverse in v's context otherwise."""
+    return v.inverse() if isinstance(v, FieldElement) else Fraction(1, v)
 
 
 def _esym(values: Sequence[FieldElement]) -> list[FieldElement]:
     """[e_0, ..., e_n] of the given values, from one expansion."""
-    es = [values[0].context.one(), values[0]]
+    es = [1, values[0]]
     for x in values[1:]:
         es.append(es[-1] * x)
         for i in range(len(es) - 2, 1, -1):
@@ -82,7 +95,7 @@ def _esym(values: Sequence[FieldElement]) -> list[FieldElement]:
 
 def delta(values: Sequence[FieldElement], i: int) -> FieldElement:
     """prod_{j != i} (x_j - x_i) over 0-based position i."""
-    return prod((xj - values[i] for xj in _excl(values, i)), start=values[0].context.one())
+    return reduce(mul, (xj - values[i] for xj in _excl(values, i)))
 
 
 def _excl(values: Sequence[FieldElement], i: int) -> tuple[FieldElement, ...]:
@@ -146,7 +159,9 @@ class ParameterSet:
 # per subset over an algebraically closed field
 TAKES = {1: (None, 1), 2: (None, 1), 3: (None, 1),
          4: ("h", 2), 5: ("f", 5), 6: ("variant", 5)}
-_Q = rationals()  # where a rational spec is built (see build_rep)
+# s per dimension: entry (i, j) of g2 is homogeneous of degree 1 + s_i - s_j
+# in X, h counting 2 and f 1 (see build_rep); s = 0 where not listed
+_SHIFTS = {4: (2, 0, 0, 0), 6: (7, 5, 5, 5, 2, 0)}
 
 
 @dataclass(frozen=True)
@@ -236,32 +251,26 @@ class EnumerationResult:
 
 
 def _build_dim2(values):
-    ctx = values[0].context
     x1, x2 = values
-    s = (x1 - x2).inverse()
-    return Matrix.from_rows(
-        ctx,
-        [
-            [-x2 * x2 * s, -x1 * x2 * s],
-            [(x1 * x1 - x1 * x2 + x2 * x2) * s, x1 * x1 * s],
-        ],
-    )
+    s = _inv(x1 - x2)
+    return [[-x2 * x2 * s, -x1 * x2 * s], [(x1 * x1 - x1 * x2 + x2 * x2) * s, x1 * x1 * s]]
 
 
 def _build_dim3(values):
     """Row i carries Delta_i^-1: (i, i) = x_j x_k (x_j + x_k) and (i, j) =
     x_k (x_i^2 + x_j x_k), where {i, j, k} = {1, 2, 3}."""
-    entries = []
+    rows = []
     for i, xi in enumerate(values):
-        dinv = delta(values, i).inverse()
+        dinv = _inv(delta(values, i))
+        rows.append(row := [])
         for j, xj in enumerate(values):
             if i == j:
                 a, b = _excl(values, i)
-                entries.append(a * b * (a + b) * dinv)
+                row.append(a * b * (a + b) * dinv)
             else:
                 xk = values[3 - i - j]
-                entries.append(xk * (xi * xi + xj * xk) * dinv)
-    return Matrix(values[0].context, 3, 3, entries)
+                row.append(xk * (xi * xi + xj * xk) * dinv)
+    return rows
 
 
 def _build_dim4(values, h):
@@ -269,57 +278,54 @@ def _build_dim4(values, h):
     eigenvalues, (r, 1) = beta_r, (1, c) = beta_1 gamma_a gamma_b for
     {a, b} = {2, 3, 4} - {c}, and (r, c) = beta_r gamma_r otherwise."""
     e4 = prod(values)
-    betas = [e4 / (x * x) - h for x in values]
+    betas = [e4 * _inv(x * x) - h for x in values]
     # gamma_a for a in {2,3,4} (1-based labels): x1*xa + xb*xc - h
     gammas = {}
     for a in (2, 3, 4):
         b, c = [t for t in (2, 3, 4) if t != a]
         gammas[a] = values[0] * values[a - 1] + values[b - 1] * values[c - 1] - h
-    entries = []
+    rows = []
     for r in range(4):
         es = _esym(_excl(values, r))
-        dinv = delta(values, r).inverse()
+        dinv = _inv(delta(values, r))
         off = betas[r] * dinv
+        rows.append(row := [])
         for c in range(4):
             if c == r:
-                entries.append((es[3] * es[1] - h * es[2]) * dinv)
+                row.append((es[3] * es[1] - h * es[2]) * dinv)
             elif r == 0:
                 ga, gb = (g for a, g in gammas.items() if a != c + 1)
-                entries.append(off * ga * gb)
+                row.append(off * ga * gb)
             elif c == 0:
-                entries.append(off)
+                row.append(off)
             else:
-                entries.append(off * gammas[r + 1])
-    return Matrix(values[0].context, 4, 4, entries)
+                row.append(off * gammas[r + 1])
+    return rows
 
 
 def _build_dim5(values, f):
-    ctx = values[0].context
-    entries = []
+    rows = []
     f2 = f * f
     for i in range(5):
         rest = _excl(values, i)
         es = _esym(rest)
-        dinv = delta(values, i).inverse()
+        dinv = _inv(delta(values, i))
         if i == 0:  # entry (0, 1) is the first to divide by f x_0 x_1, a unit
             # iff f is (each x_i divides f^5): zero divisors are met in that order
-            finv = f.inverse()
-            xinv = [x.inverse() for x in values]
+            finv = _inv(f)
+            xinv = [_inv(x) for x in values]
         xi = values[i]
         off = (xi * xi + f * xi + f2) * dinv * finv * xinv[i]
         pairs = {k: f2 + xi * values[k] for k in range(5) if k != i}
+        rows.append(row := [])
         for j in range(5):
             if i == j:
-                num = (
-                    es[4] * es[1]
-                    + f * xi * es[3]
-                    + f * prod((f + xk for xk in rest), start=ctx.one())
-                )
-                entries.append(num * dinv)
+                num = es[4] * es[1] + f * xi * es[3] + f * reduce(mul, (f + xk for xk in rest))
+                row.append(num * dinv)
             else:
                 a, b, c = (p for k, p in pairs.items() if k != j)
-                entries.append(a * b * c * off * xinv[j])
-    return Matrix(ctx, 5, 5, entries)
+                row.append(a * b * c * off * xinv[j])
+    return rows
 
 
 # -- the 6-dimensional family ------------------------------------------------
@@ -356,7 +362,7 @@ def _d6_r(x, dinv, sq) -> FieldElement:
 
 def _d6_uv(x, inv15) -> tuple[FieldElement, FieldElement]:
     """u and v: both divide by (x2-x1)(x1-x5)(x3-x5)(x4-x5), v also by x1 x5 (inv15)."""
-    c = ((x[2] - x[1]) * (x[1] - x[5]) * (x[3] - x[5]) * (x[4] - x[5])).inverse()
+    c = _inv((x[2] - x[1]) * (x[1] - x[5]) * (x[3] - x[5]) * (x[4] - x[5]))
     num = x[1] * x[2] * (x[3] + x[4]) * (x[3] * x[4] - x[1] * x[5]) + x[3] * x[4] * (
         x[2] - x[1]
     ) * (x[1] * x[1] + x[2] * x[5])
@@ -388,14 +394,12 @@ def _build_dim6(values):
     differences in _d6_uv (two calls), whose factors those ten hold: so the
     first ten meet any zero divisor first.  _d6_r, and 1/x_1 and 1/x_2 in
     g[1][5] and g[2][6], take products of the ten."""
-    ctx = values[0].context
     x = (None,) + tuple(values)
-    zero = ctx.zero()
-    dinv = [None] + [delta(values, i).inverse() for i in range(5)]
-    sq = [None] + [(x[a] ** 2).inverse() for a in range(1, 5)]
-    x5inv = x[5].inverse()
+    dinv = [None] + [_inv(delta(values, i)) for i in range(5)]
+    sq = [None] + [_inv(x[a] ** 2) for a in range(1, 5)]
+    x5inv = _inv(x[5])
 
-    g = [[zero] * 7 for _ in range(7)]
+    g = [[0] * 7 for _ in range(7)]
     # top-left 4x4 block
     for i in range(1, 5):
         es = _esym(_excl(values, i - 1))
@@ -434,7 +438,7 @@ def _build_dim6(values):
     g[1][6] = _d6_q(x, 3) * _d6_q(x, 4) * _d6_w(_sig(x, (1, 2), (2, 3))) * sq[1] * x5inv * s13
     g[2][5] = _d6_w(_sig(x, (2, 3))) * sq[2] * x5inv * s13
     g[2][6] = _d6_z(_sig(x, (1, 2))) * x2inv * s13
-    return Matrix.from_rows(ctx, [row[1:] for row in g[1:]])
+    return [row[1:] for row in g[1:]]
 
 
 def _integer_pair(g1: Matrix, g2: Matrix):
@@ -449,6 +453,19 @@ def _integer_pair(g1: Matrix, g2: Matrix):
     return e, l, [n[i * d:(i + 1) * d] for i in range(d)], q
 
 
+def _integer_identities(spec: RepSpec, e, l, n, q) -> None:
+    """Raise :class:`ConstructionFailed` naming ``spec`` and the first of the
+    braid relation and det g2 = det g1 that fails for g1 = diag(E)/L and g2 =
+    N/q, on integers: q E_i N_ij E_j = L sum_k N_ik E_k N_kj for every i and
+    j, and bareiss(N) L^d = (prod E_i) q^d."""
+    cols = list(zip(*n))
+    if not all(q * ei * nij * ej == l * sum(a * b * c for a, b, c in zip(row, e, col))
+               for ei, row in zip(e, n) for nij, ej, col in zip(row, e, cols)):
+        raise ConstructionFailed(f"braid relation failed for {spec}")
+    if _bareiss(n) * l ** len(e) != prod(e) * q ** len(e):
+        raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
+
+
 def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     """Raise :class:`ConstructionFailed` naming the first identity that fails.
 
@@ -457,36 +474,27 @@ def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     is that of g1 and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked
     directly only when a zero divisor (a reducible modulus) blocks the
     argument.  A det g1 of exactly 0 makes g1 singular on every factor of
-    the modulus, and its :class:`NotInvertible` propagates.
-
-    Over Q both hold on integers (:func:`_integer_pair`, g1 = E/L and g2 =
-    N/q): the braid relation is q E_i N_ij E_j = L sum_k N_ik E_k N_kj for
-    every i and j, and the determinant identity bareiss(N) L^d = (prod E_i) q^d.
+    the modulus, and its :class:`NotInvertible` propagates.  Over Q both
+    identities are checked on integers (:func:`_integer_pair`,
+    :func:`_integer_identities`).
 
     So minpoly(g2) = P_X, which ``verify`` reports unrecomputed: every
     builder inverts each Delta_i, so on each factor of the modulus the x_i
     are distinct, the minimal polynomial divides P_X and, as charpoly(g2) =
     prod (L - x_i)^{m_i}, has every x_i as a root.
     """
+    pair = _integer_pair(g1, g2)
+    if pair:
+        return _integer_identities(spec, *pair)
     ctx, d = g1.context, g1.rows
     diag = [g1[i, i] for i in range(d)]
     det_g1 = prod(diag, start=ctx.one())
-    pair = _integer_pair(g1, g2)
-    if pair:
-        e, l, n, q = pair
-        cols = list(zip(*n))
-        braid = all(q * ei * nij * ej == l * sum(a * b * c for a, b, c in zip(row, e, col))
-                    for ei, row in zip(e, n) for nij, ej, col in zip(row, e, cols))
-        det_ok = lambda: _bareiss(n) * l**d == prod(e) * q**d
-    else:
-        a = g1 @ g2
-        braid = a @ g1 == g2 @ a
-        det_ok = lambda: determinant(g2) == det_g1
-    if not braid:
+    a = g1 @ g2
+    if a @ g1 != g2 @ a:
         raise ConstructionFailed(f"braid relation failed for {spec}")
     try:
         det_g1.inverse()
-        if not det_ok():
+        if determinant(g2) != det_g1:
             raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
         return
     except NotInvertible:  # no similarity argument: check what it implies
@@ -505,40 +513,63 @@ def build_rep(spec: RepSpec) -> Representation:
     g1 is diagonal: X in its given order, except that in dimension 6 the
     variant's eigenvalue is swapped into position 5 and doubled.  The
     builder of the dimension gives g2, for the eigenvalues in that order.
-    A spec with rational eigenvalues and root is built and checked over Q, then
-    mapped into its context by :meth:`FieldContext.image`: Q -> Q[t]/(m) is a
-    ring map for every modulus, and the builders invert only nonzero
-    rationals, units over any modulus.
+
+    A spec with rational eigenvalues and root is built on integers.  With D
+    the lcm of X's denominators, a = D X are integers, and so are D^2 h and
+    D f, rationals whose square (fifth power) e_d(a) is an integer.  Entry
+    (i, j) of g2 is homogeneous of degree 1 + s_i - s_j (:data:`_SHIFTS`), so
+    g2(a) = D S g2(X) S^-1 with S = diag(D^s_i), and g2(a) = N/q gives
+    g2(X)_ij = N_ij / (q D^(1 + s_i - s_j)).  :func:`_integer_identities`
+    checks g1(a) = diag(a) (E = a in layout order, L = 1) and N/q, proving both
+    identities for the pair returned: S commutes with the diagonal g1(a) =
+    D g1(X), the braid relation is homogeneous of degree 3 in (g1, g2) and
+    kept by conjugation, and det g2(a) = D^d det g2(X), det g1(a) = D^d det
+    g1(X).  The rationals are then mapped into the spec's context, a ring
+    map Q -> Q[t]/(m) for every modulus, under which det g1, a nonzero
+    rational, stays a unit.
     """
-    ctx = spec.context
+    ctx, d = spec.context, spec.dim
     given = spec.params.values + tuple(r for r in (spec.h, spec.f) if r is not None)
-    if ctx.degree == 1 or not all(v.is_rational() for v in given):
-        g1, g2, mults = _construct(spec, given)
-    else:
-        g1, g2, mults = _construct(spec, tuple(_Q.image(v) for v in given))
-        g1, g2 = (Matrix(ctx, m.rows, m.cols, [ctx.image(e) for e in m.entries])
-                  for m in (g1, g2))
-    return Representation(spec=spec, g1=g1, g2=g2, multiplicities=mults)
+    if not all(v.is_rational() for v in given):
+        return Representation(spec, *_construct(spec, given))
+    a, den = _lift(tuple(v.coeffs[0] for v in spec.params.values))
+    roots = [r.coeffs[0] * den**w for r, w in ((spec.h, 2), (spec.f, 1)) if r is not None]
+    order, mults, rows = _layout(spec, a + [r.numerator for r in roots])  # integral roots
+    n, q = _lift([x for row in rows for x in row])
+    n = [n[i * d:(i + 1) * d] for i in range(d)]
+    _integer_identities(spec, order, 1, n, q)
+    s, pad = _SHIFTS.get(d, (0,) * d), ctx.zero().coeffs[1:]
+    g2 = [FieldElement(ctx, (Fraction(nij * den**max(sj - si - 1, 0),
+                                      q * den**max(si + 1 - sj, 0)),) + pad)
+          for si, row in zip(s, n) for sj, nij in zip(s, row)]
+    g1 = [FieldElement(ctx, (Fraction(e, den),) + pad) for e in order]
+    return Representation(spec, Matrix.diagonal(ctx, g1), Matrix(ctx, d, d, g2), mults)
 
 
-def _construct(spec: RepSpec, given: tuple[FieldElement, ...]):
-    """g1, g2 and the multiplicities of ``spec`` built and checked from ``given``
-    (its eigenvalues, then its root) in their context; a failure names ``spec``."""
+def _layout(spec: RepSpec, given: Sequence):
+    """g1's diagonal, the multiplicities and the rows of g2 of ``spec`` from
+    ``given`` (its eigenvalues, then its root), all of one number type."""
     values = given[:len(spec.params)]
     order = list(values)
     if spec.dim == 6:
         v = spec.variant - 1
         order[v], order[4] = order[4], order[v]
         order.append(order[4])
-    g1 = Matrix.diagonal(values[0].context, order)
-    if spec.dim == 1:
-        g2 = g1
-    elif spec.dim == 6:
-        g2 = _build_dim6(order[:5])
+        rows = _build_dim6(order[:5])
+    elif spec.dim == 1:
+        rows = [order]
     else:  # d = 4 and 5 take their root, the entry after the eigenvalues
         build = {2: _build_dim2, 3: _build_dim3, 4: _build_dim4, 5: _build_dim5}[spec.dim]
-        g2 = build(values, *given[len(values):])
-    mults = tuple(order.count(x) for x in values)
+        rows = build(values, *given[len(values):])
+    return order, tuple(order.count(x) for x in values), rows
+
+
+def _construct(spec: RepSpec, given: tuple[FieldElement, ...]):
+    """g1, g2 and the multiplicities of ``spec`` built from the FieldElements
+    ``given`` in their context and checked by :func:`_self_check`."""
+    ctx = given[0].context
+    order, mults, rows = _layout(spec, given)
+    g1, g2 = Matrix.diagonal(ctx, order), Matrix.from_rows(ctx, rows)
     _self_check(spec, g1, g2)
     return g1, g2, mults
 

@@ -977,6 +977,27 @@ class TestPermutationSymmetry:
                 order = rng.sample(range(n), n)
                 assert self._invariants([values[i] for i in order]) == want, (values, order)
 
+    def test_reorderings_of_x_build_equivalent_irreducibles(self):
+        # Tuba and Wenzl (Pacific J. Math. 197, 2001): for d <= 5 an
+        # irreducible is determined up to equivalence by its eigenvalues and
+        # h or f, so reordering X gives an equivalent rep (Schur: a 1-dim
+        # space of intertwiners)
+        rng = random.Random(SWEEP_SEED + 28)
+        plans = [p for p in sweep_plans(6, seed=SWEEP_SEED + 28) if 2 <= p["dim"] <= 5]
+        checked = 0
+        for plan in plans:
+            rep = plan_rep(plan)
+            if not irreducibility(rep)[0]:
+                continue
+            checked += 1
+            n = len(plan["values"])
+            for _ in range(6):
+                order = rng.sample(range(n), n)
+                other = plan_rep({**plan, "values": [plan["values"][i] for i in order]})
+                pairs = [(rep.g1, other.g1), (rep.g2, other.g2)]
+                assert intertwiner_dim(pairs) == 1, (plan, order)
+        assert checked >= 20
+
 
 @st.composite
 def rational_sets(draw):

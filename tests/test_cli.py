@@ -448,7 +448,7 @@ class TestExitCodes:
         real = reps._build_dim2
 
         def corrupted(values):
-            return real(values).scale(2)
+            return [[2 * e for e in row] for row in real(values)]
 
         monkeypatch.setattr(reps, "_build_dim2", corrupted)
         code, out, err = run_cli(capsys, "verify", "--params", "[1, 2]")

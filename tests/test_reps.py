@@ -1,6 +1,7 @@
 """Construction of the irreducible families and the enumeration sweep."""
 
 from fractions import Fraction
+from math import prod
 import random
 
 import pytest
@@ -352,13 +353,17 @@ RATIONAL_SPECS = [
 
 
 def _recording_checks(monkeypatch):
-    """Record (spec, dim, degree of g1's context) for every _self_check call."""
+    """Record (spec, dim, degree of g1's context) for every _self_check call,
+    and (spec, dim, "Z") for every check of a rational build on integers."""
     import braidreps.reps as reps
 
-    calls, real = [], reps._self_check
+    calls, real, real_z = [], reps._self_check, reps._integer_identities
     monkeypatch.setattr(reps, "_self_check",
                         lambda spec, g1, g2: calls.append((spec, spec.dim, g1.context.degree))
                         or real(spec, g1, g2))
+    monkeypatch.setattr(reps, "_integer_identities",
+                        lambda spec, *pair: calls.append((spec, spec.dim, "Z"))
+                        or real_z(spec, *pair))
     return calls
 
 
@@ -375,10 +380,13 @@ class TestSmallestField:
             kw = {k: v if k == "variant" else ctx.from_rational(v) for k, v in extra.items()}
             spec = RepSpec(dim=dim, params=X, **kw)
             rep = build_rep(spec)
-            assert calls.pop() == (spec, dim, 1)  # checked over Q, naming the caller's spec
+            # checked once, on integers, naming the caller's spec
+            assert calls == [(spec, dim, "Z")]
+            calls.clear()
             roots = tuple(kw[k] for k in ("h", "f") if k in kw)
             g1, g2, mults = reps._construct(spec, X.values + roots)  # the builder in ctx
-            assert calls.pop() == (spec, dim, ctx.degree)
+            assert calls == [(spec, dim, ctx.degree)]
+            calls.clear()
             assert rep.spec is spec
             assert rep.g1.context == ctx and rep.g2.context == ctx
             assert (rep.g1, rep.g2, rep.multiplicities) == (g1, g2, mults)
@@ -388,8 +396,7 @@ class TestSmallestField:
         import braidreps.reps as reps
 
         # diag(x2, x1) commutes with g1 but breaks the braid relation
-        monkeypatch.setattr(reps, "_build_dim2",
-                            lambda values: Matrix.diagonal(values[0].context, values[::-1]))
+        monkeypatch.setattr(reps, "_build_dim2", lambda values: [[values[1], 0], [0, values[0]]])
         spec = RepSpec(dim=2, params=ParameterSet.from_rationals(ZETA5, [1, 2]))
         with pytest.raises(ConstructionFailed) as err:
             build_rep(spec)
@@ -427,6 +434,7 @@ class TestSmallestField:
             assert len(result.reps) == len(calls) + 3 * (len(values) == 5)
             five_subsets = len(values) == 5
             assert [c[1:] for c in calls if c[2] == 4] == [(5, 4)] * five_subsets
+            assert [c[2] for c in calls].count("Z") == len(calls) - five_subsets
 
 
 SQRT24 = FieldContext([-24, 0, 1])
@@ -465,7 +473,8 @@ class TestIntegerSelfCheck:
 
     def test_dim6_forms_six_inverses_from_the_first_ten(self, monkeypatch):
         # _d6_r (four calls) and 1/x_1, 1/x_2 in rows 1..2 take products of
-        # the ten first inverses; the entries are those of the direct divisions
+        # the ten first inverses, Delta_1..5, x_1^2..x_4^2 and x_5, in that
+        # order; the entries are those of the direct divisions
         import braidreps.reps as reps
         from braidreps.field import FieldElement
 
@@ -481,8 +490,8 @@ class TestIntegerSelfCheck:
 
         calls, real = [], FieldElement.inverse
         z = SQRT24.generator()
-        for values in ([qval(v) for v in (1, 2, 3, 4, 5)],
-                       [qval(v) for v in (11, 3, 5, 7, 2)],
+        for values in ([SQRT24.from_rational(v) for v in (1, 2, 3, 4, 5)],
+                       [SQRT24.from_rational(v) for v in (11, 3, 5, 7, 2)],
                        [z, SQRT24.from_rational(2), 3 - z, SQRT24.from_rational(-5), z / 7]):
             expected = direct((None, *values))
             calls.clear()
@@ -490,4 +499,84 @@ class TestIntegerSelfCheck:
                 m.setattr(FieldElement, "inverse", lambda e: calls.append(e) or real(e))
                 g2 = reps._build_dim6(values)
             assert len(calls) == 12
-            assert [g2[4, 2], g2[4, 3], g2[5, 2], g2[5, 3], g2[0, 4], g2[1, 5]] == expected
+            first_ten = [reps.delta(values, i) for i in range(5)]
+            assert calls[:10] == first_ten + [x * x for x in values[:4]] + values[4:]
+            assert [g2[4][2], g2[4][3], g2[5][2], g2[5][3], g2[0][4], g2[1][5]] == expected
+
+
+def _scaled_sweep(seed=2801, per_case=3):
+    """(dim, X, {h, f or variant}) for every dimension and variant: X has
+    negative values and denominators 2..7, d = 4 and 5 solve their last
+    eigenvalue from a drawn root, and d = 4 takes both signs of h."""
+    rng = random.Random(seed)
+
+    def draw(n):
+        while True:
+            vals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 7))
+                    for _ in range(n)]
+            if len(set(vals)) == n:
+                return vals
+
+    cases = []
+    for _ in range(per_case):
+        cases += [(d, draw(d), {}) for d in (1, 2, 3)]
+        for d, root, power in ((4, "h", 2), (5, "f", 5)):
+            while True:
+                vals, r = draw(d - 1), draw(1)[0]
+                vals.append(r ** power / prod(vals))
+                if len(set(vals)) == d:
+                    break
+            cases += [(d, vals, {root: s * r}) for s in ((1, -1) if d == 4 else (1,))]
+        cases += [(6, draw(5), {"variant": v}) for v in range(1, 6)]
+    return cases
+
+
+class TestIntegerBuild:
+    # build_rep builds a rational spec on the integers D X and rescales once;
+    # the FieldElement builders, run by _construct, are its reference
+    @pytest.mark.parametrize("modulus", [[0, 1], [-24, 0, 1]], ids=["Q", "sqrt24"])
+    def test_scaled_build_equals_the_field_element_build(self, modulus):
+        import braidreps.reps as reps
+
+        ctx = FieldContext(modulus)
+        for dim, values, extra in _scaled_sweep():
+            kw = {k: v if k == "variant" else ctx.from_rational(v) for k, v in extra.items()}
+            spec = RepSpec(dim=dim, params=ParameterSet.from_rationals(ctx, values), **kw)
+            rep = build_rep(spec)
+            roots = tuple(kw[k] for k in ("h", "f") if k in kw)
+            g1, g2, mults = reps._construct(spec, spec.params.values + roots)
+            assert rep.multiplicities == mults, spec
+            for mine, ref in ((rep.g1, g1), (rep.g2, g2)):
+                assert mine.context is ctx
+                assert [e.coeffs for e in mine.entries] == [e.coeffs for e in ref.entries], spec
+
+    def test_every_coefficient_of_a_rational_build_is_a_fraction(self):
+        for modulus in ([0, 1], [-24, 0, 1], [1, 1, 1, 1, 1]):
+            ctx = FieldContext(modulus)
+            for dim, values, extra in _scaled_sweep(seed=2802, per_case=1):
+                kw = {k: v if k == "variant" else ctx.from_rational(v) for k, v in extra.items()}
+                rep = build_rep(RepSpec(dim=dim, params=ParameterSet.from_rationals(ctx, values),
+                                        **kw))
+                coeffs = [c for m in (rep.g1, rep.g2) for e in m.entries for c in e.coeffs]
+                assert all(type(c) is Fraction for c in coeffs), (dim, values)
+                assert all(len(e.coeffs) == ctx.degree for e in rep.g2.entries)
+
+    def test_entries_are_homogeneous_with_the_shift_table(self):
+        # g2(lam X)_ij = lam^(1 + s_i - s_j) g2(X)_ij, with h of weight 2 and f
+        # of weight 1, run on Fractions through the same layout and builders
+        import braidreps.reps as reps
+
+        assert reps._SHIFTS == {4: (2, 0, 0, 0), 6: (7, 5, 5, 5, 2, 0)}
+        rng = random.Random(2803)
+        for dim, values, extra in _scaled_sweep(seed=2803, per_case=2):
+            spec = RepSpec(dim=dim, params=ParameterSet.from_rationals(Q, values),
+                           **{k: v if k == "variant" else qval(v) for k, v in extra.items()})
+            lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 7))
+            weights = {"h": 2, "f": 1}
+            roots = [(extra[k], weights[k]) for k in ("h", "f") if k in extra]
+            _, _, rows = reps._layout(spec, values + [r for r, _ in roots])
+            _, _, scaled = reps._layout(spec, [lam * v for v in values]
+                                        + [r * lam ** w for r, w in roots])
+            s = reps._SHIFTS.get(dim, (0,) * dim)
+            for i, j in ((i, j) for i in range(dim) for j in range(dim)):
+                assert scaled[i][j] == lam ** (1 + s[i] - s[j]) * rows[i][j], (spec, i, j)
