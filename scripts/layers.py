@@ -1,0 +1,99 @@
+"""Host-calibrated timings of single layers: build_rep and spectral_report.
+
+    python3 scripts/layers.py --out layers.json
+    python3 scripts/layers.py --src ../parent/src --out parent_layers.json
+
+Times ``build_rep`` for one fixed spec per dimension over Q, the d = 6 spec
+over Q(zeta5), and ``spectral_report`` of the d = 6 rep over Q, importing
+``braidreps`` from ``--src`` (this tree's ``src`` by default), so that two
+checkouts can be timed by the same script.  Each sample runs the layer
+NUMBER times in a row and is scaled to the reference CPU of
+``bench/calibrate.py`` by the kernel's time just before and just after it,
+as the benchmark's worker scales a call.  The JSON gives, per layer, the
+median and quartiles of the scaled milliseconds per call over REPEATS
+samples, and the spread (the distance between the quartiles as a share of
+the median).
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from calibrate import REF_S, kernel, scale  # noqa: E402
+
+REPEATS, NUMBER = 15, 20  # samples per layer, calls per sample
+
+# layer name: (context, dimension, X, h / f / variant)
+SPECS = {
+    "build_rep.d1.Q": ("Q", 1, [3], {}),
+    "build_rep.d2.Q": ("Q", 2, [1, 2], {}),
+    "build_rep.d3.Q": ("Q", 3, [1, -2, "1/3"], {}),
+    "build_rep.d4.Q": ("Q", 4, [1, 2, 3, 6], {"h": -6}),
+    "build_rep.d5.Q": ("Q", 5, [1, 2, 3, 4, "4/3"], {"f": 2}),
+    "build_rep.d6.Q": ("Q", 6, [1, 2, 3, 4, 5], {"variant": 1}),
+    "build_rep.d6.zeta5": ("zeta5", 6, [1, 2, 3, 4, 5], {"variant": 1}),
+}
+
+
+def layers(braidreps) -> dict:
+    """Each layer's name and a call that runs it once."""
+    contexts = {"Q": braidreps.rationals(), "zeta5": braidreps.cyclotomic5_context()}
+    calls = {}
+    for name, (ctx_name, dim, values, extra) in SPECS.items():
+        ctx = contexts[ctx_name]
+        X = braidreps.ParameterSet.from_rationals(ctx, [Fraction(v) for v in values])
+        kw = {k: v if k == "variant" else ctx.from_rational(v) for k, v in extra.items()}
+        spec = braidreps.RepSpec(dim=dim, params=X, **kw)
+        calls[name] = lambda spec=spec: braidreps.build_rep(spec)
+    rep6 = calls["build_rep.d6.Q"]()
+    calls["spectral_report.d6.Q"] = lambda: braidreps.spectral_report(rep6)
+    return calls
+
+
+def sample(call) -> float:
+    """Scaled milliseconds per call over NUMBER calls in a row."""
+    before = kernel()
+    start = perf_counter()
+    for _ in range(NUMBER):
+        call()
+    seconds = perf_counter() - start
+    return scale(seconds, before, kernel()) * 1e3 / NUMBER
+
+
+def summary(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
+            "spread": round((q3 - q1) / median, 4)}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the directory braidreps is imported from")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import braidreps
+
+    out = {"braidreps": braidreps.__file__, "python": platform.python_version(),
+           "machine": platform.machine(), "ref_s": REF_S, "repeats": REPEATS,
+           "number": NUMBER, "layers": {}}
+    for name, call in layers(braidreps).items():
+        call()  # warm
+        samples = [sample(call) for _ in range(REPEATS)]
+        out["layers"][name] = summary(samples)
+        print(name, out["layers"][name]["median_ms"], "ms", flush=True)
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -94,7 +94,7 @@ def _esym(values: Sequence[FieldElement]) -> list[FieldElement]:
 
 
 def delta(values: Sequence[FieldElement], i: int) -> FieldElement:
-    """prod_{j != i} (x_j - x_i) over 0-based position i."""
+    """prod_{j != i} (x_j - x_i) over 0-based position i, for two or more values."""
     return reduce(mul, (xj - values[i] for xj in _excl(values, i)))
 
 

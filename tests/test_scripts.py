@@ -1,5 +1,6 @@
 """The demo scripts under scripts/ run to completion against the library."""
 
+import json
 import os
 import subprocess
 import sys
@@ -97,3 +98,19 @@ def test_bench_pairs_flags_a_changed_digest_and_a_broken_bound(monkeypatch):
     assert counts["counts"] == {"field.inverse.calls": [18, 12], "linalg.matmul.calls": [6, 6]}
     assert counts["changed_counts"] == {"field.inverse.calls": [18, 12]}
     assert counts["digest_identical"]
+
+
+def test_layers_writes_calibrated_quartiles(tmp_path):
+    out = tmp_path / "layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "layers.py"), "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["braidreps"].startswith(str(SCRIPTS.parent / "src"))
+    names = [f"build_rep.d{d}.Q" for d in range(1, 7)] + ["build_rep.d6.zeta5",
+                                                          "spectral_report.d6.Q"]
+    assert list(record["layers"]) == names
+    for layer in record["layers"].values():
+        assert 0 < layer["q1_ms"] <= layer["median_ms"] <= layer["q3_ms"]
