@@ -1,18 +1,19 @@
-"""Host-calibrated timings of single layers: build_rep and spectral_report.
+"""Host-calibrated timings of single layers of braidreps.
 
     python3 scripts/layers.py --out layers.json
     python3 scripts/layers.py --src ../parent/src --out parent_layers.json
 
-Times ``build_rep`` for one fixed spec per dimension over Q, the d = 6 spec
-over Q(zeta5), and ``spectral_report`` of the d = 6 rep over Q, importing
-``braidreps`` from ``--src`` (this tree's ``src`` by default), so that two
-checkouts can be timed by the same script.  Each sample runs the layer
-NUMBER times in a row and is scaled to the reference CPU of
-``bench/calibrate.py`` by the kernel's time just before and just after it,
-as the benchmark's worker scales a call.  The JSON gives, per layer, the
-median and quartiles of the scaled milliseconds per call over REPEATS
-samples, and the spread (the distance between the quartiles as a share of
-the median).
+Times ``build_rep`` for one fixed spec per dimension over Q and the d = 6
+spec over Q(zeta5); ``spectral_report`` of the reps of dimensions 2 to 6
+over Q and of the d = 6 rep over Q(zeta5); and ``canonical_dumps`` of the
+payload of ``verify`` for the d = 6 spec over Q.  ``braidreps`` is imported
+from ``--src`` (this tree's ``src`` by default), so that two checkouts can
+be timed by the same script.  Each sample runs the layer NUMBER times in a
+row and is scaled to the reference CPU of ``bench/calibrate.py`` by the
+kernel's time just before and just after it, as the benchmark's worker
+scales a call.  The JSON gives, per layer, the median and quartiles of the
+scaled milliseconds per call over REPEATS samples, and the spread (the
+distance between the quartiles as a share of the median).
 """
 
 import argparse
@@ -53,9 +54,27 @@ def layers(braidreps) -> dict:
         kw = {k: v if k == "variant" else ctx.from_rational(v) for k, v in extra.items()}
         spec = braidreps.RepSpec(dim=dim, params=X, **kw)
         calls[name] = lambda spec=spec: braidreps.build_rep(spec)
-    rep6 = calls["build_rep.d6.Q"]()
-    calls["spectral_report.d6.Q"] = lambda: braidreps.spectral_report(rep6)
+    for name in [f"d{d}.Q" for d in range(2, 7)] + ["d6.zeta5"]:
+        rep = calls["build_rep." + name]()
+        calls["spectral_report." + name] = lambda rep=rep: braidreps.spectral_report(rep)
+    payload = verify_payload(braidreps, ["--params", "[1, 2, 3, 4, 5]", "--dim", "6",
+                                         "--variant", "1"])
+    calls["canonical_dumps.verify.d6"] = lambda: braidreps.serialize.canonical_dumps(payload)
     return calls
+
+
+def verify_payload(braidreps, argv) -> dict:
+    """The payload that ``verify`` hands to ``canonical_dumps`` for argv."""
+    import braidreps.cli as cli
+
+    payloads, real = [], cli.canonical_dumps
+    cli.canonical_dumps = lambda payload: payloads.append(payload) or ""
+    try:
+        if cli.main(["verify", *argv]) != 0:
+            raise RuntimeError(f"verify {argv} failed")
+    finally:
+        cli.canonical_dumps = real
+    return payloads[0]
 
 
 def sample(call) -> float:

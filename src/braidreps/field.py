@@ -144,11 +144,12 @@ class FieldContext:
         self = _CONTEXTS.get(key)
         if self is not None:
             return self
+        shown = [str(c) for c in coeffs]  # as NotInvertible shows a factor
         if len(coeffs) < 2 or coeffs[-1] != 1:
-            raise NonMonicModulus(f"modulus must be monic of degree >= 1, got {coeffs}")
+            raise NonMonicModulus(f"modulus must be monic of degree >= 1, got {shown}")
         deriv = [i * c for i, c in enumerate(coeffs)][1:]
         if len(_poly_gcd(coeffs, deriv)) != 1:
-            raise NotSquarefree(f"modulus {coeffs} is not squarefree")
+            raise NotSquarefree(f"modulus {shown} is not squarefree")
         self = super().__new__(cls)
         self.modulus: tuple[Fraction, ...] = key
         self.degree: int = len(coeffs) - 1
@@ -188,9 +189,8 @@ class FieldContext:
         return self._one
 
     def from_rational(self, value: Coercible) -> "FieldElement":
-        r = Fraction(value)
-        pad = (Fraction(0),) * (self.degree - 1)
-        return FieldElement(self, (r,) + pad)
+        r = value if type(value) is Fraction else Fraction(value)
+        return FieldElement(self, (r,) + self._zero.coeffs[1:])
 
     def generator(self) -> "FieldElement":
         """The residue class of t (a root of the modulus)."""

@@ -9,7 +9,8 @@ rows and keeps it if it stays nonzero.
 Pivoting always takes the first nonzero entry; there are no magnitude
 heuristics because the arithmetic is exact.  Every pivot is inverted, so
 over a reducible modulus a zero-divisor pivot raises NotInvertible.
-Characteristic polynomials come from power sums by Newton's identities.
+Characteristic polynomials come from power sums by one fraction-free Newton
+kernel, which ``spectral`` shares.
 The one integer routine, :func:`_bareiss`, is the fraction-free determinant
 that ``reps`` checks det g2 with over Q.
 """
@@ -296,19 +297,24 @@ def charpoly(m: Matrix) -> Polynomial:
     return _charpoly_from_power_sums(m.context, [p.trace() for p in powers[: m.rows]])
 
 
-def _charpoly_from_power_sums(
-    ctx: FieldContext, sums: Sequence[FieldElement]
-) -> Polynomial:
-    """The monic polynomial whose roots have the power sums p_1, ..., p_n.
+def _charpoly_from_power_sums(ctx: FieldContext, sums: Sequence, scale: int = 1) -> Polynomial:
+    """The monic polynomial whose roots, divided by ``scale``, have the power
+    sums p_1, ..., p_n (FieldElements of ``ctx``, or ints and Fractions).
 
-    Newton's identities for the coefficient c_k of L^(n-k) read
-    c_k = -(c_(k-1) p_1 + ... + c_0 p_k) / k: no signs, divisions by 1..n.
+    Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), c_k the
+    coefficient of L^(n-k), hold fraction-free for D_k = k! c_k: D_k =
+    -sum_i (k-1)!/(k-i)! D_(k-i) p_i, by Horner from i = k.  Integer sums
+    give integer D_k; each coefficient D_k / (k! scale^k) is one division.
     """
-    coeffs = [ctx.one()]
+    ds, cs, den = [1], [1], 1
     for k in range(1, len(sums) + 1):
-        acc = sum((c * p for c, p in zip(reversed(coeffs), sums)), start=ctx.zero())
-        coeffs.append(acc * Fraction(-1, k))
-    return Polynomial(ctx, tuple(reversed(coeffs)))
+        acc = sums[k - 1]
+        for i in range(k - 1, 0, -1):
+            acc = ds[k - i] * sums[i - 1] + (acc * (k - i) if k - i > 1 else acc)
+        ds.append(-acc)
+        den *= k * scale
+        cs.append(Fraction(ds[k], den) if type(acc) is int else ds[k] * Fraction(1, den))
+    return Polynomial.from_coeffs(ctx, cs[::-1])
 
 
 def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:

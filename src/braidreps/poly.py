@@ -2,9 +2,9 @@
 
 Coefficients are stored in ascending order with trailing zeros trimmed; the
 zero polynomial has an empty coefficient tuple and degree -1.  Products
-and powers are the only ring operations: P_X and the closed-form charpolys
-are products of small factors and :func:`~braidreps.linalg.minpoly` is a
-product of monic annihilators, so no polynomial is divided by another.
+and powers are the only ring operations: P_X is a product of linear
+factors and :func:`~braidreps.linalg.minpoly` is a product of monic
+annihilators, so no polynomial is divided by another.
 """
 
 from __future__ import annotations

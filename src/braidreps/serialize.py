@@ -6,14 +6,19 @@ lists "[c0, c1, ...]" in ascending powers of the generator.  Plain JSON
 integers are reserved for structural data (dimensions, counts, indices).
 Map keys are emitted sorted so identical inputs give byte-identical
 reports.  The JSON names of each report are stated once, in :func:`encode`.
+:func:`canonical_dumps` writes the layout of ``json.dumps(obj,
+sort_keys=True, indent=2)`` byte for byte, without the pure-Python encoder
+that ``json`` falls back to for an indent, for exactly the types
+:func:`encode` returns.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import fields
 from fractions import Fraction
+# not an encode_* name: bench/tracing.py times each of those as serialize.encode
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .analysis import CensusEntry, CensusReport, PredicateValue, Witness
 from .field import FieldContext, FieldElement, TooLarge, rationals
@@ -214,5 +219,45 @@ def encode(obj):
     return encoder(obj)
 
 
+def _write(obj, indent: str, out: list) -> None:
+    """Append the text of ``obj`` nested at ``indent`` to ``out``."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_quoted(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif kind is dict or kind is list or kind is tuple:
+        if not obj:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = indent + "  "
+        sep, comma = "\n" + inner, ",\n" + inner  # before the first item, the others
+        if kind is dict:  # a key that is not a str raises TypeError
+            out.append("{")
+            for key, value in sorted(obj.items()):
+                out.append(sep + _quoted(key) + ": ")
+                _write(value, inner, out)
+                sep = comma
+            out.append("\n" + indent + "}")
+        else:
+            out.append("[")
+            for value in obj:
+                out.append(sep)
+                _write(value, inner, out)
+                sep = comma
+            out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"cannot write a {kind.__name__}")
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, written
+    directly for the types :func:`encode` returns."""
+    out: list[str] = []
+    _write(obj, "", out)
+    out.append("\n")
+    return "".join(out)

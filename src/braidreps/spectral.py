@@ -8,13 +8,15 @@ the eigenvalues and the auxiliary root.  Everything here is compared
 exactly; a mismatch means a broken construction, not numerical noise.
 
 :func:`spectral_report` checks all of them from one dense product, B^2,
-against one table of closed forms per dimension: by the braid relation
-B^2 = (g1 g2 g1)(g2 g1 g2) = A^3, and once it is CI, d, C and the three
-traces give every power sum, so both characteristic polynomials come from
-the relations by Newton's identities.  Over Q, for a diagonal g1 (as
-``build_rep`` makes it), that product is on integers: with g1 = E/L and
-g2 = N/q (``reps._integer_pair``), B = E N E / (L^2 q) takes two scalings,
-and C and the traces are read off as fractions.
+against one table of closed forms, the charpolys expanded, per dimension:
+by the braid relation B^2 = (g1 g2 g1)(g2 g1 g2) = A^3, and once it is CI,
+d, C and the three traces give every power sum, so both characteristic
+polynomials come from the fraction-free Newton identities of ``linalg``.
+Over Q, for a diagonal g1 (as ``build_rep`` makes it), g1 = E/L and g2 = N/q
+(``reps._integer_pair``) give A' = L E N and B' = E N E, s = L^2 q times A
+and B, with A'^3 = s c I and B'^2 = c I: every power sum is an integer, and
+the closed forms run on Fractions.  No division is assumed exact, so a pair
+that breaks the braid relation is reported too, with its failed checks.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .field import FieldElement
 from .linalg import Matrix, _charpoly_from_power_sums
@@ -66,48 +69,38 @@ class SpectralReport:
     checks: tuple[tuple[str, bool], ...]
 
 
-def _closed_forms(spec: RepSpec):
-    """C, (tr A, tr A^2, tr B) and the expanded charpolys of A and B.
+def _closed_forms(spec: RepSpec, values, root):
+    """C, (tr A, tr A^2, tr B) and the ascending coefficients of the
+    charpolys of A and B, from ``values`` and ``root`` (h or f) of one number
+    type: FieldElements, or Fractions over Q.  A 0 or 1 is a plain int.
 
     The eigenvalue lists of A and B involve a primitive cube (resp. square)
-    root of unity; multiplying the factors out eliminates it, so every
-    form lives over the working field.
+    root of unity; the expanded products eliminate it, so every form lives
+    over the working field.
     """
-    values = spec.params.values
-    ctx = spec.context
-    zero, one = ctx.zero(), ctx.one()
-
-    def poly(*coeffs):
-        return Polynomial.from_coeffs(ctx, list(coeffs))
-
     d = spec.dim
     if d == 1:
         x = values[0]
-        return x**6, (x**2, x**4, x**3), (poly(-(x**2), one), poly(-(x**3), one))
+        return x**6, (x**2, x**4, x**3), ([-(x**2), 1], [-(x**3), 1])
     if d == 2:
         e2 = prod(values)
-        chi_a, chi_b = poly(e2**2, -e2, one), poly(e2**3, zero, one)
-        return -(e2**3), (e2, -(e2**2), zero), (chi_a, chi_b)
-    if d == 3:
+        return -(e2**3), (e2, -(e2**2), 0), ([e2**2, -e2, 1], [e2**3, 0, 1])
+    if d == 3:  # chi_B = (L - e3)(L + e3)^2
         e3 = prod(values)
-        chi_a = poly(-(e3**2), zero, zero, one)
-        chi_b = poly(-e3, one) * poly(e3, one) ** 2
-        return e3**2, (zero, zero, -e3), (chi_a, chi_b)
-    if d == 4:
-        h = spec.h
-        chi_a = poly(-h, one) ** 2 * poly(h**2, h, one)
-        chi_b = poly(-(h**3), zero, one) ** 2
+        return e3**2, (0, 0, -e3), ([-(e3**2), 0, 0, 1], [-(e3**3), -(e3**2), e3, 1])
+    if d == 4:  # chi_A = (L - h)^2 (L^2 + h L + h^2), chi_B = (L^2 - h^3)^2
+        h, h3 = root, root**3
         # tr A = C/e4 = h^3/h^2
-        return h**3, (h, prod(values), zero), (chi_a, chi_b)
-    if d == 5:
-        f = spec.f
-        chi_a = poly(-(f**2), one) * poly(f**4, f**2, one) ** 2
-        chi_b = poly(-(f**3), one) ** 3 * poly(f**3, one) ** 2
-        return f**6, (-(f**2), -(f**4), f**3), (chi_a, chi_b)
-    xie5 = values[spec.variant - 1] * prod(values)  # d = 6: RepSpec admits no other
-    chi_a = poly(xie5, zero, zero, one) ** 2
-    chi_b = poly(xie5, zero, one) ** 3
-    return -xie5, (zero, zero, zero), (chi_a, chi_b)
+        return h3, (h, prod(values), 0), ([h * h3, -h3, 0, -h, 1], [h3**2, 0, -2 * h3, 0, 1])
+    if d == 5:  # chi_A = (L - u)(L^2 + u L + u^2)^2, chi_B = (L - v)^3 (L + v)^2
+        u, v = root**2, root**3
+        u2, v2 = u**2, v**2
+        return v2, (-u, -u2, v), ([-(u * u2**2), -(u2**2), -(u * u2), u2, u, 1],
+                                  [-(v * v2**2), v2**2, 2 * v * v2, -2 * v2, -v, 1])
+    # d = 6, RepSpec admits no other: chi_A = (L^3 + w)^2, chi_B = (L^2 + w)^3
+    w = values[spec.variant - 1] * prod(values)
+    w2 = w**2
+    return -w, (0, 0, 0), ([w2, 0, 0, 2 * w, 0, 0, 1], [w * w2, 0, 3 * w2, 0, 3 * w, 0, 1])
 
 
 def spectral_report(rep: Representation) -> SpectralReport:
@@ -118,21 +111,26 @@ def spectral_report(rep: Representation) -> SpectralReport:
     indicates a broken construction.
     """
     ctx, d = rep.context, rep.dim
+    root = rep.spec.h if rep.spec.h is not None else rep.spec.f
     pair = _integer_pair(rep.g1, rep.g2)
-    if pair:  # on integers: A = E N / (L q) and B = E N E / (L^2 q)
+    if pair:  # on integers: A' = L E N = s A and B' = E N E = s B, s = L^2 q
         e, l, n, q = pair
         en = [[ei * x for x in row] for ei, row in zip(e, n)]
         b = [[x * ej for x, ej in zip(row, e)] for row in en]
-        b2 = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in b]
+        b2 = [[sum(map(mul, row, col)) for col in zip(*b)] for row in b]
         c = b2[0][0]
         if b2 != [[c if i == j else 0 for j in range(d)] for i in range(d)]:
             raise NotScalar("(g1 g2)^3 is not scalar")
-        lq = l * q
-        c, tr_a, tr_a2, tr_b = (ctx.from_rational(Fraction(num, den)) for num, den in (
-            (c, (l * lq) ** 2),
-            (sum(en[i][i] for i in range(d)), lq),
-            (sum(x * y for row, col in zip(en, zip(*en)) for x, y in zip(row, col)), lq * lq),
-            (sum(b[i][i] for i in range(d)), l * lq)))
+        s = l * l * q
+        # tr A', tr A'^2 and tr B'; A'^3 = s c I and B'^2 = c I
+        t_a = l * sum(en[i][i] for i in range(d))
+        t_a2 = l * l * sum(sum(map(mul, row, col)) for row, col in zip(en, zip(*en)))
+        t_b = sum(b[i][i] for i in range(d))
+        c_a, c_b = s * c, c
+        c, tr_a, tr_a2, tr_b = (Fraction(x, y) for x, y in
+                                ((c, s * s), (t_a, s), (t_a2, s * s), (t_b, s)))
+        values = [v.rational_value() for v in rep.values]
+        root = root if root is None else root.rational_value()
     else:
         A = rep.g1 @ rep.g2
         B = A @ rep.g1
@@ -142,14 +140,19 @@ def spectral_report(rep: Representation) -> SpectralReport:
             raise NotScalar("(g1 g2)^3 is not scalar")
         tr_a, tr_b = A.trace(), B.trace()
         tr_a2 = sum((x * y for x, y in zip(A.entries, A.transpose().entries)), start=ctx.zero())
-    c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec)
-    # A^3 = B^2 = cI: tr A^k = c^(k//3) tr A^(k%3) and tr B^k = c^(k//2) tr B^(k%2)
-    ks, tr_i = range(1, d + 1), ctx.from_rational(d)
-    sums_a = [c ** (k // 3) * (tr_i, tr_a, tr_a2)[k % 3] for k in ks]
-    sums_b = [c ** (k // 2) * (tr_i, tr_b)[k % 2] for k in ks]
-    chi_a, chi_b = (_charpoly_from_power_sums(ctx, s) for s in (sums_a, sums_b))
-    det = prod((x**m for x, m in zip(rep.values, rep.multiplicities)), start=ctx.one())
-    det_ok = det**6 == c**d
+        s, c_a, c_b, t_a, t_a2, t_b = 1, c, c, tr_a, tr_a2, tr_b
+        values = rep.values
+    c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec, values, root)
+    # tr A'^k = (s c)^(k//3) tr A'^(k%3) and tr B'^k = c^(k//2) tr B'^(k%2)
+    sums_a = [c_a ** (k // 3) * (d, t_a, t_a2)[k % 3] for k in range(1, d + 1)]
+    sums_b = [c_b ** (k // 2) * (d, t_b)[k % 2] for k in range(1, d + 1)]
+    chi_a, chi_b = (_charpoly_from_power_sums(ctx, sums, s) for sums in (sums_a, sums_b))
+    det_ok = prod(x**m for x, m in zip(values, rep.multiplicities)) ** 6 == c**d
+    # the report: over Q the values become FieldElements here
+    c, tr_a, tr_a2, tr_b, c_exp, e_tr_a, e_tr_a2, e_tr_b = (
+        v if isinstance(v, FieldElement) else ctx.from_rational(v)
+        for v in (c, tr_a, tr_a2, tr_b, c_exp, e_tr_a, e_tr_a2, e_tr_b))
+    e_chi_a, e_chi_b = (Polynomial.from_coeffs(ctx, cs) for cs in (e_chi_a, e_chi_b))
     checks = (
         ("central_matches_closed_form", c == c_exp),
         ("trace_A", tr_a == e_tr_a),
@@ -159,20 +162,5 @@ def spectral_report(rep: Representation) -> SpectralReport:
         ("charpoly_B", chi_b == e_chi_b),
         ("det_constraint", det_ok),
     )
-    return SpectralReport(
-        C_rho=c,
-        C_expected=c_exp,
-        trA=tr_a,
-        trA2=tr_a2,
-        trB=tr_b,
-        trA_expected=e_tr_a,
-        trA2_expected=e_tr_a2,
-        trB_expected=e_tr_b,
-        charpoly_A=chi_a,
-        charpoly_B=chi_b,
-        charpoly_A_expected=e_chi_a,
-        charpoly_B_expected=e_chi_b,
-        det_constraint_ok=det_ok,
-        all_ok=all(ok for _, ok in checks),
-        checks=checks,
-    )
+    return SpectralReport(c, c_exp, tr_a, tr_a2, tr_b, e_tr_a, e_tr_a2, e_tr_b, chi_a, chi_b,
+                          e_chi_a, e_chi_b, det_ok, all(ok for _, ok in checks), checks)

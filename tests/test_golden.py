@@ -284,6 +284,9 @@ CALLS = [
     # t^3-t: e4 = 36 has the roots h = 6 and -6 at j = 0
     ["verify", "--context", "t^3-t", "--params", "[1,2,3,6]"],
     ["semisimple", "--mode", "constructive", "--context", "t^3-t", "--params", "[1,2,3,6]"],
+    # a bad modulus was shown as a list of Fraction reprs
+    ["verify", "--context", "2t^2-1", "--params", "[1,2]"],
+    ["verify", "--context", "t^2-2t+1", "--params", "[1,2]"],
 ]
 
 

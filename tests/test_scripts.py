@@ -109,8 +109,9 @@ def test_layers_writes_calibrated_quartiles(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
     assert record["braidreps"].startswith(str(SCRIPTS.parent / "src"))
-    names = [f"build_rep.d{d}.Q" for d in range(1, 7)] + ["build_rep.d6.zeta5",
-                                                          "spectral_report.d6.Q"]
+    names = [f"build_rep.d{d}.Q" for d in range(1, 7)] + ["build_rep.d6.zeta5"]
+    names += [f"spectral_report.d{d}.Q" for d in range(2, 7)] + ["spectral_report.d6.zeta5",
+                                                                 "canonical_dumps.verify.d6"]
     assert list(record["layers"]) == names
     for layer in record["layers"].values():
         assert 0 < layer["q1_ms"] <= layer["median_ms"] <= layer["q3_ms"]

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidreps import (
     FieldContext,
@@ -29,6 +30,14 @@ from braidreps import (
 )
 
 Q = rationals()
+
+# what encode returns: str, int, bool and None in lists, tuples and dicts
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**50), max_value=10**50) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
 
 
 class TestRationals:
@@ -188,3 +197,21 @@ class TestCanonicalDumps:
     def test_byte_stability(self):
         payload = {"z": "9/2", "m": {"k": ["1", "2"]}, "a": 600}
         assert canonical_dumps(payload) == canonical_dumps(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    @example({})
+    @example([])
+    @example({"": [], "a": {}, "b": ((), [{}])})
+    @example({"\u00e9\u4e2d\U0001f600": ["\x00\x1f\x7f", '"', "\\", "\n\t\u2028"]})
+    @example([-(10**60), -1, 0, 10**40])
+    @example([True, 1, False, 0, None, "1", "true"])
+    @example({"x": True, "y": 1})
+    def test_writes_the_layout_of_json_dumps(self, value):
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, Q.one(), {"a": [1, 1.5]},
+                                       [(Fraction(3),)], {"k": Q.from_rational(2)}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            canonical_dumps(value)

@@ -9,6 +9,7 @@ library code existed; they are frozen here as regression anchors.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -257,25 +258,116 @@ def _image(rep, ctx):
     return replace(rep, spec=spec, g1=matrix_image(rep.g1, ctx), g2=matrix_image(rep.g2, ctx))
 
 
+def _with_denominators(seed):
+    """One rational rep per dimension 1-6, X drawn with denominators 2-7
+    (for d = 4 and 5 the last value is solved for a rational h or f)."""
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 7))
+
+    plans = []
+    for d in range(1, 7):
+        while True:
+            xs, plan = [frac() for _ in range(min(d, 5))], {"dim": d}
+            if d == 4:
+                plan["h"] = frac()
+                xs[3] = plan["h"] ** 2 / prod(xs[:3])
+            elif d == 5:
+                plan["f"] = frac()
+                xs[4] = plan["f"] ** 5 / prod(xs[:4])
+            if len(set(xs)) == len(xs):
+                break
+        plans.append({**plan, "values": xs, "variant": 1 + rng.randrange(5) if d == 6 else None})
+    return [plan_rep(plan) for plan in plans]
+
+
 class TestIntegerReport:
-    def test_equals_the_report_of_the_image(self):
+    @staticmethod
+    def _assert_report_of_the_image(rep):
         # over Q the report is read off integers; over Q(sqrt 24) off matrices
+        assert rep.context is Q
+        here, there = spectral_report(rep), spectral_report(_image(rep, SQRT24))
+        for name in SpectralReport.__dataclass_fields__:
+            a, b = getattr(here, name), getattr(there, name)
+            if isinstance(a, FieldElement):
+                a = SQRT24.image(a)
+            elif isinstance(a, Polynomial):
+                a = Polynomial(SQRT24, tuple(map(SQRT24.image, a.coeffs)))
+            assert a == b, (name, rep.spec)
+        return here
+
+    def test_equals_the_report_of_the_image(self):
         rng = random.Random(SWEEP_SEED + 5)
         reps = [plan_rep(plan) for plan in sweep_plans(3, seed=SWEEP_SEED + 5)]
         reps += [plan_rep(reducible_plan(rng, f)) for f in REDUCIBLE_FAMILIES if f != "J4"]
         reps += [rep2(), rep3(), rep4(), rep4(-1), rep5(), *(rep6(v) for v in range(1, 6))]
+        reps += _with_denominators(SWEEP_SEED + 6)
         # with s1 and s2 exchanged g1 is not diagonal: the Matrix path over Q
         reps += [replace(rep, g1=rep.g2, g2=rep.g1) for rep in reps]
         for rep in reps:
-            assert rep.context is Q
-            here, there = spectral_report(rep), spectral_report(_image(rep, SQRT24))
-            for name in SpectralReport.__dataclass_fields__:
-                a, b = getattr(here, name), getattr(there, name)
-                if isinstance(a, FieldElement):
-                    a = SQRT24.image(a)
-                elif isinstance(a, Polynomial):
-                    a = Polynomial(SQRT24, tuple(map(SQRT24.image, a.coeffs)))
-                assert a == b, (name, rep.spec)
+            self._assert_report_of_the_image(rep)
+
+    @pytest.mark.parametrize("lam", [Fraction(2), Fraction(1, 3), Fraction(-5, 7)])
+    def test_broken_pairs_equal_the_report_of_the_image(self, lam):
+        # (g1, lam g2) breaks the braid relation unless lam = 1, but B^2 stays
+        # scalar: the report is computed and names its failed checks, and
+        # no division on integers may assume the relation
+        for rep in _with_denominators(SWEEP_SEED + 7) + [rep4(-1), rep6(3)]:
+            report = self._assert_report_of_the_image(replace(rep, g2=rep.g2.scale(lam)))
+            assert not report.all_ok, rep.spec
+
+    def test_no_field_multiplication_over_q(self, monkeypatch):
+        reps = _with_denominators(SWEEP_SEED + 8) + [rep4(-1), rep5(), rep6(2)]
+        products = []
+        real = FieldElement.__mul__
+
+        def counting(a, b):
+            products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting)
+        monkeypatch.setattr(FieldElement, "__rmul__", counting)
+        for rep in reps:
+            assert spectral_report(rep).all_ok
+        assert products == []
+
+
+def _newton_reference(sums):
+    """Ascending charpoly coefficients by the Fraction recurrence
+    c_k = -(c_(k-1) p_1 + ... + c_0 p_k) / k."""
+    cs = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        cs.append(-sum(c * p for c, p in zip(reversed(cs), sums)) / k)
+    return cs[::-1]
+
+
+class TestNewtonKernel:
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_matches_the_fraction_recurrence(self, rational):
+        rng = random.Random(SWEEP_SEED + 9)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            sums = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 30) if rational else 1)
+                    for _ in range(n)]
+            if not rational:
+                sums = [int(p) for p in sums]
+            scale = rng.choice([1, 2, 7, 360])
+            got = linalg._charpoly_from_power_sums(Q, sums, scale)
+            # the roots divided by scale have the power sums p_k / scale^k
+            want = _newton_reference([p / Fraction(scale) ** k for k, p in enumerate(sums, 1)])
+            assert [c.rational_value() for c in got.coeffs] == want, (sums, scale)
+
+    def test_over_an_extension(self):
+        rng = random.Random(SWEEP_SEED + 10)
+        for n in range(1, 7):
+            sums = [SQRT24.element([rng.randint(-50, 50), Fraction(rng.randint(-50, 50), 3)])
+                    for _ in range(n)]
+            cs = [SQRT24.one()]
+            for k in range(1, n + 1):
+                acc = sum((c * p for c, p in zip(reversed(cs), sums)), start=SQRT24.zero())
+                cs.append(acc * Fraction(-1, k))
+            assert linalg._charpoly_from_power_sums(SQRT24, sums).coeffs == tuple(cs[::-1])
 
 
 class TestDeterminantConstraint:
