@@ -3,9 +3,11 @@
     python3 scripts/layers.py --out layers.json
     python3 scripts/layers.py --src ../parent/src --out parent_layers.json
 
-Times ``build_rep`` for one fixed spec per dimension over Q and the d = 6
-spec over Q(zeta5); ``spectral_report`` of the reps of dimensions 2 to 6
-over Q and of the d = 6 rep over Q(zeta5); and ``canonical_dumps`` of the
+Times ``build_rep`` for one fixed spec per dimension over Q, the d = 6 spec
+over Q(zeta5) and the d = 5 spec with f = 2 zeta over Q(zeta5), built on
+FieldElements; ``spectral_report`` of the reps of dimensions 2 to 6 over Q,
+of the d = 6 rep over Q(zeta5) and of the d = 4 rep with h = t over
+Q(sqrt 24), reported on FieldElements; and ``canonical_dumps`` of the
 payload of ``verify`` for the d = 6 spec over Q.  ``braidreps`` is imported
 from ``--src`` (this tree's ``src`` by default), so that two checkouts can
 be timed by the same script.  Each sample runs the layer NUMBER times in a
@@ -21,7 +23,6 @@ import json
 import platform
 import statistics
 import sys
-from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -32,30 +33,39 @@ from calibrate import REF_S, kernel, scale  # noqa: E402
 
 REPEATS, NUMBER = 15, 20  # samples per layer, calls per sample
 
-# layer name: (context, dimension, X, h / f / variant)
+# rep name: (context, dimension, X, h / f / variant); a value is read as
+# the command line reads it, "[c0, c1]" being c0 + c1 t
 SPECS = {
-    "build_rep.d1.Q": ("Q", 1, [3], {}),
-    "build_rep.d2.Q": ("Q", 2, [1, 2], {}),
-    "build_rep.d3.Q": ("Q", 3, [1, -2, "1/3"], {}),
-    "build_rep.d4.Q": ("Q", 4, [1, 2, 3, 6], {"h": -6}),
-    "build_rep.d5.Q": ("Q", 5, [1, 2, 3, 4, "4/3"], {"f": 2}),
-    "build_rep.d6.Q": ("Q", 6, [1, 2, 3, 4, 5], {"variant": 1}),
-    "build_rep.d6.zeta5": ("zeta5", 6, [1, 2, 3, 4, 5], {"variant": 1}),
+    "d1.Q": ("Q", 1, [3], {}),
+    "d2.Q": ("Q", 2, [1, 2], {}),
+    "d3.Q": ("Q", 3, [1, -2, "1/3"], {}),
+    "d4.Q": ("Q", 4, [1, 2, 3, 6], {"h": -6}),
+    "d5.Q": ("Q", 5, [1, 2, 3, 4, "4/3"], {"f": 2}),
+    "d6.Q": ("Q", 6, [1, 2, 3, 4, 5], {"variant": 1}),
+    "d6.zeta5": ("zeta5", 6, [1, 2, 3, 4, 5], {"variant": 1}),
+    "d5.zeta5.irrational": ("zeta5", 5, [1, 2, 3, 4, "4/3"], {"f": "[0, 2]"}),
+    "d4.sqrt24": ("sqrt24", 4, [1, 2, 3, 4], {"h": "[0, 1]"}),
 }
+BUILDS = [f"d{d}.Q" for d in range(1, 7)] + ["d6.zeta5", "d5.zeta5.irrational"]
+REPORTS = [f"d{d}.Q" for d in range(2, 7)] + ["d6.zeta5", "d4.sqrt24"]
 
 
 def layers(braidreps) -> dict:
     """Each layer's name and a call that runs it once."""
-    contexts = {"Q": braidreps.rationals(), "zeta5": braidreps.cyclotomic5_context()}
-    calls = {}
+    contexts = {"Q": braidreps.rationals(), "zeta5": braidreps.cyclotomic5_context(),
+                "sqrt24": braidreps.FieldContext([-24, 0, 1])}
+    specs = {}
     for name, (ctx_name, dim, values, extra) in SPECS.items():
         ctx = contexts[ctx_name]
-        X = braidreps.ParameterSet.from_rationals(ctx, [Fraction(v) for v in values])
-        kw = {k: v if k == "variant" else ctx.from_rational(v) for k, v in extra.items()}
-        spec = braidreps.RepSpec(dim=dim, params=X, **kw)
-        calls[name] = lambda spec=spec: braidreps.build_rep(spec)
-    for name in [f"d{d}.Q" for d in range(2, 7)] + ["d6.zeta5"]:
-        rep = calls["build_rep." + name]()
+        X = braidreps.ParameterSet(tuple(braidreps.parse_element(ctx, v) for v in values))
+        kw = {k: v if k == "variant" else braidreps.parse_element(ctx, v)
+              for k, v in extra.items()}
+        specs[name] = braidreps.RepSpec(dim=dim, params=X, **kw)
+    calls = {}
+    for name in BUILDS:
+        calls["build_rep." + name] = lambda spec=specs[name]: braidreps.build_rep(spec)
+    for name in REPORTS:
+        rep = braidreps.build_rep(specs[name])
         calls["spectral_report." + name] = lambda rep=rep: braidreps.spectral_report(rep)
     payload = verify_payload(braidreps, ["--params", "[1, 2, 3, 4, 5]", "--dim", "6",
                                          "--variant", "1"])

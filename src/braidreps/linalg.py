@@ -12,7 +12,7 @@ over a reducible modulus a zero-divisor pivot raises NotInvertible.
 Characteristic polynomials come from power sums by one fraction-free Newton
 kernel, which ``spectral`` shares.
 The one integer routine, :func:`_bareiss`, is the fraction-free determinant
-that ``reps`` checks det g2 with over Q.
+that ``reps`` checks det g2 with for a rational spec, in any context.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def determinant(m: Matrix) -> FieldElement:
     The rows go in in order.  A dependent row means det = 0.  Otherwise the
     reduced rows are L*M with L unit lower-triangular, so det M is the
     product of their lead values times the sign of the lead-column
-    permutation.  ``reps`` checks det g2 with it over an extension (over Q,
-    with g1 diagonal, it lifts g2 to integers and takes :func:`_bareiss`).
+    permutation.  ``reps`` checks det g2 with it for an irrational spec (a
+    rational one is built on integers and takes :func:`_bareiss`).
     Every pivot is inverted: over a reducible modulus a nonzero zero-divisor
     pivot raises NotInvertible even where the determinant exists.
     """

@@ -208,7 +208,8 @@ class RepSpec:
 
 @dataclass(frozen=True)
 class Representation:
-    """A validated pair of generator images with diagonal g1."""
+    """A validated pair of generator images with diagonal g1; for any other
+    g1, ``spectral_report`` raises ValueError."""
 
     spec: RepSpec
     g1: Matrix
@@ -441,57 +442,54 @@ def _build_dim6(values):
     return [row[1:] for row in g[1:]]
 
 
-def _integer_pair(g1: Matrix, g2: Matrix):
-    """For a diagonal g1 over a degree-1 context, g1's diagonal as integers E
-    over L and the rows of g2 as integers N over q, each over the lcm of its
-    denominators; None for any other pair, which the Matrix code checks."""
+def _lifted_pair(g1: Matrix, g2: Matrix):
+    """g1's diagonal E over L and the rows N of g2 over q: integers over the
+    lcm of their denominators when every entry is rational, in any context,
+    else the FieldElements, L = q = 1.  ValueError if g1 is not diagonal."""
     d = g1.rows
-    if g1.context.degree != 1 or any(x for k, x in enumerate(g1.entries) if k % (d + 1)):
-        return None
-    e, l = _lift(tuple(g1[i, i].coeffs[0] for i in range(d)))
-    n, q = _lift(tuple(x.coeffs[0] for x in g2.entries))
+    if any(x for k, x in enumerate(g1.entries) if k % (d + 1)):
+        raise ValueError("g1 is not diagonal")
+    e, n, l, q = g1.entries[::d + 1], g2.entries, 1, 1
+    if g1.context.degree == 1 or all(x.is_rational() for x in e + n):
+        (e, l), (n, q) = (_lift(tuple(x.coeffs[0] for x in m)) for m in (e, n))
     return e, l, [n[i * d:(i + 1) * d] for i in range(d)], q
 
 
-def _integer_identities(spec: RepSpec, e, l, n, q) -> None:
-    """Raise :class:`ConstructionFailed` naming ``spec`` and the first of the
-    braid relation and det g2 = det g1 that fails for g1 = diag(E)/L and g2 =
-    N/q, on integers: q E_i N_ij E_j = L sum_k N_ik E_k N_kj for every i and
-    j, and bareiss(N) L^d = (prod E_i) q^d."""
-    cols = list(zip(*n))
-    if not all(q * ei * nij * ej == l * sum(a * b * c for a, b, c in zip(row, e, col))
-               for ei, row in zip(e, n) for nij, ej, col in zip(row, e, cols)):
-        raise ConstructionFailed(f"braid relation failed for {spec}")
-    if _bareiss(n) * l ** len(e) != prod(e) * q ** len(e):
-        raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
+def _dot(u, v):
+    """sum u_k v_k from the first product (a start of 0 coerces a zero)."""
+    products = map(mul, u, v)
+    return sum(products, next(products))
 
 
-def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
-    """Raise :class:`ConstructionFailed` naming the first identity that fails.
+def _self_check(spec: RepSpec, e: Sequence, n: Sequence[Sequence]) -> None:
+    """Raise :class:`ConstructionFailed` naming the first identity that fails
+    for g1 = diag(E) and g2 = N: ints, or FieldElements of one context.
 
-    g1 is diagonal.  Checks the braid relation A g1 = g2 A with A = g1 g2 and
-    det g2 = det g1.  Then det A is a unit and g2 = A g1 A^-1, so charpoly(g2)
-    is that of g1 and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked
+    A common denominator of E and N drops out of both identities, each
+    homogeneous in (g1, g2).  The braid relation reads E_i N_ij E_j =
+    sum_k N_ik E_k N_kj, with E N formed once; det g2 = det g1 reads
+    bareiss(N) = prod E_i on ints and takes :func:`determinant` otherwise.
+    Then det A, A = g1 g2, is a unit and g2 = A g1 A^-1, so charpoly(g2) is
+    that of g1 and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked
     directly only when a zero divisor (a reducible modulus) blocks the
     argument.  A det g1 of exactly 0 makes g1 singular on every factor of
-    the modulus, and its :class:`NotInvertible` propagates.  Over Q both
-    identities are checked on integers (:func:`_integer_pair`,
-    :func:`_integer_identities`).
+    the modulus, and its :class:`NotInvertible` propagates.
 
     So minpoly(g2) = P_X, which ``verify`` reports unrecomputed: every
     builder inverts each Delta_i, so on each factor of the modulus the x_i
     are distinct, the minimal polynomial divides P_X and, as charpoly(g2) =
     prod (L - x_i)^{m_i}, has every x_i as a root.
     """
-    pair = _integer_pair(g1, g2)
-    if pair:
-        return _integer_identities(spec, *pair)
-    ctx, d = g1.context, g1.rows
-    diag = [g1[i, i] for i in range(d)]
-    det_g1 = prod(diag, start=ctx.one())
-    a = g1 @ g2
-    if a @ g1 != g2 @ a:
+    en = [[ei * x for x in row] for ei, row in zip(e, n)]
+    cols = list(zip(*en))
+    if not all(x * ej == _dot(row, col)
+               for row, en_row in zip(n, en) for x, ej, col in zip(en_row, e, cols)):
         raise ConstructionFailed(f"braid relation failed for {spec}")
+    if not isinstance(e[0], FieldElement):
+        if _bareiss(n) != prod(e):
+            raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
+        return
+    det_g1, g2 = prod(e[1:], start=e[0]), Matrix.from_rows(e[0].context, n)
     try:
         det_g1.inverse()
         if determinant(g2) != det_g1:
@@ -500,10 +498,10 @@ def _self_check(spec: RepSpec, g1: Matrix, g2: Matrix) -> None:
     except NotInvertible:  # no similarity argument: check what it implies
         if det_g1.is_zero():
             raise
-    p_x = Polynomial.from_roots(ctx, spec.params.values)
-    if any(not e.is_zero() for e in poly_eval_matrix(p_x, g2).entries):
+    p_x = Polynomial.from_roots(g2.context, spec.params.values)
+    if any(not x.is_zero() for x in poly_eval_matrix(p_x, g2).entries):
         raise ConstructionFailed(f"generator relation P_X(g2) != 0 for {spec}")
-    if charpoly(g2) != Polynomial.from_roots(ctx, diag):
+    if charpoly(g2) != Polynomial.from_roots(g2.context, e):
         raise ConstructionFailed(f"characteristic polynomial mismatch for {spec}")
 
 
@@ -519,14 +517,14 @@ def build_rep(spec: RepSpec) -> Representation:
     D f, rationals whose square (fifth power) e_d(a) is an integer.  Entry
     (i, j) of g2 is homogeneous of degree 1 + s_i - s_j (:data:`_SHIFTS`), so
     g2(a) = D S g2(X) S^-1 with S = diag(D^s_i), and g2(a) = N/q gives
-    g2(X)_ij = N_ij / (q D^(1 + s_i - s_j)).  :func:`_integer_identities`
-    checks g1(a) = diag(a) (E = a in layout order, L = 1) and N/q, proving both
-    identities for the pair returned: S commutes with the diagonal g1(a) =
-    D g1(X), the braid relation is homogeneous of degree 3 in (g1, g2) and
-    kept by conjugation, and det g2(a) = D^d det g2(X), det g1(a) = D^d det
-    g1(X).  The rationals are then mapped into the spec's context, a ring
-    map Q -> Q[t]/(m) for every modulus, under which det g1, a nonzero
-    rational, stays a unit.
+    g2(X)_ij = N_ij / (q D^(1 + s_i - s_j)).  :func:`_self_check` checks
+    g1(a) = diag(q a) / q and g2(a) = N / q on the integers q a (in layout
+    order) and N, proving both identities for the pair returned: S commutes
+    with the diagonal g1(a) = D g1(X), the braid relation is homogeneous of
+    degree 3 in (g1, g2) and kept by conjugation, and det g2(a) = D^d det
+    g2(X), det g1(a) = D^d det g1(X).  The rationals are then mapped into
+    the spec's context, a ring map Q -> Q[t]/(m) for every modulus, under
+    which det g1, a nonzero rational, stays a unit.
     """
     ctx, d = spec.context, spec.dim
     given = spec.params.values + tuple(r for r in (spec.h, spec.f) if r is not None)
@@ -537,7 +535,7 @@ def build_rep(spec: RepSpec) -> Representation:
     order, mults, rows = _layout(spec, a + [r.numerator for r in roots])  # integral roots
     n, q = _lift([x for row in rows for x in row])
     n = [n[i * d:(i + 1) * d] for i in range(d)]
-    _integer_identities(spec, order, 1, n, q)
+    _self_check(spec, [q * x for x in order], n)  # g1 = q a / q and g2 = N / q
     s, pad = _SHIFTS.get(d, (0,) * d), ctx.zero().coeffs[1:]
     g2 = [FieldElement(ctx, (Fraction(nij * den**max(sj - si - 1, 0),
                                       q * den**max(si + 1 - sj, 0)),) + pad)
@@ -567,11 +565,9 @@ def _layout(spec: RepSpec, given: Sequence):
 def _construct(spec: RepSpec, given: tuple[FieldElement, ...]):
     """g1, g2 and the multiplicities of ``spec`` built from the FieldElements
     ``given`` in their context and checked by :func:`_self_check`."""
-    ctx = given[0].context
     order, mults, rows = _layout(spec, given)
-    g1, g2 = Matrix.diagonal(ctx, order), Matrix.from_rows(ctx, rows)
-    _self_check(spec, g1, g2)
-    return g1, g2, mults
+    _self_check(spec, order, rows)
+    return Matrix.diagonal(spec.context, order), Matrix.from_rows(spec.context, rows), mults
 
 
 def compose_fifth_roots(f0: FieldElement) -> tuple[FieldElement, ...]:

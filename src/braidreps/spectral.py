@@ -12,11 +12,13 @@ against one table of closed forms, the charpolys expanded, per dimension:
 by the braid relation B^2 = (g1 g2 g1)(g2 g1 g2) = A^3, and once it is CI,
 d, C and the three traces give every power sum, so both characteristic
 polynomials come from the fraction-free Newton identities of ``linalg``.
-Over Q, for a diagonal g1 (as ``build_rep`` makes it), g1 = E/L and g2 = N/q
-(``reps._integer_pair``) give A' = L E N and B' = E N E, s = L^2 q times A
-and B, with A'^3 = s c I and B'^2 = c I: every power sum is an integer, and
-the closed forms run on Fractions.  No division is assumed exact, so a pair
-that breaks the braid relation is reported too, with its failed checks.
+g1 is diagonal, as ``build_rep`` makes it, and ``reps._lifted_pair`` reads
+g1 = E/L and g2 = N/q: integers when every entry is rational, in any
+context, else the FieldElements with L = q = 1.  A' = L E N and B' = E N E
+are s = L^2 q times A and B, with A'^3 = s c I and B'^2 = c I: on integers
+every power sum is an integer and the closed forms run on Fractions.  No
+division is assumed exact, so a pair that breaks the braid relation is
+reported too, with its failed checks.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -27,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import mul
 
 from .field import FieldElement
-from .linalg import Matrix, _charpoly_from_power_sums
+from .linalg import _charpoly_from_power_sums
 from .poly import Polynomial
-from .reps import RepSpec, Representation, _integer_pair
+from .reps import RepSpec, Representation, _dot, _lifted_pair
 
 __all__ = [
     "NotScalar",
@@ -107,48 +108,36 @@ def spectral_report(rep: Representation) -> SpectralReport:
     """Every spectral identity for one representation, exactly compared.
 
     Relies on the braid relation that ``build_rep`` proves, by which
-    A^3 = B^2; raises :class:`NotScalar` when B^2 is not scalar, which
-    indicates a broken construction.
+    A^3 = B^2; raises :class:`NotScalar` when B^2 is not scalar (a broken
+    construction), and ValueError for a g1 that is not diagonal.
     """
     ctx, d = rep.context, rep.dim
     root = rep.spec.h if rep.spec.h is not None else rep.spec.f
-    pair = _integer_pair(rep.g1, rep.g2)
-    if pair:  # on integers: A' = L E N = s A and B' = E N E = s B, s = L^2 q
-        e, l, n, q = pair
-        en = [[ei * x for x in row] for ei, row in zip(e, n)]
-        b = [[x * ej for x, ej in zip(row, e)] for row in en]
-        b2 = [[sum(map(mul, row, col)) for col in zip(*b)] for row in b]
-        c = b2[0][0]
-        if b2 != [[c if i == j else 0 for j in range(d)] for i in range(d)]:
-            raise NotScalar("(g1 g2)^3 is not scalar")
-        s = l * l * q
-        # tr A', tr A'^2 and tr B'; A'^3 = s c I and B'^2 = c I
-        t_a = l * sum(en[i][i] for i in range(d))
-        t_a2 = l * l * sum(sum(map(mul, row, col)) for row, col in zip(en, zip(*en)))
-        t_b = sum(b[i][i] for i in range(d))
-        c_a, c_b = s * c, c
-        c, tr_a, tr_a2, tr_b = (Fraction(x, y) for x, y in
-                                ((c, s * s), (t_a, s), (t_a2, s * s), (t_b, s)))
-        values = [v.rational_value() for v in rep.values]
-        root = root if root is None else root.rational_value()
-    else:
-        A = rep.g1 @ rep.g2
-        B = A @ rep.g1
-        B2 = B @ B
-        c = B2[0, 0]
-        if B2 != Matrix.diagonal(ctx, [c] * d):
-            raise NotScalar("(g1 g2)^3 is not scalar")
-        tr_a, tr_b = A.trace(), B.trace()
-        tr_a2 = sum((x * y for x, y in zip(A.entries, A.transpose().entries)), start=ctx.zero())
-        s, c_a, c_b, t_a, t_a2, t_b = 1, c, c, tr_a, tr_a2, tr_b
-        values = rep.values
-    c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec, values, root)
+    e, l, n, q = _lifted_pair(rep.g1, rep.g2)  # A' = L E N = s A, B' = E N E = s B
+    en = [[ei * x for x in row] for ei, row in zip(e, n)]
+    b = [[x * ej for x, ej in zip(row, e)] for row in en]
+    b2 = [[_dot(row, col) for col in zip(*b)] for row in b]
+    c = b2[0][0]
+    if b2 != [[c if i == j else 0 for j in range(d)] for i in range(d)]:
+        raise NotScalar("(g1 g2)^3 is not scalar")
+    s = l * l * q
+    # tr A', tr A'^2 and tr B'; A'^3 = s c I and B'^2 = c I
+    tr_a = l * sum(en[i][i] for i in range(d))
+    tr_a2 = l * l * sum(_dot(row, col) for row, col in zip(en, zip(*en)))
+    tr_b = sum(b[i][i] for i in range(d))
     # tr A'^k = (s c)^(k//3) tr A'^(k%3) and tr B'^k = c^(k//2) tr B'^(k%2)
-    sums_a = [c_a ** (k // 3) * (d, t_a, t_a2)[k % 3] for k in range(1, d + 1)]
-    sums_b = [c_b ** (k // 2) * (d, t_b)[k % 2] for k in range(1, d + 1)]
+    c_a, values = s * c, rep.values
+    sums_a = [c_a ** (k // 3) * (d, tr_a, tr_a2)[k % 3] for k in range(1, d + 1)]
+    sums_b = [c ** (k // 2) * (d, tr_b)[k % 2] for k in range(1, d + 1)]
     chi_a, chi_b = (_charpoly_from_power_sums(ctx, sums, s) for sums in (sums_a, sums_b))
+    if not isinstance(c, FieldElement):  # on integers: over s, as Fractions
+        c, tr_a, tr_a2, tr_b = (Fraction(x, y) for x, y in
+                                ((c, s * s), (tr_a, s), (tr_a2, s * s), (tr_b, s)))
+        values = [v.rational_value() for v in values]
+        root = root if root is None else root.rational_value()
+    c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec, values, root)
     det_ok = prod(x**m for x, m in zip(values, rep.multiplicities)) ** 6 == c**d
-    # the report: over Q the values become FieldElements here
+    # the report: rationals become FieldElements here
     c, tr_a, tr_a2, tr_b, c_exp, e_tr_a, e_tr_a2, e_tr_b = (
         v if isinstance(v, FieldElement) else ctx.from_rational(v)
         for v in (c, tr_a, tr_a2, tr_b, c_exp, e_tr_a, e_tr_a2, e_tr_b))

@@ -17,6 +17,8 @@ norms the predicates use: the determinant of the Sylvester matrix.
 probes, which are read off the diagonals: it evaluates each braid word.
 ``algebra_closure_dim`` is the reference for the Burnside oracle, which
 decides by the witness search: it spans the algebra g1 and g2 generate.
+``self_check_reference`` is the reference for ``reps._self_check`` on
+FieldElement rows: it checks the two identities by matrix products.
 ``transpose_parameters``, ``free_reduce`` and ``matrix_image`` are
 operations only the tests use.
 """
@@ -136,6 +138,18 @@ def algebra_closure_dim(generators):
         for g in generators:
             queue.append(mat @ g)
     return len(accepted), accepted
+
+
+def self_check_reference(g1, g2):
+    """The first identity the pair fails, for a diagonal g1 over a field:
+    "braid relation" unless A g1 = g2 A with A = g1 g2, then "determinant"
+    unless det g2 = det g1 by :func:`determinant`; None when both hold."""
+    a = g1 @ g2
+    if a @ g1 != g2 @ a:
+        return "braid relation"
+    if determinant(g2) != math.prod((g1[i, i] for i in range(g1.rows)), start=g1.context.one()):
+        return "determinant"
+    return None
 
 
 DEFAULT_PROBE_WORDS = tuple(

@@ -24,12 +24,13 @@ from braidreps import (
     cyclotomic5_context,
     determinant,
     enumerate_irreps,
+    parse_element,
     poly_eval_matrix,
     rationals,
 )
-from braidreps.reps import _esym, _self_check
-from conftest import (SWEEP_SEED, IndexOutOfRange, matrix_image, sweep_plans,
-                      transpose_parameters)
+from braidreps.reps import _esym, _lifted_pair, _self_check
+from conftest import (SWEEP_SEED, IndexOutOfRange, matrix_image, self_check_reference,
+                      sweep_plans, transpose_parameters)
 
 Q = rationals()
 
@@ -40,6 +41,17 @@ def pset(*vals):
 
 def qval(v):
     return Q.from_rational(Fraction(v))
+
+
+def lifted_rows(g1, g2):
+    """E and N of the pair as _lifted_pair gives them, over one denominator."""
+    e, l, n, q = _lifted_pair(g1, g2)
+    return [q * x for x in e], [[l * x for x in row] for row in n]
+
+
+def field_rows(g1, g2):
+    """g1's diagonal and the rows of g2, as FieldElements."""
+    return [g1[i, i] for i in range(g1.rows)], [list(g2.row(i)) for i in range(g2.rows)]
 
 
 class TestParameterSet:
@@ -127,22 +139,25 @@ class TestSelfCheck:
         rows[0][0] = rows[0][0] + 1
         bad = Matrix.from_rows(Q, rows)
         with pytest.raises(ConstructionFailed):
-            _self_check(rep.spec, rep.g1, bad)
+            _self_check(rep.spec, *lifted_rows(rep.g1, bad))
 
     def test_braid_violation_detected(self):
         # g1 is diagonal, as build_rep lays it out, with its eigenvalues
-        # permuted; a non-diagonal g1 takes the Matrix path even over Q
+        # permuted: it fails on integers and on FieldElements; a g1 that is
+        # not diagonal has no rows to check
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
         g1 = Matrix.diagonal(Q, rep.values[1:] + rep.values[:1])
-        for g1, g2 in ((g1, rep.g2), (rep.g2, rep.g1 @ rep.g2)):
+        for rows in (lifted_rows, field_rows):
             with pytest.raises(ConstructionFailed, match="braid relation"):
-                _self_check(rep.spec, g1, g2)
+                _self_check(rep.spec, *rows(g1, rep.g2))
+        with pytest.raises(ValueError, match="g1 is not diagonal"):
+            _lifted_pair(rep.g2, rep.g1 @ rep.g2)
 
     def test_determinant_identity_detected(self):
         # g2 = 0 satisfies the braid relation with any g1
         rep = build_rep(RepSpec(dim=3, params=pset(1, 2, 3)))
         with pytest.raises(ConstructionFailed, match="determinant"):
-            _self_check(rep.spec, rep.g1, Matrix.zeros(Q, 3, 3))
+            _self_check(rep.spec, *lifted_rows(rep.g1, Matrix.zeros(Q, 3, 3)))
 
     def test_zero_divisor_eigenvalue_takes_the_direct_checks(self, monkeypatch):
         # over Q[t]/(t^2 - 1) = Q x Q the eigenvalue 1 + t maps to (2, 0):
@@ -161,7 +176,7 @@ class TestSelfCheck:
         y = ctx.element([Fraction(7, 2), Fraction(-3, 2)])
         assert x * y * x == y * x * y
         with pytest.raises(ConstructionFailed, match="generator relation"):
-            _self_check(rep.spec, rep.g1, Matrix.diagonal(ctx, [y]))
+            _self_check(rep.spec, [x], [[y]])
 
     def test_charpoly_mismatch_detected(self):
         # over Q[t]/(t^2 - 1) X = (1 + t, 7/2 - 3/2 t) maps to (2, 2) at t = 1
@@ -171,7 +186,7 @@ class TestSelfCheck:
         x1, x2 = ctx.element([1, 1]), ctx.element([Fraction(7, 2), Fraction(-3, 2)])
         spec = RepSpec(dim=2, params=ParameterSet((x1, x2)))
         with pytest.raises(ConstructionFailed, match="characteristic polynomial"):
-            _self_check(spec, Matrix.diagonal(ctx, [x1, x2]), Matrix.diagonal(ctx, [x2, x2]))
+            _self_check(spec, [x1, x2], [[x2, 0], [0, x2]])
 
     def test_singular_g1_has_no_construction(self):
         # over Q[t]/(t^2 - 1) the eigenvalues 5 + 5t and 5 - 5t map to (10, 0)
@@ -353,17 +368,17 @@ RATIONAL_SPECS = [
 
 
 def _recording_checks(monkeypatch):
-    """Record (spec, dim, degree of g1's context) for every _self_check call,
-    and (spec, dim, "Z") for every check of a rational build on integers."""
+    """Record (spec, dim, number type) for every _self_check call: "Z" for
+    rows of ints, the degree of their context for rows of FieldElements."""
     import braidreps.reps as reps
 
-    calls, real, real_z = [], reps._self_check, reps._integer_identities
-    monkeypatch.setattr(reps, "_self_check",
-                        lambda spec, g1, g2: calls.append((spec, spec.dim, g1.context.degree))
-                        or real(spec, g1, g2))
-    monkeypatch.setattr(reps, "_integer_identities",
-                        lambda spec, *pair: calls.append((spec, spec.dim, "Z"))
-                        or real_z(spec, *pair))
+    calls, real = [], reps._self_check
+
+    def recording(spec, e, n):
+        calls.append((spec, spec.dim, "Z" if type(e[0]) is int else e[0].context.degree))
+        return real(spec, e, n)
+
+    monkeypatch.setattr(reps, "_self_check", recording)
     return calls
 
 
@@ -440,9 +455,9 @@ class TestSmallestField:
 SQRT24 = FieldContext([-24, 0, 1])
 
 
-def _outcome(spec, g1, g2):
+def _outcome(spec, e, n):
     try:
-        _self_check(spec, g1, g2)
+        _self_check(spec, e, n)
     except ConstructionFailed as exc:
         return str(exc)
     return None
@@ -452,7 +467,8 @@ class TestIntegerSelfCheck:
     @pytest.mark.parametrize("dim, values, extra", RATIONAL_SPECS[1:],
                              ids=[f"d{s[0]}" for s in RATIONAL_SPECS[1:]])
     def test_same_message_as_the_matrix_path(self, dim, values, extra):
-        # over Q _self_check runs on integers; over Q(sqrt 24) on matrices
+        # the integer rows of a rational pair and its FieldElement rows, over
+        # Q and over Q(sqrt 24), name the same first failing identity
         kw = {k: v if k == "variant" else qval(v) for k, v in extra.items()}
         rep = build_rep(RepSpec(dim=dim, params=pset(*map(Fraction, values)), **kw))
         rng = random.Random(2700 + dim)
@@ -466,8 +482,11 @@ class TestIntegerSelfCheck:
             pairs.append(Matrix(Q, dim, dim, entries))
         seen = []
         for g2 in pairs:
-            seen.append(_outcome(rep.spec, rep.g1, g2))
-            assert seen[-1] == _outcome(rep.spec, g1, matrix_image(g2, SQRT24)), g2
+            e, n = lifted_rows(rep.g1, g2)
+            assert all(type(x) is int for x in e + [x for row in n for x in row])
+            seen.append(_outcome(rep.spec, e, n))
+            assert seen[-1] == _outcome(rep.spec, *field_rows(rep.g1, g2)), g2
+            assert seen[-1] == _outcome(rep.spec, *field_rows(g1, matrix_image(g2, SQRT24))), g2
         assert seen[0] is None and "determinant" in seen[1]
         assert all("braid relation" in m for m in seen[2:])
 
@@ -503,6 +522,44 @@ class TestIntegerSelfCheck:
             assert calls[:10] == first_ten + [x * x for x in values[:4]] + values[4:]
             assert [g2[4][2], g2[4][3], g2[5][2], g2[5][3], g2[0][4], g2[1][5]] == expected
 
+
+
+# irrational specs, built on FieldElements: (context, dim, X, h / f / variant)
+IRRATIONAL_SPECS = [
+    (ZETA5, 5, [1, 2, 3, 4, "4/3"], {"f": "[0,2]"}),
+    (SQRT24, 4, [1, 2, 3, 4], {"h": "[0,1]"}),
+    (SQRT24, 6, ["[0,1]", 2, 3, "-1/2", 5], {"variant": 1}),
+]
+
+
+class TestFieldElementSelfCheck:
+    @pytest.mark.parametrize("ctx, dim, values, extra", IRRATIONAL_SPECS,
+                             ids=["d5.zeta5", "d4.sqrt24", "d6.sqrt24"])
+    def test_names_the_identity_the_matrix_reference_names(self, ctx, dim, values, extra):
+        # _self_check on FieldElement rows against conftest's matrix products:
+        # the built rep, 30 one-entry perturbations of g2, and g2 = 0
+        X = ParameterSet(tuple(parse_element(ctx, v) for v in values))
+        kw = {k: v if k == "variant" else parse_element(ctx, v) for k, v in extra.items()}
+        rep = build_rep(RepSpec(dim=dim, params=X, **kw))
+        assert not all(x.is_rational() for x in rep.g2.entries)
+        rng = random.Random(3000 + dim)
+        pairs = [rep.g2, Matrix.zeros(ctx, dim, dim)]
+        for _ in range(30):
+            entries = list(rep.g2.entries)
+            k = rng.randrange(dim * dim)
+            entries[k] = entries[k] + ctx.element(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ctx.degree)])
+            pairs.append(Matrix(ctx, dim, dim, entries))
+        seen = []
+        for g2 in pairs:
+            expected = self_check_reference(rep.g1, g2)
+            seen.append(_outcome(rep.spec, *field_rows(rep.g1, g2)))
+            assert (seen[-1] is None) == (expected is None), g2
+            assert expected is None or seen[-1].startswith(expected), g2
+        assert seen[0] is None and seen[1].startswith("determinant")
+        # a perturbation that moves g2 breaks the braid relation
+        assert all(m.startswith("braid relation")
+                   for g2, m in zip(pairs[2:], seen[2:]) if g2 != rep.g2)
 
 def _scaled_sweep(seed=2801, per_case=3):
     """(dim, X, {h, f or variant}) for every dimension and variant: X has

@@ -109,9 +109,10 @@ def test_layers_writes_calibrated_quartiles(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
     assert record["braidreps"].startswith(str(SCRIPTS.parent / "src"))
-    names = [f"build_rep.d{d}.Q" for d in range(1, 7)] + ["build_rep.d6.zeta5"]
-    names += [f"spectral_report.d{d}.Q" for d in range(2, 7)] + ["spectral_report.d6.zeta5",
-                                                                 "canonical_dumps.verify.d6"]
+    names = [f"build_rep.d{d}.Q" for d in range(1, 7)]
+    names += ["build_rep.d6.zeta5", "build_rep.d5.zeta5.irrational"]
+    names += [f"spectral_report.d{d}.Q" for d in range(2, 7)]
+    names += ["spectral_report.d6.zeta5", "spectral_report.d4.sqrt24", "canonical_dumps.verify.d6"]
     assert list(record["layers"]) == names
     for layer in record["layers"].values():
         assert 0 < layer["q1_ms"] <= layer["median_ms"] <= layer["q3_ms"]

@@ -33,7 +33,7 @@ from braidreps import (
     rationals,
     spectral_report,
 )
-from braidreps.reps import _self_check
+from braidreps.reps import _lifted_pair, _self_check
 from conftest import (REDUCIBLE_FAMILIES, SWEEP_SEED, matrix_image, plan_rep, reducible_plan,
                       sweep_plans)
 
@@ -100,8 +100,7 @@ class TestCentralValue:
         # not.  The pair breaks the braid relation, so build_rep refuses it
         # and spectral_report, which checks B^2 alone, never sees it.
         with pytest.raises(ConstructionFailed, match="braid relation"):
-            _self_check(rep3().spec, Matrix.identity(Q, 3),
-                        Matrix.from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+            _self_check(rep3().spec, [1, 1, 1], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 class TestTraces:
@@ -206,48 +205,26 @@ class TestCharpolysFromRelations:
             assert report.charpoly_B == charpoly(A @ rep.g1), rep.spec
             assert report.all_ok, rep.spec
 
-    @staticmethod
-    def _counting(monkeypatch):
-        """Record, for every Matrix product, whether a factor is diagonal; and
-        fail any charpoly call."""
+    def test_no_matrix_product_in_any_context(self, monkeypatch):
+        # the products run on reps._lifted_pair's rows: integers for a
+        # rational pair, in any context, and FieldElements otherwise
+        zeta5 = cyclotomic5_context()
+        built = [rep2(), rep3(), rep4(), rep5(), rep6(),
+                 build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3)))),
+                 _built(zeta5, [1, 2, 3, 4, 5], dim=6, variant=1),
+                 _built(SPLIT, [1, 2, 3, 6], h=-6),
+                 _built(SQRT24, [1, 2, 3, 4], h="[0,1]"),
+                 _built(SQRT24, ["[0,1]", 2, 3, "-1/2", 5], dim=6, variant=1),
+                 _built(zeta5, [-4, 1, 2, 4, -1], f="[0,2]"),
+                 _built(SQRT24, ["[0,1]"])]
         calls, products = [], []
         real = Matrix.__matmul__
-
-        def diagonal(m):
-            return m == Matrix.diagonal(m.context, [m[i, i] for i in range(m.rows)])
-
-        def counting(a, b):
-            products.append(diagonal(a) or diagonal(b))
-            return real(a, b)
-
         monkeypatch.setattr(linalg, "charpoly", lambda m: calls.append(m))
         monkeypatch.setattr(spectral, "charpoly", lambda m: calls.append(m), raising=False)
-        monkeypatch.setattr(Matrix, "__matmul__", counting)
-        return calls, products
-
-    def test_no_matrix_product_over_q(self, monkeypatch):
-        # over Q the products run on integers (B = E N E and its square)
-        built = [rep2(), rep3(), rep4(), rep5(), rep6(),
-                 build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))]
-        calls, products = self._counting(monkeypatch)
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(a) or real(a, b))
         for rep in built:
-            assert spectral_report(rep).all_ok
+            assert spectral_report(rep).all_ok, rep.spec
         assert products == [] and calls == []
-
-    def test_three_products_over_an_extension(self, monkeypatch):
-        # A = g1 g2 and B = A g1 have the diagonal g1 as a factor; B^2 is the
-        # one dense product
-        built = [_built(SQRT24, [1, 2, 3, 4], h="[0,1]"),
-                 _built(SQRT24, ["[0,1]", 2, 3, "-1/2", 5], dim=6, variant=1),
-                 _built(cyclotomic5_context(), [-4, 1, 2, 4, -1], f="[0,2]"),
-                 _built(SQRT24, ["[0,1]"])]
-        calls, products = self._counting(monkeypatch)
-        for rep in built:
-            products.clear()
-            assert spectral_report(rep).all_ok
-            assert len(products) == 3, rep.dim
-            assert rep.dim == 1 or products.count(False) == 1, rep.dim
-        assert calls == []
 
 
 def _image(rep, ctx):
@@ -256,6 +233,17 @@ def _image(rep, ctx):
     spec = replace(s, params=ParameterSet(tuple(map(im, s.params.values))),
                    h=s.h and im(s.h), f=s.f and im(s.f))
     return replace(rep, spec=spec, g1=matrix_image(rep.g1, ctx), g2=matrix_image(rep.g2, ctx))
+
+
+def _conjugated(rep):
+    """The image of rep over Q(sqrt 24) with g2 conjugated by D = diag(t^i):
+    D commutes with the diagonal g1, so A, B and B^2 are conjugated alike and
+    every quantity of the report stays, but g2 is no longer rational."""
+    image, t = _image(rep, SQRT24), SQRT24.generator()
+    powers = [t ** i for i in range(rep.dim)]
+    g2 = [[x * image.g2[i, j] * y.inverse() for j, y in enumerate(powers)]
+          for i, x in enumerate(powers)]
+    return replace(image, g2=Matrix.from_rows(SQRT24, g2))
 
 
 def _with_denominators(seed):
@@ -285,16 +273,22 @@ def _with_denominators(seed):
 class TestIntegerReport:
     @staticmethod
     def _assert_report_of_the_image(rep):
-        # over Q the report is read off integers; over Q(sqrt 24) off matrices
+        # the report over Q, read off integers, equals that of the image over
+        # Q(sqrt 24), also on integers, and that of its conjugate, whose g2 is
+        # not rational: read off FieldElements
         assert rep.context is Q
-        here, there = spectral_report(rep), spectral_report(_image(rep, SQRT24))
-        for name in SpectralReport.__dataclass_fields__:
-            a, b = getattr(here, name), getattr(there, name)
-            if isinstance(a, FieldElement):
-                a = SQRT24.image(a)
-            elif isinstance(a, Polynomial):
-                a = Polynomial(SQRT24, tuple(map(SQRT24.image, a.coeffs)))
-            assert a == b, (name, rep.spec)
+        conjugate = _conjugated(rep)
+        assert rep.dim == 1 or isinstance(_lifted_pair(conjugate.g1, conjugate.g2)[0][0],
+                                          FieldElement), rep.spec
+        here = spectral_report(rep)
+        for there in (spectral_report(_image(rep, SQRT24)), spectral_report(conjugate)):
+            for name in SpectralReport.__dataclass_fields__:
+                a, b = getattr(here, name), getattr(there, name)
+                if isinstance(a, FieldElement):
+                    a = SQRT24.image(a)
+                elif isinstance(a, Polynomial):
+                    a = Polynomial(SQRT24, tuple(map(SQRT24.image, a.coeffs)))
+                assert a == b, (name, rep.spec)
         return here
 
     def test_equals_the_report_of_the_image(self):
@@ -303,10 +297,12 @@ class TestIntegerReport:
         reps += [plan_rep(reducible_plan(rng, f)) for f in REDUCIBLE_FAMILIES if f != "J4"]
         reps += [rep2(), rep3(), rep4(), rep4(-1), rep5(), *(rep6(v) for v in range(1, 6))]
         reps += _with_denominators(SWEEP_SEED + 6)
-        # with s1 and s2 exchanged g1 is not diagonal: the Matrix path over Q
-        reps += [replace(rep, g1=rep.g2, g2=rep.g1) for rep in reps]
         for rep in reps:
             self._assert_report_of_the_image(rep)
+            # with s1 and s2 exchanged g1 is not diagonal (d > 1): no report
+            if rep.dim > 1:
+                with pytest.raises(ValueError, match="g1 is not diagonal"):
+                    spectral_report(replace(rep, g1=rep.g2, g2=rep.g1))
 
     @pytest.mark.parametrize("lam", [Fraction(2), Fraction(1, 3), Fraction(-5, 7)])
     def test_broken_pairs_equal_the_report_of_the_image(self, lam):
@@ -318,7 +314,10 @@ class TestIntegerReport:
             assert not report.all_ok, rep.spec
 
     def test_no_field_multiplication_over_q(self, monkeypatch):
+        # a rational rep is reported on integers over Q and over extensions
         reps = _with_denominators(SWEEP_SEED + 8) + [rep4(-1), rep5(), rep6(2)]
+        reps += [_image(rep, ctx) for ctx in (cyclotomic5_context(), SQRT24, SPLIT)
+                 for rep in reps]
         products = []
         real = FieldElement.__mul__
 
