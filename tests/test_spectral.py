@@ -205,27 +205,40 @@ class TestCharpolysFromRelations:
             assert report.charpoly_B == charpoly(A @ rep.g1), rep.spec
             assert report.all_ok, rep.spec
 
-    def test_no_matrix_product_in_any_context(self, monkeypatch):
-        # the products run on reps._lifted_pair's rows: integers for a
-        # rational pair, in any context, and FieldElements otherwise
-        zeta5 = cyclotomic5_context()
-        built = [rep2(), rep3(), rep4(), rep5(), rep6(),
-                 build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3)))),
-                 _built(zeta5, [1, 2, 3, 4, 5], dim=6, variant=1),
-                 _built(SPLIT, [1, 2, 3, 6], h=-6),
-                 _built(SQRT24, [1, 2, 3, 4], h="[0,1]"),
-                 _built(SQRT24, ["[0,1]", 2, 3, "-1/2", 5], dim=6, variant=1),
-                 _built(zeta5, [-4, 1, 2, 4, -1], f="[0,2]"),
-                 _built(SQRT24, ["[0,1]"])]
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record every Matrix product and every charpoly call."""
         calls, products = [], []
         real = Matrix.__matmul__
         monkeypatch.setattr(linalg, "charpoly", lambda m: calls.append(m))
         monkeypatch.setattr(spectral, "charpoly", lambda m: calls.append(m), raising=False)
         monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(a) or real(a, b))
+        return calls, products
+
+    def test_no_matrix_product_over_q(self, monkeypatch):
+        # over Q the products run on integers (B = E N E and its square)
+        built = [rep2(), rep3(), rep4(), rep5(), rep6(),
+                 build_rep(RepSpec(dim=1, params=pset(Fraction(2, 3))))]
+        calls, products = self._counting(monkeypatch)
         for rep in built:
             assert spectral_report(rep).all_ok, rep.spec
         assert products == [] and calls == []
 
+    def test_three_products_over_an_extension(self, monkeypatch):
+        # A = g1 g2, B = A g1 and B^2 run on reps._lifted_pair's rows, not
+        # as Matrix products: integers for a rational pair, in any context,
+        # and FieldElements otherwise
+        zeta5 = cyclotomic5_context()
+        built = [_built(zeta5, [1, 2, 3, 4, 5], dim=6, variant=1),
+                 _built(SPLIT, [1, 2, 3, 6], h=-6),
+                 _built(SQRT24, [1, 2, 3, 4], h="[0,1]"),
+                 _built(SQRT24, ["[0,1]", 2, 3, "-1/2", 5], dim=6, variant=1),
+                 _built(zeta5, [-4, 1, 2, 4, -1], f="[0,2]"),
+                 _built(SQRT24, ["[0,1]"])]
+        calls, products = self._counting(monkeypatch)
+        for rep in built:
+            assert spectral_report(rep).all_ok, rep.spec
+        assert products == [] and calls == []
 
 def _image(rep, ctx):
     """rep with its spec, g1 and g2 mapped into ctx entry by entry."""
