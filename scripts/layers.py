@@ -7,8 +7,9 @@ Times ``build_rep`` for one fixed spec per dimension over Q, the d = 6 spec
 over Q(zeta5) and the d = 5 spec with f = 2 zeta over Q(zeta5), built on
 FieldElements; ``spectral_report`` of the reps of dimensions 2 to 6 over Q,
 of the d = 6 rep over Q(zeta5) and of the d = 4 rep with h = t over
-Q(sqrt 24), reported on FieldElements; and ``canonical_dumps`` of the
-payload of ``verify`` for the d = 6 spec over Q.  ``braidreps`` is imported
+Q(sqrt 24), reported on FieldElements; ``canonical_dumps`` of the
+payload of ``verify`` for the d = 6 spec over Q; and one product and one
+sum of two fixed elements of Q(zeta5) that are not rational.  ``braidreps`` is imported
 from ``--src`` (this tree's ``src`` by default), so that two checkouts can
 be timed by the same script.  Each sample runs the layer NUMBER times in a
 row and is scaled to the reference CPU of ``bench/calibrate.py`` by the
@@ -48,6 +49,8 @@ SPECS = {
 }
 BUILDS = [f"d{d}.Q" for d in range(1, 7)] + ["d6.zeta5", "d5.zeta5.irrational"]
 REPORTS = [f"d{d}.Q" for d in range(2, 7)] + ["d6.zeta5", "d4.sqrt24"]
+# the operands of the field layers over Q(zeta5), read as the command line reads them
+OPERANDS = ("[1/2, 3, -2/3, 5/7]", "[2, -1/3, 1/5, 4]")
 
 
 def layers(braidreps) -> dict:
@@ -70,6 +73,9 @@ def layers(braidreps) -> dict:
     payload = verify_payload(braidreps, ["--params", "[1, 2, 3, 4, 5]", "--dim", "6",
                                          "--variant", "1"])
     calls["canonical_dumps.verify.d6"] = lambda: braidreps.serialize.canonical_dumps(payload)
+    a, b = (braidreps.parse_element(contexts["zeta5"], v) for v in OPERANDS)
+    calls["field.mul.zeta5"] = lambda: a * b
+    calls["field.add.zeta5"] = lambda: a + b
     return calls
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from math import comb, prod
 
-from .field import FieldContext, FieldElement, NotInvertible, _lift, element_kth_roots
+from .field import FieldContext, FieldElement, NotInvertible, _lift_rational, element_kth_roots
 from .linalg import Matrix, intertwiner_dim, rank
 from .reps import (
     TAKES,
@@ -633,7 +633,7 @@ def semisimplicity(X: ParameterSet) -> CensusReport:
     """
     ctx = X.context
     rational = all(v.is_rational() for v in X)
-    vals = tuple(_lift(tuple(v.coeffs[0] for v in X))[0]) if rational else tuple(X)
+    vals = tuple(_lift_rational(X.values)[0]) if rational else tuple(X)
     failing, nonzero = [], []
     for row in _table(vals):
         if not row[-1]:

@@ -219,9 +219,12 @@ def evaluate(w: BraidWord, rep) -> Matrix:
                 steps[gen, exp] = base[gen].power(exp)
             step = steps[gen, exp]
             result = step if result is None else result @ step
+            # each reduced coefficient, as printed, is read only where the
+            # stored numerators or common denominator, as large or larger, exceed
             if max_bits and any(
                 max(c.numerator.bit_length(), c.denominator.bit_length()) > max_bits
                 for e in result.entries
+                if max(e.den, *map(abs, e.num)).bit_length() > max_bits
                 for c in e.coeffs
             ):
                 raise TooLarge()

@@ -13,12 +13,14 @@ for every m of equal value, so contexts compare by identity, and elements of
 two contexts never mix (:class:`ContextMismatch`).  :meth:`FieldContext.image`
 is the one map of an element into a context.
 
-All arithmetic is exact.  Rationals are ``fractions.Fraction`` throughout
-(always reduced, positive denominator), so there is no floating point
-anywhere in this module.  Elements are stored as tuples of ``Fraction``;
-a product in degree > 1 lifts each operand to integer numerators over one
-denominator, convolves and reduces on integers, and builds the stored
-``Fraction`` coefficients once at the end.
+All arithmetic is exact, with no floating point anywhere in this module.
+An element is stored as integer numerators, one per power of t, over one
+positive denominator, with no factor common to all of them (Cohen, GTM
+138, sec. 4.2; FLINT's ``nf_elem``), so equal elements are stored alike.  A
+sum over equal denominators adds integers; a product convolves and reduces
+on integers and divides out one gcd at the end.  Moduli, their factors
+and inverses work on lists of ``fractions.Fraction``, which ``coeffs``
+reads off an element.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -136,7 +138,7 @@ class FieldContext:
     contexts are the same exactly when they are identical.
     """
 
-    __slots__ = ("modulus", "degree", "_reduction", "_zero", "_one")
+    __slots__ = ("modulus", "degree", "_reduction", "_pad", "_zero", "_one")
 
     def __new__(cls, modulus: Sequence[Coercible]) -> "FieldContext":
         coeffs = _trim([Fraction(c) for c in modulus])
@@ -171,9 +173,9 @@ class FieldContext:
         # the lcm of their denominators, so non-integral moduli reduce too.
         scale = lcm(*(c.denominator for row in table for c in row))
         self._reduction = (scale, tuple(tuple(int(c * scale) for c in row) for row in table))
-        zero = Fraction(0)
-        self._zero = FieldElement(self, (zero,) * d)
-        self._one = FieldElement(self, (Fraction(1),) + (zero,) * (d - 1))
+        self._pad = (0,) * (d - 1)  # the numerators above a rational's
+        self._zero = FieldElement(self, (0,) + self._pad)
+        self._one = FieldElement(self, (1,) + self._pad)
         _CONTEXTS[key] = self
         return self
 
@@ -188,18 +190,22 @@ class FieldContext:
     def one(self) -> "FieldElement":
         return self._one
 
-    def from_rational(self, value: Coercible) -> "FieldElement":
-        r = value if type(value) is Fraction else Fraction(value)
-        return FieldElement(self, (r,) + self._zero.coeffs[1:])
+    def from_rational(self, value: Coercible, den: int = 1) -> "FieldElement":
+        """value / den, for a rational value and an int den > 0."""
+        if type(value) is not int:
+            r = value if type(value) is Fraction else Fraction(value)
+            value, den = r.numerator, r.denominator * den
+        if den != 1:
+            g = gcd(value, den)
+            value, den = value // g, den // g
+        return FieldElement(self, (value,) + self._pad, den)
 
     def generator(self) -> "FieldElement":
         """The residue class of t (a root of the modulus)."""
         if self.degree == 1:
             # modulus t - m0: the generator is the rational root itself
             return self.from_rational(-self.modulus[0])
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, (0, 1) + self._pad[1:])
 
     def element(self, coeffs: Iterable[Coercible]) -> "FieldElement":
         cs = [Fraction(c) for c in coeffs]
@@ -207,8 +213,8 @@ class FieldContext:
             raise ValueError(
                 f"coefficient vector of length {len(cs)} in a degree {self.degree} context"
             )
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        num, den = _lift(cs)
+        return FieldElement(self, tuple(num) + (0,) * (self.degree - len(cs)), den)
 
     # -- structural ----------------------------------------------------
 
@@ -225,8 +231,8 @@ class FieldContext:
         zero), anything else is reduced modulo this modulus, which must divide
         e's.  Both are the one ring map where both apply."""
         if e.is_rational():
-            c = e.coeffs[0]
-            return FieldElement(self, (c,) + self._zero.coeffs[1:]) if c else self._zero
+            c = e.num[0]
+            return FieldElement(self, (c,) + self._pad, e.den) if c else self._zero
         return self.element(_poly_divmod(list(e.coeffs), list(self.modulus))[1])
 
 
@@ -243,20 +249,46 @@ def cyclotomic5_context() -> FieldContext:
     return FieldContext((1, 1, 1, 1, 1))
 
 
-def _lift(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators over the lcm of the denominators, and that lcm."""
+def _lift(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators, and that lcm,
+    which no factor of every numerator divides (each prime power exactly
+    dividing it exactly divides some reduced denominator)."""
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
+def _lift_rational(es: Sequence["FieldElement"]) -> tuple[list[int], int]:
+    """:func:`_lift` of the values of rational elements."""
+    den = lcm(*(e.den for e in es))
+    return [e.num[0] * (den // e.den) for e in es], den
+
+
+def _reduced(ctx: FieldContext, num: Sequence[int], den: int) -> "FieldElement":
+    """The element num / den, den > 0, with the common factor divided out."""
+    g = gcd(den, *num)
+    if g != 1:
+        num, den = [n // g for n in num], den // g
+    return FieldElement(ctx, tuple(num), den)
+
+
 class FieldElement:
-    """An element of Q[t]/(m), stored as a coefficient vector of length deg m."""
+    """An element of Q[t]/(m): the integer numerators ``num`` of 1, t, ...,
+    t^(deg m - 1) over the denominator ``den`` > 0, gcd(den, *num) = 1."""
 
-    __slots__ = ("context", "coeffs")
+    __slots__ = ("context", "num", "den")
 
-    def __init__(self, context: FieldContext, coeffs: tuple[Fraction, ...]):
+    def __init__(self, context: FieldContext, num: tuple[int, ...], den: int = 1):
         self.context = context
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    def __reduce__(self):
+        return FieldElement, (self.context, self.num, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, t, ..., t^(deg m - 1), reduced."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- coercion --------------------------------------------------------
 
@@ -271,23 +303,25 @@ class FieldElement:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: Coercible) -> "FieldElement":
+    def _add(self, other: Coercible, op) -> "FieldElement":
+        """self + other or self - other (op): integers over the lcm of the
+        denominators."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.context, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        a, b, den = self.num, o.num, self.den
+        if o.den != den:
+            den = den // gcd(den, o.den) * o.den
+            a, b = [x * (den // self.den) for x in a], [y * (den // o.den) for y in b]
+        return _reduced(self.context, list(map(op, a, b)), den)
+
+    def __add__(self, other: Coercible) -> "FieldElement":
+        return self._add(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other: Coercible) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(
-            self.context, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return self._add(other, operator.sub)
 
     def __rsub__(self, other: Coercible) -> "FieldElement":
         o = self._coerce(other)
@@ -296,27 +330,23 @@ class FieldElement:
         return o - self
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.context, tuple(-a for a in self.coeffs))
+        return FieldElement(self.context, tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other: Coercible) -> "FieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        x, y = self, o
+        if not any(y.num[1:]):
+            x, y = y, x
+        a, b = x.num, y.num
+        if not any(a[1:]):  # a rational factor scales the other's numerators
+            return _reduced(self.context, [a[0] * n for n in b], x.den * y.den)
         d = len(a)
-        if d == 1:
-            return FieldElement(self.context, (a[0] * b[0],))
-        if not any(b[1:]):
-            a, b = b, a
-        if not any(a[1:]):  # a rational factor scales the other's coefficients
-            c = a[0]
-            return FieldElement(self.context, tuple(c * bi if bi else bi for bi in b))
-        na, da = _lift(a)
-        nb, db = _lift(b)
         prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(na):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(nb, i):
+                for j, bj in enumerate(b, i):
                     prod[j] += ai * bj
         scale, reduction = self.context._reduction
         out = [c * scale for c in prod[:d]]
@@ -324,8 +354,7 @@ class FieldElement:
             if ck:
                 for i, r in enumerate(red):
                     out[i] += ck * r
-        den = da * db * scale
-        return FieldElement(self.context, tuple(Fraction(c, den) for c in out))
+        return _reduced(self.context, out, x.den * y.den * scale)
 
     __rmul__ = __mul__
 
@@ -336,16 +365,13 @@ class FieldElement:
         modulus (over a reducible one, nonzero factors can multiply to 0).  A
         nonzero rational c inverts to 1/c.
         """
-        d = self.context.degree
-        if d == 1:
-            if self.is_zero():
+        ctx, c0 = self.context, self.num[0]
+        if self.is_rational() and (c0 or ctx.degree == 1):
+            if not c0:
                 raise ZeroDivisionError("inverse of zero")
-            return FieldElement(self.context, (1 / self.coeffs[0],))
-        c0, rest = self.coeffs[0], self.coeffs[1:]
-        if c0 and not any(rest):
-            return FieldElement(self.context, (1 / c0,) + rest)
+            return FieldElement(ctx, (-self.den if c0 < 0 else self.den,) + ctx._pad, abs(c0))
         # extended gcd of self (as a polynomial) with the modulus
-        r0 = list(self.context.modulus)
+        r0 = list(ctx.modulus)
         r1 = _trim(list(self.coeffs))
         s0 = [Fraction(0)]
         s1 = [Fraction(1)]
@@ -366,10 +392,7 @@ class FieldElement:
             factor = [c / r0[-1] for c in r0]
             raise NotInvertible("zero divisor: element shares the monic factor "
                                 f"{[str(c) for c in factor]} with the modulus", factor)
-        scale = 1 / r0[0]
-        inv = [c * scale for c in s0]
-        inv += [Fraction(0)] * (d - len(inv))
-        return FieldElement(self.context, tuple(inv[:d]))
+        return ctx.element([c / r0[0] for c in s0][:ctx.degree])
 
     def __truediv__(self, other: Coercible) -> "FieldElement":
         o = self._coerce(other)
@@ -393,30 +416,32 @@ class FieldElement:
     # -- predicates and views ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldElement):
-            return self.context is other.context and self.coeffs == other.coeffs
+            return (self.context is other.context and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.context.modulus, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.context.modulus, self.num, self.den))
 
     def __repr__(self) -> str:
         if self.context.degree == 1:
@@ -500,7 +525,7 @@ def element_kth_roots(value: FieldElement, k: int) -> list[FieldElement]:
     if value.is_zero():
         return [ctx.zero()]
     roots: list[FieldElement] = []
-    seen: set[tuple] = set()
+    seen: set[FieldElement] = set()
     theta = ctx.generator()
     max_j = 1 if ctx.degree == 1 else k * ctx.degree + 1
     theta_pow = ctx.one()
@@ -512,8 +537,8 @@ def element_kth_roots(value: FieldElement, k: int) -> list[FieldElement]:
         # value = c theta^(jk) for a rational c, read off the first nonzero
         # coefficient: no division, as theta is a zero divisor when t | m
         power = theta_pow**k
-        i, lead = next((i, c) for i, c in enumerate(power.coeffs) if c)
-        c = value.coeffs[i] / lead
+        i, lead = next((i, c) for i, c in enumerate(power.num) if c)
+        c = Fraction(value.num[i] * power.den, value.den * lead)
         if power * c != value:
             continue
         r0 = rational_kth_root(c, k)
@@ -522,7 +547,7 @@ def element_kth_roots(value: FieldElement, k: int) -> list[FieldElement]:
         candidates = [r0, -r0] if k % 2 == 0 else [r0]
         for r in candidates:
             root = theta_pow * ctx.from_rational(r)
-            if root.coeffs not in seen and root**k == value:
-                seen.add(root.coeffs)
+            if root not in seen and root**k == value:
+                seen.add(root)
                 roots.append(root)
     return roots

@@ -38,8 +38,8 @@ from math import prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .field import (FieldContext, FieldElement, NotInvertible, _lift, cyclotomic5_context,
-                    element_kth_roots)
+from .field import (FieldContext, FieldElement, NotInvertible, _lift, _lift_rational,
+                    cyclotomic5_context, element_kth_roots)
 from .linalg import Matrix, _bareiss, charpoly, determinant, poly_eval_matrix
 from .poly import Polynomial
 
@@ -451,7 +451,7 @@ def _lifted_pair(g1: Matrix, g2: Matrix):
         raise ValueError("g1 is not diagonal")
     e, n, l, q = g1.entries[::d + 1], g2.entries, 1, 1
     if g1.context.degree == 1 or all(x.is_rational() for x in e + n):
-        (e, l), (n, q) = (_lift(tuple(x.coeffs[0] for x in m)) for m in (e, n))
+        (e, l), (n, q) = _lift_rational(e), _lift_rational(n)
     return e, l, [n[i * d:(i + 1) * d] for i in range(d)], q
 
 
@@ -530,17 +530,16 @@ def build_rep(spec: RepSpec) -> Representation:
     given = spec.params.values + tuple(r for r in (spec.h, spec.f) if r is not None)
     if not all(v.is_rational() for v in given):
         return Representation(spec, *_construct(spec, given))
-    a, den = _lift(tuple(v.coeffs[0] for v in spec.params.values))
-    roots = [r.coeffs[0] * den**w for r, w in ((spec.h, 2), (spec.f, 1)) if r is not None]
-    order, mults, rows = _layout(spec, a + [r.numerator for r in roots])  # integral roots
+    a, den = _lift_rational(spec.params.values)
+    roots = [r.num[0] * den**w // r.den for r, w in ((spec.h, 2), (spec.f, 1)) if r is not None]
+    order, mults, rows = _layout(spec, a + roots)  # integral roots
     n, q = _lift([x for row in rows for x in row])
     n = [n[i * d:(i + 1) * d] for i in range(d)]
     _self_check(spec, [q * x for x in order], n)  # g1 = q a / q and g2 = N / q
-    s, pad = _SHIFTS.get(d, (0,) * d), ctx.zero().coeffs[1:]
-    g2 = [FieldElement(ctx, (Fraction(nij * den**max(sj - si - 1, 0),
-                                      q * den**max(si + 1 - sj, 0)),) + pad)
+    s = _SHIFTS.get(d, (0,) * d)
+    g2 = [ctx.from_rational(nij * den**max(sj - si - 1, 0), q * den**max(si + 1 - sj, 0))
           for si, row in zip(s, n) for sj, nij in zip(s, row)]
-    g1 = [FieldElement(ctx, (Fraction(e, den),) + pad) for e in order]
+    g1 = [ctx.from_rational(e, den) for e in order]
     return Representation(spec, Matrix.diagonal(ctx, g1), Matrix(ctx, d, d, g2), mults)
 
 
@@ -589,9 +588,10 @@ def _conjugate(m: Matrix, k: int) -> Matrix:
     entries = []
     for e in m.entries:
         c = [0] * 5
-        for i, ci in enumerate(e.coeffs):
+        for i, ci in enumerate(e.num):
             c[i * k % 5] = ci
-        entries.append(FieldElement(m.context, tuple(ci - c[4] for ci in c[:4])))
+        # sigma_k is unimodular on Z[zeta], so no factor joins e.den and c
+        entries.append(FieldElement(m.context, tuple(ci - c[4] for ci in c[:4]), e.den))
     return Matrix(m.context, m.rows, m.cols, entries)
 
 

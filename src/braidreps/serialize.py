@@ -40,10 +40,13 @@ __all__ = [
 
 
 def encode_rational(value: Fraction) -> str:
+    return _encode_ratio(value.numerator, value.denominator)
+
+
+def _encode_ratio(num: int, den: int) -> str:
+    """The reduced num / den, den > 0, as "num/den", or "num" for den = 1."""
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise TooLarge() from None
 
@@ -70,7 +73,7 @@ def parse_rational(text) -> Fraction:
 
 def encode_element(e: FieldElement) -> str:
     if e.is_rational():
-        return encode_rational(e.coeffs[0])
+        return _encode_ratio(e.num[0], e.den)
     return "[" + ", ".join(encode_rational(c) for c in e.coeffs) + "]"
 
 

@@ -1,5 +1,7 @@
 """Braid word grammar, reduction, and evaluation in representations."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from braidreps import (
     MAX_FACTORS,
     BraidWord,
+    FieldContext,
     Matrix,
     ParameterSet,
     RepSpec,
@@ -18,6 +21,7 @@ from braidreps import (
     parse,
     rationals,
 )
+from braidreps.field import TooLarge
 from conftest import free_reduce
 
 Q = rationals()
@@ -207,3 +211,24 @@ class TestEvaluation:
         right = factors[:k] + [("s2", 1), ("s1", 1), ("s2", 1)] + factors[k:]
         assert evaluate(BraidWord(tuple(left)), rep) == \
             evaluate(BraidWord(tuple(right)), rep)
+
+
+class TestTooLargeGuard:
+    def test_guard_reads_reduced_coefficients_not_the_common_denominator(self):
+        # At the smallest digit limit an integer over 2128 bits is too large
+        # to print.  x = 1/3^1000 + t/5^700 prints two coefficients of about
+        # 1600 bits each, while their common denominator has about 3200.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            max_bits = math.ceil(640 * math.log2(10)) + 1
+            ctx = FieldContext([-24, 0, 1])
+            x = ctx.element([Fraction(1, 3**1000), Fraction(1, 5**700)])
+            assert x.den.bit_length() > max_bits
+            assert all(c.denominator.bit_length() < max_bits for c in x.coeffs)
+            rep = build_rep(RepSpec(dim=1, params=ParameterSet((x,))))
+            assert evaluate(parse("s1"), rep).entries == (x,)
+            with pytest.raises(TooLarge):  # x^2 has 5^1400 in a reduced denominator
+                evaluate(parse("s1^2"), rep)
+        finally:
+            sys.set_int_max_str_digits(limit)

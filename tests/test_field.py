@@ -6,6 +6,7 @@ import gc
 import io
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from braidreps import (
     cyclotomic5_context,
     element_kth_roots,
     encode_element,
+    parse_element,
     rational_kth_root,
     rationals,
 )
@@ -283,6 +285,106 @@ def test_inverse_of_a_rational_is_its_reciprocal(ctx, c):
     inv = ctx.from_rational(c).inverse()
     assert inv.coeffs == (1 / c,) + (Fraction(0),) * (ctx.degree - 1)
     assert inv * c == ctx.one()
+
+
+# The stored form's contexts: Q, two fields and the reducible t^2 - 1 and t^3 - t.
+STORED_CONTEXTS = {
+    "Q": Q,
+    "zeta5": ZETA5,
+    "sqrt24": SQRT24,
+    "t2-1": KERNEL_CONTEXTS["t2-1"],
+    "t3-t": FieldContext([0, -1, 0, 1]),
+}
+
+
+def _assert_stored(e):
+    """e is stored as ints over one positive denominator sharing no factor."""
+    assert type(e.num) is tuple and len(e.num) == e.context.degree
+    assert all(type(n) is int for n in e.num) and type(e.den) is int
+    assert e.den > 0 and gcd(e.den, *e.num) == 1
+
+
+def _mod(ctx, cs):
+    """A Fraction coefficient list reduced modulo ctx's modulus, padded."""
+    rem = field._poly_divmod(list(cs), list(ctx.modulus))[1]
+    return tuple(rem) + (Fraction(0),) * (ctx.degree - len(rem))
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("ctx", STORED_CONTEXTS.values(), ids=STORED_CONTEXTS.keys())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_reference(ctx, data):
+    a = data.draw(_kernel_elements(ctx))
+    b = data.draw(_kernel_elements(ctx))
+    ca, cb = a.coeffs, b.coeffs
+    _assert_stored(a)
+    for got, want in ((a + b, [x + y for x, y in zip(ca, cb)]),
+                      (a - b, [x - y for x, y in zip(ca, cb)]),
+                      (a * b, _convolve(ca, cb)),
+                      (-a, [-x for x in ca]),
+                      (a - a, [])):
+        _assert_stored(got)
+        assert got.coeffs == _mod(ctx, want)
+    if a.is_zero():
+        return
+    try:
+        inv = a.inverse()
+    except NotInvertible as exc:  # a zero divisor: its factor divides a and m
+        assert ctx.degree > 1 and len(exc.factor) > 1
+        assert not field._poly_divmod(list(ca), exc.factor)[1]
+        assert not field._poly_divmod(list(ctx.modulus), exc.factor)[1]
+        return
+    _assert_stored(inv)
+    assert _mod(ctx, _convolve(inv.coeffs, ca)) == _mod(ctx, [Fraction(1)])
+
+
+class TestEqualityHashPickle:
+    VALUES = [0, 1, -7, 2**70, Fraction(5, 3), Fraction(-1, 6), Fraction(7, 2**65)]
+
+    @pytest.mark.parametrize("ctx", STORED_CONTEXTS.values(), ids=STORED_CONTEXTS.keys())
+    def test_rational_is_its_int_or_fraction(self, ctx):
+        for v in self.VALUES:
+            for e in (ctx.from_rational(v), ctx.element([v]), ctx.from_rational(v * 6, 6)):
+                _assert_stored(e)
+                assert e == v and v == e and e == Fraction(v) and e.rational_value() == v
+                assert hash(e) == hash(v) == hash(Fraction(v))
+                assert e != v + 1 and e != Fraction(v) + Fraction(1, 3)
+
+    def test_equal_elements_from_different_routes_hash_equal(self):
+        t, z = SQRT24.generator(), ZETA5.generator()
+        routes = [
+            [t * t / 48, SQRT24.from_rational(Fraction(1, 2)), (t + 1) * (t - 1) / 46,
+             SQRT24.image(Q.from_rational(Fraction(2, 4)))],
+            [ZETA5.element([Fraction(1, 2), Fraction(1, 3)]), (3 + 2 * z) / 6,
+             ZETA5.element([Fraction(3, 6), Fraction(-2, -6), 0, 0]),
+             (z**5 + z) * Fraction(1, 3) + Fraction(1, 2) - Fraction(1, 3),
+             parse_element(ZETA5, encode_element((3 + 2 * z) / 6))],
+            [(z + 1) / (z + 1), ZETA5.one(), z**5, ZETA5.from_rational(4, 4)],
+        ]
+        for equal in routes:
+            for e in equal:
+                _assert_stored(e)
+                assert e == equal[0] and hash(e) == hash(equal[0])
+        assert len({e for equal in routes for e in equal}) == len(routes)
+
+    @pytest.mark.parametrize("ctx", STORED_CONTEXTS.values(), ids=STORED_CONTEXTS.keys())
+    def test_pickle_round_trip_under_every_protocol(self, ctx):
+        g = ctx.generator()
+        for e in (ctx.zero(), ctx.from_rational(Fraction(-5, 12)), g * Fraction(3, 14) - 2,
+                  (g + 1) ** 7 / 9):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(e, protocol))
+                assert back.context is ctx and (back.num, back.den) == (e.num, e.den)
+                assert back == e and hash(back) == hash(e)
+        assert copy.deepcopy(g) == g
 
 
 class TestRationalRoots:
