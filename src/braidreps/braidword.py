@@ -219,8 +219,8 @@ def evaluate(w: BraidWord, rep) -> Matrix:
                 steps[gen, exp] = base[gen].power(exp)
             step = steps[gen, exp]
             result = step if result is None else result @ step
-            # each reduced coefficient, as printed, is read only where the
-            # stored numerators or common denominator, as large or larger, exceed
+            # the reduced coefficients, as printed, are measured; none is larger
+            # than its entry's stored numbers, so only entries past max_bits are read
             if max_bits and any(
                 max(c.numerator.bit_length(), c.denominator.bit_length()) > max_bits
                 for e in result.entries
