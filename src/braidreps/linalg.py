@@ -3,22 +3,21 @@
 Everything here is written for small matrices (dimension at most 6 for the
 representation work, 36 unknowns for an intertwiner solve) where exact
 arithmetic matters more than asymptotics.  One exact elimination step,
-:func:`_reduce_vector`, serves :func:`determinant`, :func:`inverse`,
-:func:`rank` and :func:`minpoly`: it reduces a row against pivot-normalised
-rows and keeps it if it stays nonzero.
+:func:`_reduce_vector`, serves :func:`inverse`, :func:`rank` and
+:func:`minpoly`: it reduces a row against pivot-normalised rows and keeps it
+if it stays nonzero.  Every pivot it takes is inverted, so over a reducible
+modulus a zero-divisor pivot raises NotInvertible.
 Pivoting always takes the first nonzero entry; there are no magnitude
-heuristics because the arithmetic is exact.  Every pivot is inverted, so
-over a reducible modulus a zero-divisor pivot raises NotInvertible.
-Characteristic polynomials come from power sums by one fraction-free Newton
-kernel, which ``spectral`` shares.
-The one integer routine, :func:`_bareiss`, is the fraction-free determinant
-that ``reps`` checks det g2 with for a rational spec, in any context.
+heuristics because the arithmetic is exact.
+Determinants come from one fraction-free routine, :func:`_bareiss`, on rows
+of ints or of FieldElements: :func:`determinant` for a Matrix, and ``reps``
+for det g2.  Characteristic polynomials come from power sums by one
+fraction-free Newton kernel, which ``spectral`` shares.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 from .field import ContextMismatch, FieldContext, FieldElement, _power
@@ -208,48 +207,43 @@ class Matrix:
 
 
 def determinant(m: Matrix) -> FieldElement:
-    """Determinant by forward elimination with :func:`_reduce_vector`.
-
-    The rows go in in order.  A dependent row means det = 0.  Otherwise the
-    reduced rows are L*M with L unit lower-triangular, so det M is the
-    product of their lead values times the sign of the lead-column
-    permutation.  ``reps`` checks det g2 with it for an irrational spec (a
-    rational one is built on integers and takes :func:`_bareiss`).
-    Every pivot is inverted: over a reducible modulus a nonzero zero-divisor
-    pivot raises NotInvertible even where the determinant exists.
-    """
+    """:func:`_bareiss` of the rows of M, or 1 if M is 0x0."""
     if m.rows != m.cols:
         raise NotSquare("determinant of a non-square matrix")
-    det = m.context.one()
-    basis: list[tuple[int, list[FieldElement]]] = []
-    for i in range(m.rows):
-        lead = _reduce_vector(list(m.row(i)), basis, m.cols)
-        if lead is None:
-            return m.context.zero()
-        det = det * lead
-    cols = [c for c, _ in basis]
-    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
-    return -det if inversions % 2 else det
+    return _bareiss([m.row(i) for i in range(m.rows)]) if m.rows else m.context.one()
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
+def _bareiss(rows: Sequence[Sequence]):
+    """Determinant of a square matrix of ints, or of FieldElements of one
+    context (where a zero may be an int), by fraction-free elimination
     (Bareiss, Math. Comp. 22, 1968): step k divides each updated entry
-    exactly by the pivot of step k - 1, so every entry stays an integer.
-    A zero pivot swaps in the first later row with a nonzero entry there."""
+    exactly by the pivot of step k - 1.  On ints that is ``//``, so every
+    entry stays an integer; on FieldElements it is a product with that
+    pivot's inverse, taken once per step that divides (n - 2 for n x n), so
+    over a reducible modulus a zero-divisor pivot raises NotInvertible only
+    if a later step divides by it, even where the determinant exists.
+    A zero pivot swaps in the first later row with a nonzero entry there.
+    """
     m = [list(row) for row in rows]
     n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return 0
+                return m[k][k]  # a zero of the rows' type
             m[k], m[swap], sign = m[swap], m[k], -sign
         pivot, top = m[k][k], m[k]
-        for row in m[k + 1:]:
-            c = row[k]
-            row[k + 1:] = [(a * pivot - c * b) // prev
-                           for a, b in zip(row[k + 1:], top[k + 1:])]
+        if type(pivot) is int:
+            for row in m[k + 1:]:
+                c = row[k]
+                row[k + 1:] = [(a * pivot - c * b) // prev
+                               for a, b in zip(row[k + 1:], top[k + 1:])]
+        else:
+            inv = prev.inverse() if k else None
+            for row in m[k + 1:]:
+                c = row[k]
+                new = [a * pivot - c * b for a, b in zip(row[k + 1:], top[k + 1:])]
+                row[k + 1:] = [x * inv for x in new] if k else new
         prev = pivot
     return sign * m[-1][-1] if n else 1
 
@@ -259,8 +253,8 @@ def inverse(m: Matrix) -> Matrix | None:
 
     The rows of [M | I] are reduced on their left half; each basis row is
     then cleared against the later ones, and the rows, in lead-column order,
-    carry M^-1 in their right half.  As in :func:`determinant`, a zero-divisor
-    pivot raises NotInvertible.
+    carry M^-1 in their right half.  A zero-divisor pivot raises
+    NotInvertible.
     """
     if m.rows != m.cols:
         raise NotSquare("inverse of a non-square matrix")
@@ -304,17 +298,19 @@ def _charpoly_from_power_sums(ctx: FieldContext, sums: Sequence, scale: int = 1)
     Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), c_k the
     coefficient of L^(n-k), hold fraction-free for D_k = k! c_k: D_k =
     -sum_i (k-1)!/(k-i)! D_(k-i) p_i, by Horner from i = k.  Integer sums
-    give integer D_k; each coefficient D_k / (k! scale^k) is one division.
+    give integer D_k; each coefficient D_k / (k! scale^k) is one division,
+    made as a FieldElement of ``ctx``.
     """
-    ds, cs, den = [1], [1], 1
+    ds, cs, den = [1], [ctx.one()], 1
     for k in range(1, len(sums) + 1):
         acc = sums[k - 1]
         for i in range(k - 1, 0, -1):
             acc = ds[k - i] * sums[i - 1] + (acc * (k - i) if k - i > 1 else acc)
         ds.append(-acc)
         den *= k * scale
-        cs.append(Fraction(ds[k], den) if type(acc) is int else ds[k] * Fraction(1, den))
-    return Polynomial.from_coeffs(ctx, cs[::-1])
+        cs.append(ds[k] * ctx.from_rational(1, den) if isinstance(acc, FieldElement)
+                  else ctx.from_rational(ds[k], den))
+    return Polynomial(ctx, cs[::-1])
 
 
 def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:

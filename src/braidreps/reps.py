@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 from .field import (FieldContext, FieldElement, NotInvertible, _lift, _lift_rational,
                     cyclotomic5_context, element_kth_roots)
-from .linalg import Matrix, _bareiss, charpoly, determinant, poly_eval_matrix
+from .linalg import Matrix, _bareiss, charpoly, poly_eval_matrix
 from .poly import Polynomial
 
 __all__ = [
@@ -468,7 +468,7 @@ def _self_check(spec: RepSpec, e: Sequence, n: Sequence[Sequence]) -> None:
     A common denominator of E and N drops out of both identities, each
     homogeneous in (g1, g2).  The braid relation reads E_i N_ij E_j =
     sum_k N_ik E_k N_kj, with E N formed once; det g2 = det g1 reads
-    bareiss(N) = prod E_i on ints and takes :func:`determinant` otherwise.
+    bareiss(N) = prod E_i, on either row type (:func:`_bareiss`).
     Then det A, A = g1 g2, is a unit and g2 = A g1 A^-1, so charpoly(g2) is
     that of g1 and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked
     directly only when a zero divisor (a reducible modulus) blocks the
@@ -485,19 +485,17 @@ def _self_check(spec: RepSpec, e: Sequence, n: Sequence[Sequence]) -> None:
     if not all(x * ej == _dot(row, col)
                for row, en_row in zip(n, en) for x, ej, col in zip(en_row, e, cols)):
         raise ConstructionFailed(f"braid relation failed for {spec}")
-    if not isinstance(e[0], FieldElement):
-        if _bareiss(n) != prod(e):
-            raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
-        return
-    det_g1, g2 = prod(e[1:], start=e[0]), Matrix.from_rows(e[0].context, n)
+    det_g1 = prod(e[1:], start=e[0])
     try:
-        det_g1.inverse()
-        if determinant(g2) != det_g1:
+        if isinstance(det_g1, FieldElement):
+            det_g1.inverse()
+        if _bareiss(n) != det_g1:
             raise ConstructionFailed(f"determinant identity det g2 = det g1 failed for {spec}")
         return
     except NotInvertible:  # no similarity argument: check what it implies
         if det_g1.is_zero():
             raise
+    g2 = Matrix.from_rows(det_g1.context, n)
     p_x = Polynomial.from_roots(g2.context, spec.params.values)
     if any(not x.is_zero() for x in poly_eval_matrix(p_x, g2).entries):
         raise ConstructionFailed(f"generator relation P_X(g2) != 0 for {spec}")

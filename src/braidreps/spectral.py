@@ -16,9 +16,9 @@ g1 is diagonal, as ``build_rep`` makes it, and ``reps._lifted_pair`` reads
 g1 = E/L and g2 = N/q: integers when every entry is rational, in any
 context, else the FieldElements with L = q = 1.  A' = L E N and B' = E N E
 are s = L^2 q times A and B, with A'^3 = s c I and B'^2 = c I: on integers
-every power sum is an integer and the closed forms run on Fractions.  No
-division is assumed exact, so a pair that breaks the braid relation is
-reported too, with its failed checks.
+every power sum is an integer.  The closed forms run on the spec's own
+FieldElements.  No division is assumed exact, so a pair that breaks the
+braid relation is reported too, with its failed checks.
 
 Square and cube roots of C never appear: each expected quantity is stated
 as a polynomial in the eigenvalues, h or f, so no branch choices arise.
@@ -27,7 +27,6 @@ as a polynomial in the eigenvalues, h or f, so no branch choices arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .field import FieldElement
@@ -72,8 +71,8 @@ class SpectralReport:
 
 def _closed_forms(spec: RepSpec, values, root):
     """C, (tr A, tr A^2, tr B) and the ascending coefficients of the
-    charpolys of A and B, from ``values`` and ``root`` (h or f) of one number
-    type: FieldElements, or Fractions over Q.  A 0 or 1 is a plain int.
+    charpolys of A and B, from the FieldElements ``values`` and ``root`` (h
+    or f).  A 0 or 1 is a plain int.
 
     The eigenvalue lists of A and B involve a primitive cube (resp. square)
     root of unity; the expanded products eliminate it, so every form lives
@@ -130,17 +129,14 @@ def spectral_report(rep: Representation) -> SpectralReport:
     sums_a = [c_a ** (k // 3) * (d, tr_a, tr_a2)[k % 3] for k in range(1, d + 1)]
     sums_b = [c ** (k // 2) * (d, tr_b)[k % 2] for k in range(1, d + 1)]
     chi_a, chi_b = (_charpoly_from_power_sums(ctx, sums, s) for sums in (sums_a, sums_b))
-    if not isinstance(c, FieldElement):  # on integers: over s, as Fractions
-        c, tr_a, tr_a2, tr_b = (Fraction(x, y) for x, y in
+    if not isinstance(c, FieldElement):  # on integers: over s
+        c, tr_a, tr_a2, tr_b = (ctx.from_rational(x, y) for x, y in
                                 ((c, s * s), (tr_a, s), (tr_a2, s * s), (tr_b, s)))
-        values = [v.rational_value() for v in values]
-        root = root if root is None else root.rational_value()
     c_exp, (e_tr_a, e_tr_a2, e_tr_b), (e_chi_a, e_chi_b) = _closed_forms(rep.spec, values, root)
     det_ok = prod(x**m for x, m in zip(values, rep.multiplicities)) ** 6 == c**d
-    # the report: rationals become FieldElements here
-    c, tr_a, tr_a2, tr_b, c_exp, e_tr_a, e_tr_a2, e_tr_b = (
-        v if isinstance(v, FieldElement) else ctx.from_rational(v)
-        for v in (c, tr_a, tr_a2, tr_b, c_exp, e_tr_a, e_tr_a2, e_tr_b))
+    # the closed forms' plain 0s and 1s become FieldElements here
+    c_exp, e_tr_a, e_tr_a2, e_tr_b = (v if isinstance(v, FieldElement) else ctx.from_rational(v)
+                                      for v in (c_exp, e_tr_a, e_tr_a2, e_tr_b))
     e_chi_a, e_chi_b = (Polynomial.from_coeffs(ctx, cs) for cs in (e_chi_a, e_chi_b))
     checks = (
         ("central_matches_closed_form", c == c_exp),

@@ -22,7 +22,7 @@ from braidreps import (
     rank,
     rationals,
 )
-from braidreps.field import _poly_divmod
+from braidreps.field import FieldElement, _poly_divmod
 from braidreps.linalg import _bareiss
 from conftest import algebra_closure_dim, leibniz_determinant
 
@@ -153,12 +153,15 @@ class TestDeterminant:
 
     def test_zero_divisor_pivot_raises(self):
         # over Q[t]/(t^2 - 1) the pivot e = (1 + t)/2 is a nonzero idempotent;
-        # every pivot is inverted, so no value is returned
+        # a step that divides by it must invert it, which raises
         ctx = FieldContext([-1, 0, 1])
         e = ctx.element([Fraction(1, 2), Fraction(1, 2)])
-        m = Matrix.from_rows(ctx, [[e, 1], [1, 0]])
+        m = Matrix.from_rows(ctx, [[e, 1, 0], [1, 0, 1], [0, 1, 1]])
         with pytest.raises(NotInvertible):
             determinant(m)
+        # in a 2x2 no step divides by the first pivot, so the value exists
+        m = Matrix.from_rows(ctx, [[e, 1], [1, 0]])
+        assert determinant(m) == -1 == leibniz_determinant(m)
 
     @settings(max_examples=100, deadline=None)
     @given(a=_mats3, b=_mats3)
@@ -197,12 +200,40 @@ def _bareiss_cases(seed=2701):
     return cases
 
 
+def _reference(m):
+    """det M by Leibniz, after one Laplace expansion along row 0 for n = 6."""
+    if m.rows <= 5:
+        return leibniz_determinant(m)
+    total = m.context.zero()
+    for j in range(m.cols):
+        minor = Matrix(m.context, m.rows - 1, m.cols - 1,
+                       [x for i in range(1, m.rows) for k, x in enumerate(m.row(i)) if k != j])
+        term = m[0, j] * _reference(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _field_cases(ctx, seed):
+    """Seeded matrices of sizes 1-6 over ctx, many entries zero and the
+    first column led by zeros, so that step 0 swaps rows."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(1, 7):
+        for _ in range(6):
+            rows = [[ctx.element([rng.randint(-4, 4) for _ in range(ctx.degree)])
+                     if rng.random() < 0.6 else ctx.zero() for _ in range(n)] for _ in range(n)]
+            for i in range(rng.randrange(n)):
+                rows[i][0] = ctx.zero()
+            cases.append(rows)
+    return cases
+
+
 class TestBareiss:
     def test_agrees_with_determinant(self):
         cases = _bareiss_cases()
         singular = 0
         for rows in cases:
-            det = determinant(Matrix.from_rows(Q, rows))
+            det = _reference(Matrix.from_rows(Q, rows))
             assert _bareiss(rows) == det, rows
             singular += det.is_zero()
         assert singular > len(cases) // 4
@@ -212,7 +243,39 @@ class TestBareiss:
         # so step 1 meets a zero pivot after the first elimination
         for rows, det in (([[0, 2], [3, 1]], -6), ([[0, 0, 2], [0, 3, 1], [5, 1, 1]], -30),
                           ([[1, 2, 3], [2, 4, 5], [3, 5, 6]], -1), ([[0, 1], [0, 4]], 0)):
-            assert _bareiss(rows) == det == determinant(Matrix.from_rows(Q, rows))
+            assert _bareiss(rows) == det == leibniz_determinant(Matrix.from_rows(Q, rows))
+
+    @pytest.mark.parametrize("ctx", [SQRT24, ZETA5, SPLIT], ids=["sqrt24", "zeta5", "split"])
+    def test_field_element_rows(self, ctx):
+        # over t^2 - 1 a minor that vanishes on one factor is a zero-divisor
+        # pivot; a step that divides by it raises, and no value is returned
+        values = swapped = 0
+        for rows in _field_cases(ctx, 2702 + ctx.degree):
+            m = Matrix.from_rows(ctx, rows)
+            swapped += len(rows) > 1 and rows[0][0].is_zero()
+            try:
+                det = _bareiss(rows)
+            except NotInvertible:
+                assert ctx is SPLIT
+                continue
+            assert isinstance(det, FieldElement) and det == _reference(m), rows
+            assert determinant(m) == det
+            values += 1
+        assert values > 30 and swapped > 10
+
+    def test_inverts_the_pivots_that_divide(self, monkeypatch):
+        # step k > 0 divides by the pivot of step k - 1: n - 2 inverses
+        calls, real = [], FieldElement.inverse
+        monkeypatch.setattr(FieldElement, "inverse", lambda e: calls.append(e) or real(e))
+        checked = 0
+        for rows in _field_cases(ZETA5, 2703):
+            m = Matrix.from_rows(ZETA5, rows)
+            calls.clear()
+            _bareiss(rows)
+            if not _reference(m).is_zero():
+                assert len(calls) == max(len(rows) - 2, 0), rows
+                checked += len(rows) > 2
+        assert checked > 10
 
     def test_leaves_its_argument_alone(self):
         rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]

@@ -466,7 +466,7 @@ def _outcome(spec, e, n):
 class TestIntegerSelfCheck:
     @pytest.mark.parametrize("dim, values, extra", RATIONAL_SPECS[1:],
                              ids=[f"d{s[0]}" for s in RATIONAL_SPECS[1:]])
-    def test_same_message_as_the_matrix_path(self, dim, values, extra):
+    def test_same_message_on_field_element_rows(self, dim, values, extra):
         # the integer rows of a rational pair and its FieldElement rows, over
         # Q and over Q(sqrt 24), name the same first failing identity
         kw = {k: v if k == "variant" else qval(v) for k, v in extra.items()}

@@ -326,23 +326,25 @@ class TestIntegerReport:
             report = self._assert_report_of_the_image(replace(rep, g2=rep.g2.scale(lam)))
             assert not report.all_ok, rep.spec
 
-    def test_no_field_multiplication_over_q(self, monkeypatch):
-        # a rational rep is reported on integers over Q and over extensions
+    def test_dense_products_on_integers_for_rational_reps(self, monkeypatch):
+        # a rational rep forms B^2 and tr A'^2 on integers over Q and over
+        # extensions; only the closed forms run on FieldElements
         reps = _with_denominators(SWEEP_SEED + 8) + [rep4(-1), rep5(), rep6(2)]
         reps += [_image(rep, ctx) for ctx in (cyclotomic5_context(), SQRT24, SPLIT)
                  for rep in reps]
-        products = []
-        real = FieldElement.__mul__
+        operands, real = [], spectral._dot
 
-        def counting(a, b):
-            products.append((a, b))
-            return real(a, b)
+        def recording(u, v):
+            operands.extend(u)
+            operands.extend(v)
+            return real(u, v)
 
-        monkeypatch.setattr(FieldElement, "__mul__", counting)
-        monkeypatch.setattr(FieldElement, "__rmul__", counting)
+        monkeypatch.setattr(spectral, "_dot", recording)
         for rep in reps:
+            operands.clear()
             assert spectral_report(rep).all_ok
-        assert products == []
+            assert len(operands) >= 2 * rep.dim**2, rep.spec
+            assert all(type(x) is int for x in operands), rep.spec
 
 
 def _newton_reference(sums):
