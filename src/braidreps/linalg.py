@@ -219,14 +219,15 @@ def _bareiss(rows: Sequence[Sequence]):
     (Bareiss, Math. Comp. 22, 1968): step k divides each updated entry
     exactly by the pivot of step k - 1.  On ints that is ``//``, so every
     entry stays an integer; on FieldElements it is a product with that
-    pivot's inverse, taken once per step that divides (n - 2 for n x n), so
-    over a reducible modulus a zero-divisor pivot raises NotInvertible only
-    if a later step divides by it, even where the determinant exists.
+    pivot's inverse, taken at the top of each step k > 0 (n - 2 for n x n)
+    since a zero column proves det = 0 only after a unit pivot: a
+    zero-divisor pivot that a later step meets raises NotInvertible.
     A zero pivot swaps in the first later row with a nonzero entry there.
     """
     m = [list(row) for row in rows]
     n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
+        inv = None if type(prev) is int else prev.inverse()
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
@@ -239,11 +240,10 @@ def _bareiss(rows: Sequence[Sequence]):
                 row[k + 1:] = [(a * pivot - c * b) // prev
                                for a, b in zip(row[k + 1:], top[k + 1:])]
         else:
-            inv = prev.inverse() if k else None
             for row in m[k + 1:]:
                 c = row[k]
                 new = [a * pivot - c * b for a, b in zip(row[k + 1:], top[k + 1:])]
-                row[k + 1:] = [x * inv for x in new] if k else new
+                row[k + 1:] = new if inv is None else [x * inv for x in new]
         prev = pivot
     return sign * m[-1][-1] if n else 1
 

@@ -159,6 +159,13 @@ class TestDeterminant:
         m = Matrix.from_rows(ctx, [[e, 1, 0], [1, 0, 1], [0, 1, 1]])
         with pytest.raises(NotInvertible):
             determinant(m)
+        # step 0 leaves column 1 zero, which proves det * e = 0 but not
+        # det = 0: Leibniz gives e - 1, so the routine must not return 0
+        f = 1 - e
+        m = Matrix.from_rows(ctx, [[e, 0, f], [0, f, e], [f, 0, e]])
+        assert leibniz_determinant(m) == e - 1 != 0
+        with pytest.raises(NotInvertible):
+            determinant(m)
         # in a 2x2 no step divides by the first pivot, so the value exists
         m = Matrix.from_rows(ctx, [[e, 1], [1, 0]])
         assert determinant(m) == -1 == leibniz_determinant(m)
