@@ -9,8 +9,10 @@ FieldElements; ``spectral_report`` of the reps of dimensions 2 to 6 over Q,
 of the d = 6 rep over Q(zeta5) and of the d = 4 rep with h = t over
 Q(sqrt 24), reported on FieldElements; ``canonical_dumps`` of the
 payload of ``verify`` for the d = 6 spec over Q; one product and one
-sum of two fixed elements of Q(zeta5) that are not rational; and
-``determinant`` of g2 of the d = 5 spec with f = 2 zeta.  ``braidreps`` is imported
+sum of two fixed elements of Q(zeta5) that are not rational, and the
+inverse of the first; ``determinant`` of g2 of the d = 5 spec with
+f = 2 zeta; and the census's character probes of the d = 6 rep over
+Q(zeta5).  ``braidreps`` is imported
 from ``--src`` (this tree's ``src`` by default), so that two checkouts can
 be timed by the same script.  Each sample runs the layer NUMBER times in a
 row and is scaled to the reference CPU of ``bench/calibrate.py`` by the
@@ -77,8 +79,11 @@ def layers(braidreps) -> dict:
     a, b = (braidreps.parse_element(contexts["zeta5"], v) for v in OPERANDS)
     calls["field.mul.zeta5"] = lambda: a * b
     calls["field.add.zeta5"] = lambda: a + b
+    calls["field.inverse.zeta5"] = lambda: a.inverse()
     g2 = braidreps.build_rep(specs["d5.zeta5.irrational"]).g2
     calls["determinant.d5.zeta5"] = lambda: braidreps.determinant(g2)
+    rep = braidreps.build_rep(specs["d6.zeta5"])
+    calls["probe_traces.d6.zeta5"] = lambda: braidreps.analysis._probe_traces(rep)
     return calls
 
 

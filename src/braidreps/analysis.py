@@ -559,14 +559,22 @@ def decomposability_check(rep: Representation, w: Witness) -> bool:
 def _probe_traces(rep: Representation) -> tuple[FieldElement, ...]:
     """Traces of s1, s2, s1 s2, s1 s2 s1, s1^2 s2 and s1^3 s2, read off the
     diagonals: g1 is diagonal, so tr(s1^k s2) = sum x_i^k (g2)_ii, and
-    s1 s2 s1 has the trace of its rotation s1^2 s2."""
-    zero = rep.context.zero()
-    x = [rep.g1[i, i] for i in range(rep.dim)]
-    y = [rep.g2[i, i] for i in range(rep.dim)]
-    sums = [sum(x, start=zero), sum(y, start=zero)]
-    for _ in range(3):
+    s1 s2 s1 has the trace of its rotation s1^2 s2.  Rational diagonals
+    x = a / L and y = b / q are summed on the integers a^k b, over L^k q;
+    any other sum is one fused dot product (:meth:`FieldContext.dot`)."""
+    ctx, d = rep.context, rep.dim
+    x = [rep.g1[i, i] for i in range(d)]
+    y = [rep.g2[i, i] for i in range(d)]
+    if all(v.is_rational() for v in x + y):
+        (x, l), (y, q) = _lift_rational(x), _lift_rational(y)
+        total = lambda vs, den: ctx.from_rational(sum(vs), den)
+    else:
+        l = q = 1
+        total = lambda vs, den: ctx.dot([ctx.one()] * d, vs)
+    sums = [total(x, l), total(y, q)]
+    for k in range(1, 4):
         y = [a * b for a, b in zip(x, y)]
-        sums.append(sum(y, start=zero))
+        sums.append(total(y, l**k * q))
     s1, s2, s1s2, s1sq_s2, s1cube_s2 = sums
     return (s1, s2, s1s2, s1sq_s2, s1sq_s2, s1cube_s2)
 

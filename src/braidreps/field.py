@@ -17,10 +17,11 @@ All arithmetic is exact, with no floating point anywhere in this module.
 An element is stored as integer numerators, one per power of t, over one
 positive denominator, with no factor common to all of them (Cohen, GTM
 138, sec. 4.2; FLINT's ``nf_elem``), so equal elements are stored alike.  A
-sum over equal denominators adds integers; a product convolves and reduces
-on integers and divides out one gcd at the end.  Moduli, their factors
-and inverses work on lists of ``fractions.Fraction``, which ``coeffs``
-reads off an element.
+sum over equal denominators adds integers; a product, and a whole sum of
+products (:meth:`FieldContext.dot`), convolves and reduces on integers and
+divides out one gcd at the end; an inverse runs the extended Euclidean
+algorithm on integer polynomials.  Moduli and their factors work on lists
+of ``fractions.Fraction``, which ``coeffs`` reads off an element.
 """
 
 from __future__ import annotations
@@ -235,6 +236,29 @@ class FieldContext:
             return FieldElement(self, (c,) + self._pad, e.den) if c else self._zero
         return self.element(_poly_divmod(list(e.coeffs), list(self.modulus))[1])
 
+    def dot(self, u: Sequence, v: Sequence) -> "FieldElement":
+        """sum u_k v_k over elements of this context, an int zero among them
+        adding nothing: each product's numerators convolved over the lcm of
+        the pair denominators, then one reduction modulo m and one gcd."""
+        pairs = [(a, b) for a, b in zip(u, v) if type(a) is not int and type(b) is not int]
+        den = lcm(*(a.den * b.den for a, b in pairs))
+        prod = [0] * (2 * self.degree - 1)
+        for a, b in pairs:
+            _convolve(prod, a.num, b.num, den // (a.den * b.den))
+        return self._reduced_product(prod, den)
+
+    def _reduced_product(self, prod: list[int], den: int) -> "FieldElement":
+        """prod / den for integer coefficients prod of degree at most 2d - 2:
+        reduced modulo m on integers by the table, then one gcd."""
+        d = self.degree
+        scale, reduction = self._reduction
+        out = [c * scale for c in prod[:d]]
+        for ck, red in zip(prod[d:], reduction):
+            if ck:
+                for i, r in enumerate(red):
+                    out[i] += ck * r
+        return _reduced(self, out, den * scale)
+
 
 _CONTEXTS: dict[tuple[Fraction, ...], FieldContext] = {}  # see FieldContext
 
@@ -261,6 +285,15 @@ def _lift_rational(es: Sequence["FieldElement"]) -> tuple[list[int], int]:
     """:func:`_lift` of the values of rational elements."""
     den = lcm(*(e.den for e in es))
     return [e.num[0] * (den // e.den) for e in es], den
+
+
+def _convolve(prod: list[int], a: Sequence[int], b: Sequence[int], f: int = 1) -> None:
+    """prod += f a b, for the integer coefficients a and b of polynomials."""
+    for i, ai in enumerate(a):
+        if ai:
+            ai *= f
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
 
 
 def _reduced(ctx: FieldContext, num: Sequence[int], den: int) -> "FieldElement":
@@ -342,57 +375,54 @@ class FieldElement:
         a, b = x.num, y.num
         if not any(a[1:]):  # a rational factor scales the other's numerators
             return _reduced(self.context, [a[0] * n for n in b], x.den * y.den)
-        d = len(a)
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    prod[j] += ai * bj
-        scale, reduction = self.context._reduction
-        out = [c * scale for c in prod[:d]]
-        for ck, red in zip(prod[d:], reduction):
-            if ck:
-                for i, r in enumerate(red):
-                    out[i] += ck * r
-        return _reduced(self.context, out, x.den * y.den * scale)
+        prod = [0] * (2 * len(a) - 1)
+        _convolve(prod, a, b)
+        return self.context._reduced_product(prod, x.den * y.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse via the extended Euclidean algorithm on
+        integer polynomials (Collins, 1967; Cohen, GTM 138, sec. 3.3).
+
+        From r0 = M m (M the lcm of the modulus's denominators), r1 = num,
+        s0 = 0 and s1 = 1, each step is a pseudo-division c r0 = q r1 + r,
+        c = lc(r1)^(deg r0 - deg r1 + 1), with s = c s0 - q s1, so that
+        s num = r mod m throughout; r and s are divided by their common
+        content.  A last r0 = [k] gives the inverse den s0 / k.
 
         In degree > 1 zero raises :class:`NotInvertible`: it shares the whole
-        modulus (over a reducible one, nonzero factors can multiply to 0).  A
-        nonzero rational c inverts to 1/c.
+        modulus (over a reducible one, nonzero factors can multiply to 0), as
+        does any element whose last r0 has degree >= 1, with that r0 made
+        monic.  A nonzero rational c inverts to 1/c.
         """
         ctx, c0 = self.context, self.num[0]
         if self.is_rational() and (c0 or ctx.degree == 1):
             if not c0:
                 raise ZeroDivisionError("inverse of zero")
             return FieldElement(ctx, (-self.den if c0 < 0 else self.den,) + ctx._pad, abs(c0))
-        # extended gcd of self (as a polynomial) with the modulus
-        r0 = list(ctx.modulus)
-        r1 = _trim(list(self.coeffs))
-        s0 = [Fraction(0)]
-        s1 = [Fraction(1)]
+        r0, r1 = _lift(ctx.modulus)[0], _trim(list(self.num))
+        s0, s1 = [0], [1]
         while r1:
-            q, rem = _poly_divmod(r0, r1)
-            # s_new = s0 - q*s1
-            s_new = list(s0) + [Fraction(0)] * max(
-                0, len(q) + len(s1) - 1 - len(s0)
-            )
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s_new[i + j] -= qi * sj
-            _trim(s_new)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
+            lc, r, s = r1[-1], r0, s0
+            for k in range(len(r0) - len(r1), -1, -1):  # c r0 - q r1, c s0 - q s1
+                t = r[-1]
+                r = [lc * x for x in r[:-1]]
+                s = [lc * x for x in s] + [0] * (k + len(s1) - len(s))
+                for j, y in enumerate(r1[:-1], k):
+                    r[j] -= t * y
+                for j, y in enumerate(s1, k):
+                    s[j] -= t * y
+            _trim(r)
+            g = gcd(*r, *s)
+            r0, r1, s0, s1 = r1, [x // g for x in r], s1, [x // g for x in s]
         if len(r0) != 1:
-            factor = [c / r0[-1] for c in r0]
+            factor = [Fraction(c, r0[-1]) for c in r0]
             raise NotInvertible("zero divisor: element shares the monic factor "
                                 f"{[str(c) for c in factor]} with the modulus", factor)
-        return ctx.element([c / r0[0] for c in s0][:ctx.degree])
+        k = r0[0]
+        num = [x * (self.den if k > 0 else -self.den) for x in _trim(s0)]
+        return _reduced(ctx, num + [0] * (ctx.degree - len(num)), abs(k))
 
     def __truediv__(self, other: Coercible) -> "FieldElement":
         o = self._coerce(other)

@@ -218,9 +218,10 @@ def _bareiss(rows: Sequence[Sequence]):
     context (where a zero may be an int), by fraction-free elimination
     (Bareiss, Math. Comp. 22, 1968): step k divides each updated entry
     exactly by the pivot of step k - 1.  On ints that is ``//``, so every
-    entry stays an integer; on FieldElements it is a product with that
-    pivot's inverse, taken at the top of each step k > 0 (n - 2 for n x n)
-    since a zero column proves det = 0 only after a unit pivot: a
+    entry stays an integer; on FieldElements, where each update a pivot -
+    c b is one fused dot product (:meth:`FieldContext.dot`), it is a product
+    with that pivot's inverse, taken at the top of each step k > 0 (n - 2
+    for n x n) since a zero column proves det = 0 only after a unit pivot: a
     zero-divisor pivot that a later step meets raises NotInvertible.
     A zero pivot swaps in the first later row with a nonzero entry there.
     """
@@ -240,9 +241,10 @@ def _bareiss(rows: Sequence[Sequence]):
                 row[k + 1:] = [(a * pivot - c * b) // prev
                                for a, b in zip(row[k + 1:], top[k + 1:])]
         else:
+            dot = pivot.context.dot
             for row in m[k + 1:]:
-                c = row[k]
-                new = [a * pivot - c * b for a, b in zip(row[k + 1:], top[k + 1:])]
+                c = -row[k]
+                new = [dot((a, c), (pivot, b)) for a, b in zip(row[k + 1:], top[k + 1:])]
                 row[k + 1:] = new if inv is None else [x * inv for x in new]
         prev = pivot
     return sign * m[-1][-1] if n else 1

@@ -456,9 +456,8 @@ def _lifted_pair(g1: Matrix, g2: Matrix):
 
 
 def _dot(u, v):
-    """sum u_k v_k from the first product (a start of 0 coerces a zero)."""
-    products = map(mul, u, v)
-    return sum(products, next(products))
+    """sum u_k v_k on ints; FieldElement rows take :meth:`FieldContext.dot`."""
+    return sum(map(mul, u, v))
 
 
 def _self_check(spec: RepSpec, e: Sequence, n: Sequence[Sequence]) -> None:
@@ -467,7 +466,8 @@ def _self_check(spec: RepSpec, e: Sequence, n: Sequence[Sequence]) -> None:
 
     A common denominator of E and N drops out of both identities, each
     homogeneous in (g1, g2).  The braid relation reads E_i N_ij E_j =
-    sum_k N_ik E_k N_kj, with E N formed once; det g2 = det g1 reads
+    sum_k N_ik E_k N_kj, with E N formed once and each sum one dot product;
+    det g2 = det g1 reads
     bareiss(N) = prod E_i, on either row type (:func:`_bareiss`).
     Then det A, A = g1 g2, is a unit and g2 = A g1 A^-1, so charpoly(g2) is
     that of g1 and P_X(g2) = A P_X(g1) A^-1 = 0; those two are checked
@@ -481,8 +481,8 @@ def _self_check(spec: RepSpec, e: Sequence, n: Sequence[Sequence]) -> None:
     prod (L - x_i)^{m_i}, has every x_i as a root.
     """
     en = [[ei * x for x in row] for ei, row in zip(e, n)]
-    cols = list(zip(*en))
-    if not all(x * ej == _dot(row, col)
+    cols, dot = list(zip(*en)), _dot if type(e[0]) is int else e[0].context.dot
+    if not all(x * ej == dot(row, col)
                for row, en_row in zip(n, en) for x, ej, col in zip(en_row, e, cols)):
         raise ConstructionFailed(f"braid relation failed for {spec}")
     det_g1 = prod(e[1:], start=e[0])

@@ -115,14 +115,15 @@ def spectral_report(rep: Representation) -> SpectralReport:
     e, l, n, q = _lifted_pair(rep.g1, rep.g2)  # A' = L E N = s A, B' = E N E = s B
     en = [[ei * x for x in row] for ei, row in zip(e, n)]
     b = [[x * ej for x, ej in zip(row, e)] for row in en]
-    b2 = [[_dot(row, col) for col in zip(*b)] for row in b]
+    dot = _dot if type(e[0]) is int else ctx.dot
+    b2 = [[dot(row, col) for col in zip(*b)] for row in b]
     c = b2[0][0]
     if b2 != [[c if i == j else 0 for j in range(d)] for i in range(d)]:
         raise NotScalar("(g1 g2)^3 is not scalar")
     s = l * l * q
     # tr A', tr A'^2 and tr B'; A'^3 = s c I and B'^2 = c I
     tr_a = l * sum(en[i][i] for i in range(d))
-    tr_a2 = l * l * sum(_dot(row, col) for row, col in zip(en, zip(*en)))
+    tr_a2 = l * l * dot([x for row in en for x in row], [x for col in zip(*en) for x in col])
     tr_b = sum(b[i][i] for i in range(d))
     # tr A'^k = (s c)^(k//3) tr A'^(k%3) and tr B'^k = c^(k//2) tr B'^(k%2)
     c_a, values = s * c, rep.values

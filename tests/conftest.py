@@ -13,6 +13,8 @@ so its plans live over ``OMEGA``, Q adjoined a primitive cube root of unity.
 ``sylvester_resultant`` is the reference resultant for the closed-form
 norms the predicates use: the determinant of the Sylvester matrix.
 ``leibniz_determinant`` is the reference for :func:`determinant`.
+``inverse_reference`` is the reference for ``FieldElement.inverse``: the
+extended Euclidean algorithm on lists of ``Fraction``.
 ``character`` over ``DEFAULT_PROBE_WORDS`` is the reference for the census
 probes, which are read off the diagonals: it evaluates each braid word.
 ``algebra_closure_dim`` is the reference for the Burnside oracle, which
@@ -33,6 +35,7 @@ from braidreps import (
     BraidWord,
     FieldContext,
     Matrix,
+    NotInvertible,
     ParameterSet,
     RepSpec,
     ShapeMismatch,
@@ -42,6 +45,7 @@ from braidreps import (
     parse,
     rationals,
 )
+from braidreps.field import _poly_divmod, _trim
 from braidreps.linalg import _reduce_vector
 
 SWEEP_SEED = 20260814
@@ -104,6 +108,27 @@ def leibniz_determinant(m):
             term = term * m[i, j]
         total = total - term if inversions % 2 else total + term
     return total
+
+
+def inverse_reference(e):
+    """e^-1 by the extended Euclidean algorithm on Fraction lists, for an
+    element that is not rational; a zero divisor raises NotInvertible with
+    the monic gcd of e and the modulus as its factor."""
+    ctx = e.context
+    r0, r1 = list(ctx.modulus), _trim(list(e.coeffs))
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while r1:
+        q, rem = _poly_divmod(r0, r1)
+        s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                s_new[i + j] -= qi * sj
+        r0, r1, s0, s1 = r1, rem, s1, _trim(s_new)
+    if len(r0) != 1:
+        factor = [c / r0[-1] for c in r0]
+        raise NotInvertible("zero divisor: element shares the monic factor "
+                            f"{[str(c) for c in factor]} with the modulus", factor)
+    return ctx.element([c / r0[0] for c in s0][:ctx.degree])
 
 
 def algebra_closure_dim(generators):

@@ -1181,6 +1181,26 @@ class TestDiagonalProbes:
             assert sorted(r.spec.variant for r in reps if r.dim == 6) == [1, 2, 3, 4, 5]
 
 
+    @pytest.mark.parametrize("ctx", [Z5, FieldContext([-24, 0, 1]), T2M1],
+                             ids=["zeta5", "sqrt24", "t2-1"])
+    def test_rational_reps_probed_on_integers(self, ctx, monkeypatch):
+        # a rep whose diagonals are rational sums its probes on integers
+        reps = [rep for rep in enumerate_irreps(_pset(ctx, 1, 2, 3, 4, 5)).reps
+                if all(x.is_rational() for x in rep.g1.entries + rep.g2.entries)]
+        assert len(reps) > 10
+        products = []
+
+        def counting(a, b):
+            products.append(None)
+            return NotImplemented
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting)
+        monkeypatch.setattr(FieldElement, "__rmul__", counting)
+        for rep in reps:
+            analysis._probe_traces(rep)
+        assert products == []
+
+
 class TestEquivalenceTools:
     def test_character_probe_frozen(self):
         rep = build_rep(RepSpec(dim=2, params=ps(1, 2)))

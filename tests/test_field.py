@@ -27,6 +27,7 @@ from braidreps import (
 )
 from braidreps import field
 from braidreps.cli import main
+from conftest import inverse_reference
 
 Q = rationals()
 SQRT24 = FieldContext([-24, 0, 1])        # t^2 - 24
@@ -344,6 +345,52 @@ def test_arithmetic_matches_fraction_reference(ctx, data):
         return
     _assert_stored(inv)
     assert _mod(ctx, _convolve(inv.coeffs, ca)) == _mod(ctx, [Fraction(1)])
+
+
+# The inverse's contexts: the stored ones and a monic modulus whose
+# coefficients are not integral, t^2 + t/2 - 1/3, which the inverse scales by 6.
+INVERSE_CONTEXTS = {**STORED_CONTEXTS,
+                    "t2+t/2-1/3": FieldContext([Fraction(-1, 3), Fraction(1, 2), 1])}
+
+
+@pytest.mark.parametrize("ctx", INVERSE_CONTEXTS.values(), ids=INVERSE_CONTEXTS.keys())
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_fraction_reference(ctx, data):
+    a = data.draw(_kernel_elements(ctx))
+    root = data.draw(st.sampled_from([None, -1, 0, 1]))
+    if root is not None:  # a zero divisor where t - root divides the modulus
+        a = a * (ctx.generator() - root)
+    if a.is_rational() and (a.num[0] or ctx.degree == 1):
+        return  # the rational path: test_inverse_of_a_rational_is_its_reciprocal
+    try:
+        want = inverse_reference(a)
+    except NotInvertible as exc:
+        with pytest.raises(NotInvertible) as got:
+            a.inverse()
+        assert str(got.value) == str(exc) and got.value.factor == exc.factor
+        return
+    got = a.inverse()
+    _assert_stored(got)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@st.composite
+def _dot_operands(draw, ctx):
+    """An element, rational or not, or an int zero."""
+    return draw(st.one_of(st.just(0), _kernel_elements(ctx)))
+
+
+@pytest.mark.parametrize("ctx", STORED_CONTEXTS.values(), ids=STORED_CONTEXTS.keys())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dot_equals_the_sum_of_products(ctx, data):
+    n = data.draw(st.integers(0, 6))
+    u = [data.draw(_dot_operands(ctx)) for _ in range(n)]
+    v = [data.draw(_dot_operands(ctx)) for _ in range(n)]
+    got = ctx.dot(u, v)
+    _assert_stored(got)
+    assert got == sum((a * b for a, b in zip(u, v)), ctx.zero())
 
 
 class TestEqualityHashPickle:

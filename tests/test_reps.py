@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import prod
+import operator
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from braidreps import (
     ConstructionFailed,
     DeferredRoot,
     FieldContext,
+    FieldElement,
     Matrix,
     MissingRoot,
     NotInvertible,
@@ -28,7 +30,7 @@ from braidreps import (
     poly_eval_matrix,
     rationals,
 )
-from braidreps.reps import _esym, _lifted_pair, _self_check
+from braidreps.reps import _esym, _layout, _lifted_pair, _self_check
 from conftest import (SWEEP_SEED, IndexOutOfRange, matrix_image, self_check_reference,
                       sweep_plans, transpose_parameters)
 
@@ -560,6 +562,26 @@ class TestFieldElementSelfCheck:
         # a perturbation that moves g2 breaks the braid relation
         assert all(m.startswith("braid relation")
                    for g2, m in zip(pairs[2:], seen[2:]) if g2 != rep.g2)
+
+    def test_braid_check_makes_no_field_addition(self, monkeypatch):
+        # every sum of the braid check on the d = 5 rows over Q(zeta5) is one
+        # fused dot product; the determinant's elimination only subtracts
+        ctx, dim, values, extra = IRRATIONAL_SPECS[0]
+        X = ParameterSet(tuple(parse_element(ctx, v) for v in values))
+        spec = RepSpec(dim=dim, params=X, f=parse_element(ctx, extra["f"]))
+        order, _, rows = _layout(spec, X.values + (spec.f,))
+        assert not all(x.is_rational() for row in rows for x in row)
+        adds = []
+
+        def counting(a, b):
+            adds.append(None)
+            return FieldElement._add(a, b, operator.add)
+
+        monkeypatch.setattr(FieldElement, "__add__", counting)
+        monkeypatch.setattr(FieldElement, "__radd__", counting)
+        _self_check(spec, order, rows)
+        assert adds == []
+
 
 def _scaled_sweep(seed=2801, per_case=3):
     """(dim, X, {h, f or variant}) for every dimension and variant: X has

@@ -113,7 +113,8 @@ def test_layers_writes_calibrated_quartiles(tmp_path):
     names += ["build_rep.d6.zeta5", "build_rep.d5.zeta5.irrational"]
     names += [f"spectral_report.d{d}.Q" for d in range(2, 7)]
     names += ["spectral_report.d6.zeta5", "spectral_report.d4.sqrt24", "canonical_dumps.verify.d6"]
-    names += ["field.mul.zeta5", "field.add.zeta5", "determinant.d5.zeta5"]
+    names += ["field.mul.zeta5", "field.add.zeta5", "field.inverse.zeta5", "determinant.d5.zeta5"]
+    names += ["probe_traces.d6.zeta5"]
     assert list(record["layers"]) == names
     for layer in record["layers"].values():
         assert 0 < layer["q1_ms"] <= layer["median_ms"] <= layer["q3_ms"]
